@@ -1,6 +1,6 @@
 //! Epoch checkpoints of a sweep run, derived from the compiled IR.
 //!
-//! Every [`SweepProgram`](crate::program::SweepProgram) ends each sweep
+//! Every [`SweepProgram`] ends each sweep
 //! with exactly one `AdvanceBuffer` op (enforced by `validate()`), so
 //! "state after `e` completed sweeps" is a well-defined epoch boundary on
 //! *every* plane and for *every* approach — the depositing thread just
@@ -22,33 +22,72 @@
 //!
 //! **Integrity:** every snapshot carries a
 //! [`grids_digest`] computed at deposit
-//! time, and every read path (`restore`, `epoch_records`,
+//! time, and every read path (`restore`, `epoch_snapshots`,
 //! [`CheckpointStore::verified_consistent_epoch`]) re-derives and checks
 //! it. A snapshot whose bits changed between deposit and restore — a
 //! memory fault, or the seeded `CorruptSnapshot` injector — is detected,
 //! counted, and *purged*, so recovery degrades to an older verified epoch
 //! (possibly all the way to the synthetic fill) instead of silently
 //! replaying poisoned state.
+//!
+//! **Locking:** snapshots are immutable shared handles. The store's one
+//! mutex guards only the maps — a reader takes its handles under the
+//! lock and then digests, clones or serialises tens of MB *outside* it,
+//! and a depositor copies and digests its grids before taking the lock —
+//! so a spill in flight never stalls a depositing compute thread.
+//!
+//! **Allocation:** a pruned snapshot's buffers go to a small pool, and
+//! [`CheckpointStore::deposit_from`] copies into a pooled buffer of the
+//! right shape instead of allocating (and page-faulting) fresh storage
+//! every sweep; copy and digest are one pass
+//! ([`copy_grids_digest`]). The pool never
+//! holds more buffers than the store's snapshot high-water mark.
 
-use crate::durable::SnapshotRecord;
-use crate::integrity::grids_digest;
+use crate::durable::{RecordRef, SnapshotRecord};
+use crate::integrity::{copy_grids_digest, grids_digest};
 use crate::program::{SweepProgram, ThreadRole};
 use gpaw_grid::decomp::Subdomain;
 use gpaw_grid::grid3::Grid3;
 use gpaw_grid::scalar::Scalar;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// The number of completed sweeps a snapshot reflects.
 pub type Epoch = usize;
 
 /// One deposited snapshot with the digest that convicts later bit rot.
+#[derive(Clone)]
 struct Snap<T> {
     /// `grids_digest` of `grids` at deposit time.
     digest: u64,
     /// The thread's input grids, in its own local order.
     grids: Vec<Grid3<T>>,
+}
+
+/// A verified, immutable handle on one key's snapshot of some epoch:
+/// the grids stay where the deposit put them, shared with the store, for
+/// as long as the handle lives — even after the store prunes the epoch.
+pub struct SharedSnapshot<T> {
+    rank: usize,
+    slot: usize,
+    snap: Arc<Snap<T>>,
+}
+
+impl<T> SharedSnapshot<T> {
+    /// The snapshot's grids, in the depositing thread's local order.
+    pub fn grids(&self) -> &[Grid3<T>] {
+        &self.snap.grids
+    }
+
+    /// This snapshot as the borrowed record a durable spill frames.
+    pub fn as_record_ref(&self) -> RecordRef<'_, T> {
+        RecordRef {
+            rank: self.rank,
+            slot: self.slot,
+            grids: &self.snap.grids,
+        }
+    }
 }
 
 struct Inner<T> {
@@ -57,8 +96,11 @@ struct Inner<T> {
     latest: HashMap<(usize, usize), Epoch>,
     /// Snapshots by `(rank, slot, epoch)`: the thread's input grids, in
     /// its own local order, right after the epoch's buffer swap.
-    snaps: HashMap<(usize, usize, Epoch), Snap<T>>,
-    /// The most snapshots ever held at once — the memory-bound witness.
+    snaps: HashMap<(usize, usize, Epoch), Arc<Snap<T>>>,
+    /// Buffers of pruned snapshots, waiting to back a later deposit.
+    pool: Vec<Vec<Grid3<T>>>,
+    /// The most snapshots ever held at once — the memory-bound witness,
+    /// and the pool's cap.
     high_water: usize,
     /// Digest verifications performed across all read paths.
     digest_checks: u64,
@@ -66,15 +108,53 @@ struct Inner<T> {
     digest_failures: u64,
 }
 
+impl<T> Inner<T> {
+    /// The newest epoch every registered key has reached.
+    fn floor(&self) -> Epoch {
+        self.latest.values().copied().min().unwrap_or(0)
+    }
+
+    /// The store lets go of `snap`: its buffers are pooled for reuse
+    /// unless a reader still shares them (then the reader's drop frees
+    /// them) or the pool already holds a high-water's worth.
+    fn retire(&mut self, snap: Arc<Snap<T>>) {
+        if let Ok(snap) = Arc::try_unwrap(snap) {
+            if self.pool.len() < self.high_water {
+                self.pool.push(snap.grids);
+            }
+        }
+    }
+
+    /// Drop every snapshot whose epoch fails `keep`.
+    fn prune(&mut self, keep: impl Fn(Epoch) -> bool) {
+        let dead: Vec<Arc<Snap<T>>> = self
+            .snaps
+            .extract_if(|&(_, _, e), _| !keep(e))
+            .map(|(_, snap)| snap)
+            .collect();
+        for snap in dead {
+            self.retire(snap);
+        }
+    }
+}
+
+fn same_shape<T: Scalar>(a: &[Grid3<T>], b: &[Grid3<T>]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.n() == y.n() && x.halo() == y.halo())
+}
+
 /// Shared store of per-thread epoch snapshots for one supervised run.
 ///
 /// Registered once with every `(rank, slot)` key that will deposit;
 /// interior-mutable so rank threads deposit concurrently through a shared
-/// reference. One mutex is enough: deposits happen once per sweep per
-/// thread and clone grid buffers *outside* hot loops, so contention is
-/// negligible next to the compute they bracket.
+/// reference. One mutex is enough because nothing slow happens under it
+/// (see the module docs).
 pub struct CheckpointStore<T> {
     inner: Mutex<Inner<T>>,
+    /// Signalled whenever a deposit advances the consistent epoch.
+    advanced: Condvar,
 }
 
 impl<T: Scalar> CheckpointStore<T> {
@@ -86,10 +166,12 @@ impl<T: Scalar> CheckpointStore<T> {
             inner: Mutex::new(Inner {
                 latest: keys.into_iter().map(|k| (k, 0)).collect(),
                 snaps: HashMap::new(),
+                pool: Vec::new(),
                 high_water: 0,
                 digest_checks: 0,
                 digest_failures: 0,
             }),
+            advanced: Condvar::new(),
         }
     }
 
@@ -100,27 +182,84 @@ impl<T: Scalar> CheckpointStore<T> {
     }
 
     /// Deposit `(rank, slot)`'s snapshot of epoch `epoch` (its input
-    /// grids after the sweep's buffer swap, in the thread's local order).
-    /// Prunes every snapshot below the new fleet-wide consistent epoch.
+    /// grids after the sweep's buffer swap, in the thread's local order),
+    /// taking ownership of `grids`. Prunes every snapshot below the new
+    /// fleet-wide consistent epoch.
     pub fn deposit(&self, rank: usize, slot: usize, epoch: Epoch, grids: Vec<Grid3<T>>) {
         let digest = grids_digest(&grids);
+        self.insert(rank, slot, epoch, Snap { digest, grids });
+    }
+
+    /// [`deposit`](CheckpointStore::deposit) for a thread that keeps its
+    /// grids: snapshot and digest in one pass, into a recycled buffer
+    /// when a pruned snapshot of the same shape left one behind.
+    pub fn deposit_from(&self, rank: usize, slot: usize, epoch: Epoch, grids: &[Grid3<T>]) {
+        let recycled = {
+            let mut st = self.lock();
+            let fit = st.pool.iter().position(|buf| same_shape(buf, grids));
+            fit.map(|i| st.pool.swap_remove(i))
+        };
+        let snap = match recycled {
+            Some(mut buf) => Snap {
+                digest: copy_grids_digest(&mut buf, grids),
+                grids: buf,
+            },
+            None => Snap {
+                digest: grids_digest(grids),
+                grids: grids.to_vec(),
+            },
+        };
+        self.insert(rank, slot, epoch, snap);
+    }
+
+    fn insert(&self, rank: usize, slot: usize, epoch: Epoch, snap: Snap<T>) {
         let mut st = self.lock();
-        st.snaps.insert((rank, slot, epoch), Snap { digest, grids });
+        let before = st.floor();
+        if let Some(replaced) = st.snaps.insert((rank, slot, epoch), Arc::new(snap)) {
+            st.retire(replaced);
+        }
         // Peak is measured before pruning: the transient counts too.
         st.high_water = st.high_water.max(st.snaps.len());
         let cur = st.latest.entry((rank, slot)).or_insert(0);
         if epoch > *cur {
             *cur = epoch;
         }
-        let floor = st.latest.values().copied().min().unwrap_or(0);
-        st.snaps.retain(|&(_, _, e), _| e >= floor);
+        let floor = st.floor();
+        st.prune(|e| e >= floor);
+        if floor > before {
+            self.advanced.notify_all();
+        }
     }
 
     /// The newest epoch every registered key has reached — the rollback
     /// target after a failure. 0 when any thread has yet to complete a
     /// sweep (roll back to the synthetic fill).
     pub fn consistent_epoch(&self) -> Epoch {
-        self.lock().latest.values().copied().min().unwrap_or(0)
+        self.lock().floor()
+    }
+
+    /// Block until `ready(consistent_epoch)` holds and return that epoch.
+    /// Woken by the deposit that advances the consistent epoch (and by
+    /// [`wake_waiters`](CheckpointStore::wake_waiters)) — the durable
+    /// spiller sleeps here instead of polling the store.
+    pub fn wait_consistent(&self, ready: impl Fn(Epoch) -> bool) -> Epoch {
+        let mut st = self.lock();
+        loop {
+            let floor = st.floor();
+            if ready(floor) {
+                return floor;
+            }
+            st = self.advanced.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Make every [`wait_consistent`](CheckpointStore::wait_consistent)
+    /// caller re-evaluate its predicate — for conditions the store does
+    /// not own, like a stop flag. Taking the lock first closes the window
+    /// between a waiter's check and its sleep.
+    pub fn wake_waiters(&self) {
+        let _st = self.lock();
+        self.advanced.notify_all();
     }
 
     /// The newest epoch all of `rank`'s registered slots have deposited.
@@ -134,22 +273,34 @@ impl<T: Scalar> CheckpointStore<T> {
             .unwrap_or(0)
     }
 
+    /// Re-derive `snap`'s digest — outside the lock — and settle the
+    /// verdict under it. A poisoned snapshot is purged and counted once,
+    /// by whichever reader still finds it in the store.
+    fn verify(&self, key: (usize, usize, Epoch), snap: &Arc<Snap<T>>) -> bool {
+        let clean = grids_digest(&snap.grids) == snap.digest;
+        let mut st = self.lock();
+        st.digest_checks += 1;
+        if !clean && st.snaps.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, snap)) {
+            st.digest_failures += 1;
+            st.snaps.remove(&key);
+        }
+        clean
+    }
+
+    /// `key`'s snapshot if it is stored and verifies.
+    fn verified(&self, key: (usize, usize, Epoch)) -> Option<Arc<Snap<T>>> {
+        let snap = self.lock().snaps.get(&key).cloned()?;
+        self.verify(key, &snap).then_some(snap)
+    }
+
     /// Clone out `(rank, slot)`'s snapshot of `epoch`, verifying its
     /// digest first. `None` for epoch 0 (the synthetic fill — re-derive
     /// it), for an unknown key/epoch, or for a snapshot whose bits no
     /// longer match its deposit-time digest (the poisoned snapshot is
     /// purged and counted, so the caller falls back like any other miss).
     pub fn restore(&self, rank: usize, slot: usize, epoch: Epoch) -> Option<Vec<Grid3<T>>> {
-        let mut st = self.lock();
-        let inner = &mut *st;
-        let snap = inner.snaps.get(&(rank, slot, epoch))?;
-        inner.digest_checks += 1;
-        if grids_digest(&snap.grids) != snap.digest {
-            inner.digest_failures += 1;
-            inner.snaps.remove(&(rank, slot, epoch));
-            return None;
-        }
-        Some(snap.grids.clone())
+        self.verified((rank, slot, epoch))
+            .map(|snap| snap.grids.clone())
     }
 
     /// The newest epoch every registered key has deposited **and whose
@@ -161,35 +312,23 @@ impl<T: Scalar> CheckpointStore<T> {
     ///
     /// [`consistent_epoch`]: CheckpointStore::consistent_epoch
     pub fn verified_consistent_epoch(&self) -> Epoch {
-        let mut st = self.lock();
-        let inner = &mut *st;
-        let keys: Vec<(usize, usize)> = inner.latest.keys().copied().collect();
-        let mut epoch = inner.latest.values().copied().min().unwrap_or(0);
-        while epoch > 0 {
-            let mut ok = true;
-            for &(rank, slot) in &keys {
-                let key = (rank, slot, epoch);
-                match inner.snaps.get(&key) {
-                    Some(snap) => {
-                        inner.digest_checks += 1;
-                        if grids_digest(&snap.grids) != snap.digest {
-                            inner.digest_failures += 1;
-                            inner.snaps.remove(&key);
-                            ok = false;
-                        }
-                    }
-                    // Pruned (or never deposited): older epochs cannot be
-                    // complete either, but keep walking — a lower epoch may
-                    // still hold every key if pruning has not caught up.
-                    None => ok = false,
-                }
-            }
-            if ok {
-                return epoch;
-            }
-            epoch -= 1;
-        }
-        0
+        let (keys, floor) = {
+            let st = self.lock();
+            let keys: Vec<(usize, usize)> = st.latest.keys().copied().collect();
+            (keys, st.floor())
+        };
+        // A pruned (or never deposited) key fails its epoch, but keep
+        // walking — a lower epoch may still hold every key if pruning
+        // has not caught up — and keep checking the epoch's other keys,
+        // so every poisoned snapshot on the way down is convicted.
+        (1..=floor)
+            .rev()
+            .find(|&epoch| {
+                keys.iter().fold(true, |ok, &(rank, slot)| {
+                    self.verified((rank, slot, epoch)).is_some() && ok
+                })
+            })
+            .unwrap_or(0)
     }
 
     /// Digest verifications performed across all read paths.
@@ -207,13 +346,15 @@ impl<T: Scalar> CheckpointStore<T> {
     /// deterministic model of a memory fault striking a checkpoint
     /// buffer. Returns whether a stored data word existed to corrupt.
     /// Fault-injection/test hook, same spirit as the durable store's
-    /// `epoch_path`; production code never calls it.
+    /// `epoch_path`; production code never calls it. (A reader already
+    /// holding the snapshot's handle keeps the bits it took: the fault
+    /// strikes the store's copy.)
     pub fn corrupt_snapshot(&self, rank: usize, slot: usize, epoch: Epoch) -> bool {
         let mut st = self.lock();
         let Some(snap) = st.snaps.get_mut(&(rank, slot, epoch)) else {
             return false;
         };
-        for g in snap.grids.iter_mut() {
+        for g in Arc::make_mut(snap).grids.iter_mut() {
             if let Some(w) = g.data_mut().first_mut() {
                 let mut words = w.bit_pattern();
                 words[0] ^= 1;
@@ -229,7 +370,7 @@ impl<T: Scalar> CheckpointStore<T> {
     /// clean slate.
     pub fn rollback(&self, epoch: Epoch) {
         let mut st = self.lock();
-        st.snaps.retain(|&(_, _, e), _| e <= epoch);
+        st.prune(|e| e <= epoch);
         for v in st.latest.values_mut() {
             *v = (*v).min(epoch);
         }
@@ -240,6 +381,12 @@ impl<T: Scalar> CheckpointStore<T> {
         self.lock().snaps.len()
     }
 
+    /// Retired snapshot buffers waiting for reuse (tests; never more
+    /// than [`high_water`](CheckpointStore::high_water)).
+    pub fn pooled_buffers(&self) -> usize {
+        self.lock().pool.len()
+    }
+
     /// The most snapshots ever held at once. Flat over a long run — that
     /// is the memory-bound guarantee the durability spiller relies on
     /// (the store stages at most the window between the consistent floor
@@ -248,41 +395,50 @@ impl<T: Scalar> CheckpointStore<T> {
         self.lock().high_water
     }
 
-    /// Atomically clone out *every* registered key's snapshot of `epoch`,
-    /// sorted by `(rank, slot)` — the unit a durable spill serializes.
-    /// `None` if any key lacks that epoch (not yet consistent, or already
-    /// pruned) **or fails its digest check** (the poisoned snapshot is
-    /// purged), so a spill is always all-keys-or-nothing and never writes
-    /// silently-corrupted state to disk.
+    /// Atomically take a shared handle on *every* registered key's
+    /// snapshot of `epoch`, sorted by `(rank, slot)` — the unit a durable
+    /// spill serializes, without copying it. `None` if any key lacks that
+    /// epoch (not yet consistent, or already pruned) **or fails its
+    /// digest check** (the poisoned snapshot is purged), so a spill is
+    /// always all-keys-or-nothing and never writes silently-corrupted
+    /// state to disk.
+    pub fn epoch_snapshots(&self, epoch: Epoch) -> Option<Vec<SharedSnapshot<T>>> {
+        let held: Vec<SharedSnapshot<T>> = {
+            let st = self.lock();
+            let mut keys: Vec<(usize, usize)> = st.latest.keys().copied().collect();
+            keys.sort_unstable();
+            keys.into_iter()
+                .map(|(rank, slot)| {
+                    let snap = st.snaps.get(&(rank, slot, epoch))?.clone();
+                    Some(SharedSnapshot { rank, slot, snap })
+                })
+                .collect::<Option<_>>()?
+        };
+        held.iter()
+            .all(|s| self.verify((s.rank, s.slot, epoch), &s.snap))
+            .then_some(held)
+    }
+
+    /// [`epoch_snapshots`](CheckpointStore::epoch_snapshots) cloned out
+    /// into owned records, for callers that outlive or reshape them.
     pub fn epoch_records(&self, epoch: Epoch) -> Option<Vec<SnapshotRecord<T>>> {
-        let mut st = self.lock();
-        let inner = &mut *st;
-        let mut keys: Vec<(usize, usize)> = inner.latest.keys().copied().collect();
-        keys.sort_unstable();
-        let mut records = Vec::with_capacity(keys.len());
-        for (rank, slot) in keys {
-            let snap = inner.snaps.get(&(rank, slot, epoch))?;
-            inner.digest_checks += 1;
-            if grids_digest(&snap.grids) != snap.digest {
-                inner.digest_failures += 1;
-                inner.snaps.remove(&(rank, slot, epoch));
-                return None;
-            }
-            records.push(SnapshotRecord {
-                rank,
-                slot,
-                grids: snap.grids.clone(),
-            });
-        }
-        Some(records)
+        let held = self.epoch_snapshots(epoch)?;
+        Some(
+            held.iter()
+                .map(|s| SnapshotRecord {
+                    rank: s.rank,
+                    slot: s.slot,
+                    grids: s.grids().to_vec(),
+                })
+                .collect(),
+        )
     }
 
     /// Drop every snapshot strictly below `epoch` — called once a spill
     /// has made `epoch` durable on disk, so memory never retains what
     /// the disk already guarantees.
     pub fn prune_below(&self, epoch: Epoch) {
-        let mut st = self.lock();
-        st.snaps.retain(|&(_, _, e), _| e >= epoch);
+        self.lock().prune(|e| e >= epoch);
     }
 }
 
@@ -726,6 +882,122 @@ mod tests {
             "a spill must never serialize corrupted state"
         );
         assert!(s.digest_failures() >= 1);
+    }
+
+    #[test]
+    fn a_poisoned_shared_snapshot_is_convicted_purged_and_counted_once() {
+        // Spill path: the epoch is refused, the poisoned key purged.
+        let s = store();
+        s.deposit_from(0, 0, 1, &[grid(1.0)]);
+        s.deposit_from(1, 0, 1, &[grid(2.0)]);
+        // A reader that took its handles before the fault keeps the bits
+        // it verified; the fault strikes the store's copy.
+        let before = s.epoch_snapshots(1).expect("clean epoch");
+        assert!(s.corrupt_snapshot(1, 0, 1));
+        assert_eq!(before[1].grids()[0].data()[0], 2.0);
+        assert!(
+            s.epoch_snapshots(1).is_none(),
+            "spill must refuse the epoch"
+        );
+        assert_eq!(s.digest_failures(), 1);
+        assert_eq!(s.snapshot_count(), 1, "the poisoned snapshot is purged");
+        // Restore path: a plain miss now, not a second conviction.
+        assert!(s.restore(1, 0, 1).is_none());
+        assert!(s.epoch_snapshots(1).is_none());
+        assert_eq!(s.digest_failures(), 1);
+        assert!(s.restore(0, 0, 1).is_some(), "the clean sibling survives");
+        assert_eq!(s.verified_consistent_epoch(), 0);
+        // The key can be deposited again (a replayed sweep does).
+        drop(before);
+        s.deposit_from(1, 0, 1, &[grid(2.0)]);
+        assert_eq!(s.restore(1, 0, 1).expect("re-deposited")[0].data()[0], 2.0);
+    }
+
+    #[test]
+    fn recycled_deposits_keep_memory_flat_and_snapshots_exact() {
+        let s = store();
+        let mut buffers_after_warm_up = None;
+        for e in 1..=50 {
+            for rank in 0..2 {
+                // A different value every deposit: a recycled buffer must
+                // be fully overwritten, and digested as what it now holds.
+                let mut g = grid(e as f64 + rank as f64 * 0.5);
+                g.data_mut()[5] = -(e as f64);
+                s.deposit_from(rank, 0, e, &[g]);
+                assert!(
+                    s.pooled_buffers() <= s.high_water(),
+                    "epoch {e}: pool {} above high water {}",
+                    s.pooled_buffers(),
+                    s.high_water()
+                );
+            }
+            let back = s.restore(1, 0, e).expect("verifies after recycling");
+            assert_eq!(back[0].data()[0], e as f64 + 0.5);
+            assert_eq!(back[0].data()[5], -(e as f64));
+            // Past the first epochs every deposit reuses a pruned buffer:
+            // the store's total buffer count stops moving.
+            let buffers = s.snapshot_count() + s.pooled_buffers();
+            if e >= 3 {
+                assert_eq!(*buffers_after_warm_up.get_or_insert(buffers), buffers);
+            }
+        }
+        assert!(s.high_water() <= 4, "high water {}", s.high_water());
+        assert_eq!(s.digest_failures(), 0);
+        // A different shape never reuses a pooled buffer of the old one.
+        s.deposit_from(0, 0, 51, &[Grid3::zeros([2, 2, 2], 1)]);
+        assert_eq!(s.restore(0, 0, 51).unwrap()[0].n(), [2, 2, 2]);
+    }
+
+    #[test]
+    fn a_deposit_never_waits_for_a_reader_mid_epoch() {
+        // A reader mid-`epoch_records` / mid-spill is exactly a thread
+        // holding the epoch's handles and no lock. Hold them here for the
+        // whole test: deposits from another thread must still complete,
+        // prune the epoch out from under the reader, and leave the
+        // reader's view intact.
+        let s = store();
+        s.deposit_from(0, 0, 1, &[grid(1.0)]);
+        s.deposit_from(1, 0, 1, &[grid(2.0)]);
+        let reading = s.epoch_snapshots(1).expect("consistent epoch");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                s.deposit_from(0, 0, 2, &[grid(3.0)]);
+                s.deposit_from(1, 0, 2, &[grid(4.0)]);
+                done_tx.send(()).unwrap();
+            });
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("deposits blocked behind a reader holding an epoch");
+        });
+        assert_eq!(s.consistent_epoch(), 2);
+        assert!(s.restore(0, 0, 1).is_none(), "epoch 1 was pruned meanwhile");
+        assert_eq!(s.pooled_buffers(), 0, "shared buffers are not recycled");
+        assert_eq!(reading[0].grids()[0].data()[0], 1.0);
+        assert_eq!(reading[1].grids()[0].data()[0], 2.0);
+        let recs: Vec<_> = reading.iter().map(SharedSnapshot::as_record_ref).collect();
+        assert_eq!((recs[1].rank, recs[1].slot), (1, 0));
+    }
+
+    #[test]
+    fn wait_consistent_is_woken_by_the_advancing_deposit_and_by_wake_waiters() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let s = store();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| s.wait_consistent(|ce| ce >= 2));
+            s.deposit(0, 0, 1, vec![grid(1.0)]);
+            s.deposit(1, 0, 1, vec![grid(1.0)]);
+            s.deposit(0, 0, 2, vec![grid(2.0)]);
+            s.deposit(1, 0, 3, vec![grid(3.0)]);
+            assert_eq!(waiter.join().unwrap(), 2);
+            // A condition the store does not own: set it, then wake.
+            let stopped =
+                scope.spawn(|| s.wait_consistent(|ce| stop.load(Ordering::SeqCst) || ce >= 99));
+            stop.store(true, Ordering::SeqCst);
+            s.wake_waiters();
+            assert_eq!(stopped.join().unwrap(), 2);
+        });
     }
 
     #[test]

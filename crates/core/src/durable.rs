@@ -27,8 +27,10 @@
 //! · crc u32) — is written to a `.tmp` sibling and atomically renamed into
 //! place, in this order: epoch file first, then the manifest. A reader can
 //! therefore never observe a half-written *named* file after a process
-//! kill; the worst cases are a leftover `.tmp` (ignored) or a manifest one
-//! epoch behind the newest complete file. Recovery ([`DurableStore::recover`])
+//! kill; the worst cases are a leftover `.tmp` (never read, and reclaimed:
+//! a failed write removes its own, and the next [`DurableStore::create`]
+//! or [`DurableStore::open`] of the directory sweeps a killed writer's)
+//! or a manifest one epoch behind the newest complete file. Recovery ([`DurableStore::recover`])
 //! treats the manifest as the newest-complete-epoch pointer but trusts
 //! only checksums: it tries every on-disk epoch newest-first, skipping any
 //! file that fails validation (torn, truncated, bit-flipped, wrong
@@ -37,12 +39,25 @@
 //! against process death (the page cache survives a SIGKILL); powering
 //! off the machine mid-spill would additionally need `fsync`, which this
 //! simulation-scale store deliberately skips.
+//!
+//! # The write path
+//!
+//! An epoch is tens of MB, so [`DurableStore::spill_records`] never holds
+//! it in memory a second time: header and records stream through one
+//! 64 KiB chunk buffer straight into the `.tmp` file — grid storage is
+//! converted to little-endian words a chunk at a time, the chunk feeds the
+//! incremental [`Crc32`] while it is still in cache, and goes to the file.
+//! `payload_crc` precedes its payload in the frame, so it is written as a
+//! placeholder and back-patched by seek once the record has streamed
+//! past — all before the rename, so no reader can see the placeholder.
 
 use crate::checkpoint::Epoch;
+use crate::integrity::Crc32;
 use gpaw_grid::grid3::Grid3;
 use gpaw_grid::scalar::Scalar;
 use std::fmt;
 use std::fs;
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// First four bytes of every durable file.
@@ -57,6 +72,15 @@ const HEADER_LEN: usize = 4 + 4 + 8 + 4 + 4;
 /// magic + schema + epoch + crc.
 const MANIFEST_LEN: usize = 4 + 4 + 8 + 4;
 const MANIFEST: &str = "MANIFEST";
+/// Suffix of the write-then-rename staging sibling of every durable file.
+const TMP_SUFFIX: &str = ".tmp";
+/// Bytes converted, checksummed and written per step of the streaming
+/// writer: L2-resident, and a whole number of both scalar widths.
+const CHUNK_BYTES: usize = 64 << 10;
+/// A record payload's leading fields: rank · slot · n_grids.
+const RECORD_FIELDS_LEN: usize = 3 * 8;
+/// A grid's leading fields: n0 n1 n2 · halo · words · data_words.
+const GRID_FIELDS_LEN: usize = 6 * 8;
 
 /// The on-disk checksum, re-exported from the shared integrity module so
 /// the frame format and its callers are unchanged.
@@ -151,6 +175,30 @@ pub struct SnapshotRecord<T> {
     pub grids: Vec<Grid3<T>>,
 }
 
+impl<T> SnapshotRecord<T> {
+    /// This record's borrowed form — what the writer consumes.
+    pub fn as_record_ref(&self) -> RecordRef<'_, T> {
+        RecordRef {
+            rank: self.rank,
+            slot: self.slot,
+            grids: &self.grids,
+        }
+    }
+}
+
+/// A borrowed [`SnapshotRecord`]: the same key over grids that stay
+/// where they are (a checkpoint store's shared snapshot, a caller's own
+/// vector), so spilling an epoch never copies it first.
+#[derive(Debug)]
+pub struct RecordRef<'a, T> {
+    /// Depositing rank.
+    pub rank: usize,
+    /// Depositing thread slot within the rank.
+    pub slot: usize,
+    /// The thread's input grids in its own local order.
+    pub grids: &'a [Grid3<T>],
+}
+
 /// What [`DurableStore::recover`] salvaged from a directory.
 pub struct Recovered<T> {
     /// The newest epoch that validated end-to-end; 0 means nothing did
@@ -178,9 +226,7 @@ impl DurableStore {
             path: dir.to_path_buf(),
             source,
         })?;
-        Ok(DurableStore {
-            dir: dir.to_path_buf(),
-        })
+        Ok(DurableStore::adopt(dir))
     }
 
     /// Open an existing directory; a missing one is a typed error. This
@@ -190,9 +236,29 @@ impl DurableStore {
         if !dir.is_dir() {
             return Err(DurableError::MissingDir(dir.to_path_buf()));
         }
-        Ok(DurableStore {
+        Ok(DurableStore::adopt(dir))
+    }
+
+    /// Take over an existing directory: reclaim the staging files a
+    /// killed writer left behind. One writer per directory is the
+    /// contract, so any `.tmp` sibling of a durable file found here is an
+    /// orphan no rename will ever complete — and at tens of MB each,
+    /// repeated kills would otherwise fill the disk. Best effort: an
+    /// orphan that cannot be deleted is as harmless as it was before.
+    fn adopt(dir: &Path) -> DurableStore {
+        if let Ok(entries) = fs::read_dir(dir) {
+            for entry in entries.flatten() {
+                let name = entry.file_name();
+                let name = name.to_string_lossy();
+                let staged = name.strip_suffix(TMP_SUFFIX);
+                if staged.is_some_and(|n| n == MANIFEST || epoch_of_file_name(n).is_some()) {
+                    let _ = fs::remove_file(entry.path());
+                }
+            }
+        }
+        DurableStore {
             dir: dir.to_path_buf(),
-        })
+        }
     }
 
     /// The directory this store reads and writes.
@@ -210,62 +276,55 @@ impl DurableStore {
         self.dir.join(MANIFEST)
     }
 
-    /// Write `bytes` to `path` atomically: a `.tmp` sibling first, then
-    /// rename. A reader never sees a torn named file.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), DurableError> {
+    /// Produce `path` atomically: `fill` writes a `.tmp` sibling, which
+    /// is then renamed into place, so a reader never sees a torn named
+    /// file. A failed write or rename removes the sibling again.
+    fn write_atomic(
+        &self,
+        path: &Path,
+        fill: impl FnOnce(&mut fs::File) -> io::Result<()>,
+    ) -> Result<(), DurableError> {
         let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
+        tmp.push(TMP_SUFFIX);
         let tmp = PathBuf::from(tmp);
         let io = |p: &Path, source| DurableError::Io {
             path: p.to_path_buf(),
             source,
         };
-        fs::write(&tmp, bytes).map_err(|e| io(&tmp, e))?;
-        fs::rename(&tmp, path).map_err(|e| io(path, e))
+        let staged = fs::File::create(&tmp)
+            .and_then(|mut file| fill(&mut file))
+            .map_err(|e| io(&tmp, e))
+            .and_then(|()| fs::rename(&tmp, path).map_err(|e| io(path, e)));
+        if staged.is_err() {
+            let _ = fs::remove_file(&tmp);
+        }
+        staged
     }
 
     /// Spill one complete consistent epoch: every registered key's
     /// snapshot, framed and checksummed, atomically renamed into place,
-    /// then the manifest advanced to point at it.
+    /// then the manifest advanced to point at it. The owned-record form
+    /// of [`DurableStore::spill_records`].
     pub fn spill_epoch<T: Scalar>(
         &self,
         epoch: Epoch,
         records: &[SnapshotRecord<T>],
     ) -> Result<PathBuf, DurableError> {
-        let words = T::BYTES / 8;
-        let mut file = Vec::new();
-        file.extend_from_slice(&MAGIC);
-        push_u32(&mut file, SCHEMA_VERSION);
-        push_u64(&mut file, epoch as u64);
-        push_u32(&mut file, records.len() as u32);
-        let hcrc = crc32(&file);
-        push_u32(&mut file, hcrc);
-        for rec in records {
-            let mut payload = Vec::new();
-            push_u64(&mut payload, rec.rank as u64);
-            push_u64(&mut payload, rec.slot as u64);
-            push_u64(&mut payload, rec.grids.len() as u64);
-            for g in &rec.grids {
-                let n = g.n();
-                push_u64(&mut payload, n[0] as u64);
-                push_u64(&mut payload, n[1] as u64);
-                push_u64(&mut payload, n[2] as u64);
-                push_u64(&mut payload, g.halo() as u64);
-                push_u64(&mut payload, words as u64);
-                push_u64(&mut payload, (g.data().len() * words) as u64);
-                for &v in g.data() {
-                    let w = v.bit_pattern();
-                    for &word in w.iter().take(words) {
-                        push_u64(&mut payload, word);
-                    }
-                }
-            }
-            push_u64(&mut file, payload.len() as u64);
-            push_u32(&mut file, crc32(&payload));
-            file.extend_from_slice(&payload);
-        }
+        let refs: Vec<RecordRef<'_, T>> =
+            records.iter().map(SnapshotRecord::as_record_ref).collect();
+        self.spill_records(epoch, &refs)
+    }
+
+    /// Spill one complete consistent epoch from borrowed grids, streaming
+    /// (see the module docs): the epoch is read once, where it lies, and
+    /// never staged in memory.
+    pub fn spill_records<T: Scalar>(
+        &self,
+        epoch: Epoch,
+        records: &[RecordRef<'_, T>],
+    ) -> Result<PathBuf, DurableError> {
         let path = self.epoch_path(epoch);
-        self.write_atomic(&path, &file)?;
+        self.write_atomic(&path, |file| stream_epoch(file, epoch, records))?;
         self.write_manifest(epoch)?;
         Ok(path)
     }
@@ -277,7 +336,7 @@ impl DurableStore {
         push_u64(&mut bytes, epoch as u64);
         let crc = crc32(&bytes);
         push_u32(&mut bytes, crc);
-        self.write_atomic(&self.manifest_path(), &bytes)
+        self.write_atomic(&self.manifest_path(), |file| file.write_all(&bytes))
     }
 
     /// The epoch the manifest points at; `Ok(None)` when no manifest has
@@ -323,19 +382,10 @@ impl DurableStore {
             path: self.dir.clone(),
             source,
         })?;
-        let mut epochs = Vec::new();
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(num) = name
-                .strip_prefix("epoch_")
-                .and_then(|rest| rest.strip_suffix(".ckpt"))
-            {
-                if let Ok(e) = num.parse::<Epoch>() {
-                    epochs.push(e);
-                }
-            }
-        }
+        let mut epochs: Vec<Epoch> = entries
+            .flatten()
+            .filter_map(|entry| epoch_of_file_name(&entry.file_name().to_string_lossy()))
+            .collect();
         epochs.sort_unstable();
         Ok(epochs)
     }
@@ -494,6 +544,89 @@ impl DurableStore {
     }
 }
 
+/// The epoch a directory entry named `name` frames, if it is an epoch
+/// file's name at all.
+fn epoch_of_file_name(name: &str) -> Option<Epoch> {
+    name.strip_prefix("epoch_")?
+        .strip_suffix(".ckpt")?
+        .parse()
+        .ok()
+}
+
+/// Stream one epoch's frame into `file` (see the module docs for the
+/// layout and the write path).
+fn stream_epoch<T: Scalar>(
+    file: &mut fs::File,
+    epoch: Epoch,
+    records: &[RecordRef<'_, T>],
+) -> io::Result<()> {
+    let words = T::BYTES / 8;
+    let mut out = BufWriter::with_capacity(CHUNK_BYTES, &mut *file);
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(&MAGIC);
+    push_u32(&mut header, SCHEMA_VERSION);
+    push_u64(&mut header, epoch as u64);
+    push_u32(&mut header, records.len() as u32);
+    let hcrc = crc32(&header);
+    push_u32(&mut header, hcrc);
+    out.write_all(&header)?;
+
+    // Where each record's `payload_crc` placeholder sits, and what
+    // belongs there once the payload has streamed past.
+    let mut patches: Vec<(u64, u32)> = Vec::with_capacity(records.len());
+    let mut at = HEADER_LEN as u64;
+    let mut chunk = vec![0u8; CHUNK_BYTES];
+    let mut fields = Vec::with_capacity(GRID_FIELDS_LEN);
+    for rec in records {
+        let payload_len: usize = RECORD_FIELDS_LEN
+            + rec
+                .grids
+                .iter()
+                .map(|g| GRID_FIELDS_LEN + g.data().len() * T::BYTES)
+                .sum::<usize>();
+        out.write_all(&(payload_len as u64).to_le_bytes())?;
+        out.write_all(&[0u8; 4])?;
+        let mut crc = Crc32::new();
+        fields.clear();
+        push_u64(&mut fields, rec.rank as u64);
+        push_u64(&mut fields, rec.slot as u64);
+        push_u64(&mut fields, rec.grids.len() as u64);
+        crc.update(&fields);
+        out.write_all(&fields)?;
+        for g in rec.grids {
+            fields.clear();
+            for d in g.n() {
+                push_u64(&mut fields, d as u64);
+            }
+            push_u64(&mut fields, g.halo() as u64);
+            push_u64(&mut fields, words as u64);
+            push_u64(&mut fields, (g.data().len() * words) as u64);
+            crc.update(&fields);
+            out.write_all(&fields)?;
+            for values in g.data().chunks(CHUNK_BYTES / T::BYTES) {
+                let bytes = &mut chunk[..values.len() * T::BYTES];
+                for (v, cell) in values.iter().zip(bytes.chunks_exact_mut(T::BYTES)) {
+                    let pattern = v.bit_pattern();
+                    for (word, le) in pattern.iter().zip(cell.chunks_exact_mut(8)) {
+                        le.copy_from_slice(&word.to_le_bytes());
+                    }
+                }
+                crc.update(bytes);
+                out.write_all(bytes)?;
+            }
+        }
+        patches.push((at + 8, crc.finish()));
+        at += 12 + payload_len as u64;
+    }
+    out.flush()?;
+    drop(out);
+    for (crc_at, crc) in patches {
+        file.seek(SeekFrom::Start(crc_at))?;
+        file.write_all(&crc.to_le_bytes())?;
+    }
+    Ok(())
+}
+
 fn parse_record<T: Scalar>(
     payload: &[u8],
     words: usize,
@@ -546,11 +679,12 @@ fn parse_record<T: Scalar>(
                 "record {index} grid {gi}: payload truncated inside grid data"
             )));
         }
-        for v in g.data_mut() {
+        let stored = &payload[at..at + data_words * 8];
+        at += data_words * 8;
+        for (v, cell) in g.data_mut().iter_mut().zip(stored.chunks_exact(T::BYTES)) {
             let mut w = [0u64; 2];
-            for word in w.iter_mut().take(words) {
-                *word = read_u64(payload, at);
-                at += 8;
+            for (word, le) in w.iter_mut().zip(cell.chunks_exact(8)) {
+                *word = read_u64(le, 0);
             }
             *v = T::from_bit_pattern(w);
         }
@@ -647,6 +781,166 @@ mod tests {
         ]
     }
 
+    /// The in-memory serialiser the streaming writer replaced — kept as
+    /// the format's reference: build every payload, then the whole file.
+    fn reference_frame<T: Scalar>(epoch: Epoch, records: &[SnapshotRecord<T>]) -> Vec<u8> {
+        let words = T::BYTES / 8;
+        let mut file = Vec::new();
+        file.extend_from_slice(&MAGIC);
+        push_u32(&mut file, SCHEMA_VERSION);
+        push_u64(&mut file, epoch as u64);
+        push_u32(&mut file, records.len() as u32);
+        let hcrc = crc32(&file);
+        push_u32(&mut file, hcrc);
+        for rec in records {
+            let mut payload = Vec::new();
+            push_u64(&mut payload, rec.rank as u64);
+            push_u64(&mut payload, rec.slot as u64);
+            push_u64(&mut payload, rec.grids.len() as u64);
+            for g in &rec.grids {
+                let n = g.n();
+                push_u64(&mut payload, n[0] as u64);
+                push_u64(&mut payload, n[1] as u64);
+                push_u64(&mut payload, n[2] as u64);
+                push_u64(&mut payload, g.halo() as u64);
+                push_u64(&mut payload, words as u64);
+                push_u64(&mut payload, (g.data().len() * words) as u64);
+                for &v in g.data() {
+                    let w = v.bit_pattern();
+                    for &word in w.iter().take(words) {
+                        push_u64(&mut payload, word);
+                    }
+                }
+            }
+            push_u64(&mut file, payload.len() as u64);
+            push_u32(&mut file, crc32(&payload));
+            file.extend_from_slice(&payload);
+        }
+        file
+    }
+
+    fn complex_grid(n: [usize; 3], halo: usize) -> Grid3<C64> {
+        let mut g = Grid3::<C64>::zeros(n, halo);
+        for (i, v) in g.data_mut().iter_mut().enumerate() {
+            *v = C64::new(
+                i as f64 * 0.1 - 1.0,
+                if i % 31 == 0 { f64::NAN } else { -0.0 },
+            );
+        }
+        g
+    }
+
+    #[test]
+    fn streamed_file_is_byte_identical_to_the_reference_serialiser() {
+        assert_eq!(
+            SCHEMA_VERSION, 1,
+            "the streaming writer is not a format change"
+        );
+        let dir = tmpdir("stream");
+        let store = DurableStore::create(&dir).unwrap();
+        // Mixed shapes, one grid larger than a streaming chunk, one
+        // record with no grids at all.
+        let mut recs = sample_records(31);
+        recs[0].grids.push(filled_grid([29, 28, 27], 2, 5));
+        assert!(recs[0].grids[2].data().len() * 8 > 2 * CHUNK_BYTES);
+        recs.push(SnapshotRecord {
+            rank: 2,
+            slot: 0,
+            grids: Vec::new(),
+        });
+        let path = store.spill_epoch(6, &recs).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), reference_frame(6, &recs));
+
+        let recs = vec![
+            SnapshotRecord {
+                rank: 0,
+                slot: 1,
+                grids: vec![complex_grid([3, 4, 2], 1), complex_grid([17, 16, 15], 2)],
+            },
+            SnapshotRecord {
+                rank: 3,
+                slot: 0,
+                grids: vec![complex_grid([1, 1, 1], 0)],
+            },
+        ];
+        assert!(recs[0].grids[1].data().len() * 16 > CHUNK_BYTES);
+        let path = store.spill_epoch(7, &recs).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), reference_frame(7, &recs));
+        // Borrowed records write the same bytes as owned ones.
+        let refs: Vec<_> = recs.iter().map(SnapshotRecord::as_record_ref).collect();
+        let path = store.spill_records(8, &refs).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), reference_frame(8, &recs));
+        assert_eq!(store.load_epoch::<C64>(8).unwrap().len(), 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stale_tmp_orphans_are_reclaimed_and_recovery_is_unaffected() {
+        let dir = tmpdir("orphan");
+        let store = DurableStore::create(&dir).unwrap();
+        let p1 = store.spill_epoch(1, &sample_records(3)).unwrap();
+        // A writer SIGKILLed mid-spill of epoch 2 (and once mid-manifest):
+        // torn staging files nothing will ever rename.
+        let full = fs::read(&p1).unwrap();
+        let torn_epoch = dir.join("epoch_00000002.ckpt.tmp");
+        let torn_manifest = dir.join("MANIFEST.tmp");
+        fs::write(&torn_epoch, &full[..full.len() / 2]).unwrap();
+        fs::write(&torn_manifest, b"GPW").unwrap();
+        // Somebody else's file is not ours to delete.
+        let foreign = dir.join("notes.tmp");
+        fs::write(&foreign, b"keep me").unwrap();
+        drop(store);
+
+        let store = DurableStore::open(&dir).unwrap();
+        assert!(
+            !torn_epoch.exists(),
+            "open must reclaim the torn epoch .tmp"
+        );
+        assert!(
+            !torn_manifest.exists(),
+            "open must reclaim the torn manifest .tmp"
+        );
+        assert!(foreign.exists());
+        let rec = store.recover::<f64>().unwrap();
+        assert_eq!(rec.epoch, 1);
+        assert!(rec.skipped.is_empty());
+
+        // `create` reclaims too, and spilling over the reclaimed name works.
+        fs::write(&torn_epoch, &full[..7]).unwrap();
+        let store = DurableStore::create(&dir).unwrap();
+        assert!(!torn_epoch.exists());
+        store.spill_epoch(2, &sample_records(4)).unwrap();
+        assert!(!torn_epoch.exists());
+        assert_eq!(store.recover::<f64>().unwrap().epoch, 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_spill_removes_its_own_tmp() {
+        let dir = tmpdir("failed");
+        let store = DurableStore::create(&dir).unwrap();
+        store.spill_epoch(1, &sample_records(3)).unwrap();
+        // A non-empty directory squatting on epoch 2's name: the frame
+        // streams into the .tmp fine, then the rename fails.
+        let squatter = store.epoch_path(2);
+        fs::create_dir_all(squatter.join("x")).unwrap();
+        let err = store.spill_epoch(2, &sample_records(4)).unwrap_err();
+        assert!(matches!(err, DurableError::Io { .. }), "got {err}");
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(TMP_SUFFIX))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "orphaned staging files: {leftovers:?}"
+        );
+        // The manifest did not advance past the failed frame.
+        assert_eq!(store.manifest_epoch().unwrap(), Some(1));
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The IEEE check value for "123456789".
@@ -672,13 +966,7 @@ mod tests {
             }
         }
         // Complex scalars: two words per point, same guarantee.
-        let mut g = Grid3::<C64>::zeros([3, 4, 2], 1);
-        for (i, v) in g.data_mut().iter_mut().enumerate() {
-            *v = C64::new(
-                i as f64 * 0.1 - 1.0,
-                if i % 31 == 0 { f64::NAN } else { -0.0 },
-            );
-        }
+        let g = complex_grid([3, 4, 2], 1);
         let recs = vec![SnapshotRecord {
             rank: 0,
             slot: 1,

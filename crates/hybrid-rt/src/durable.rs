@@ -1,13 +1,14 @@
 //! Durable supervision: kill -9 the process, restore bit-identical.
 //!
 //! [`supervise_durable`] is [`supervise`](crate::supervisor::supervise)
-//! plus a disk: a background *spiller* thread watches the run's
-//! [`CheckpointStore`] and serializes every new consistent epoch (at a
-//! configurable stride) into a [`DurableStore`] directory — atomic
-//! write-rename frames, per-record CRCs, a manifest pointing at the
-//! newest complete epoch (`gpaw_fd::durable` has the format). Once an
-//! epoch is on disk, older in-memory snapshots are pruned, so RAM holds
-//! only the staging window.
+//! plus a disk: a background *spiller* thread sleeps on the run's
+//! [`CheckpointStore`] until a deposit advances the consistent epoch a
+//! stride past the last spill, then streams that epoch — borrowed from
+//! the store's shared snapshots, never copied — into a [`DurableStore`]
+//! directory: atomic write-rename frames, per-record CRCs, a manifest
+//! pointing at the newest complete epoch (`gpaw_fd::durable` has the
+//! format). Once an epoch is on disk, older in-memory snapshots are
+//! pruned, so RAM holds only the staging window.
 //!
 //! The restore path (`DurabilityConfig::restore`) inverts it: recover
 //! the newest epoch that passes its checksums (corrupt or torn files
@@ -31,7 +32,7 @@ use crate::supervisor::{
     RetryPolicy,
 };
 use gpaw_fd::checkpoint::{gather_epoch, reshard_epoch, shard_layout, CheckpointStore};
-use gpaw_fd::durable::{DurableError, DurableStore, SnapshotRecord};
+use gpaw_fd::durable::{DurableError, DurableStore, RecordRef, SnapshotRecord};
 use gpaw_fd::exec::SyntheticFill;
 use gpaw_fd::progcache::{JobPrograms, ProgramCache};
 use gpaw_fd::program::{predicted_logical_span, SweepOp};
@@ -39,7 +40,6 @@ use gpaw_grid::scalar::Scalar;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// How many epoch files the spiller keeps on disk: the newest plus one
 /// fallback, so a file corrupted after the fact still leaves a durable
@@ -225,17 +225,17 @@ pub fn supervise_durable_cached<T: SyntheticFill>(
 
     let result = std::thread::scope(|s| {
         let spiller = s.spawn(|| {
-            while !stop.load(Ordering::Relaxed) {
-                try_spill(
-                    &store,
-                    &dstore,
-                    &last_spilled,
-                    &spilled,
-                    stride,
-                    false,
-                    &spill_errors,
-                );
-                std::thread::park_timeout(Duration::from_millis(1));
+            // An epoch is attempted once: a refused or failed spill is
+            // retried by the next epoch (or the final spill), not spun on.
+            let mut attempted = resumed_from;
+            loop {
+                let due = (last_spilled.load(Ordering::Relaxed) + stride).max(attempted + 1);
+                let ce = store.wait_consistent(|ce| stop.load(Ordering::SeqCst) || ce >= due);
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                attempted = ce;
+                spill_consistent(&store, &dstore, ce, &last_spilled, &spilled, &spill_errors);
             }
         });
         let mut carry = RecoveryCarry::default();
@@ -249,8 +249,8 @@ pub fn supervise_durable_cached<T: SyntheticFill>(
             resumed_from,
             &mut carry,
         );
-        stop.store(true, Ordering::Relaxed);
-        spiller.thread().unpark();
+        stop.store(true, Ordering::SeqCst);
+        store.wake_waiters();
         let _ = spiller.join();
         result
     });
@@ -258,15 +258,10 @@ pub fn supervise_durable_cached<T: SyntheticFill>(
     // Final spill, stride ignored: a successful run's last epoch (and a
     // failed run's best consistent epoch) must be durable so the next
     // process can pick up exactly here.
-    try_spill(
-        &store,
-        &dstore,
-        &last_spilled,
-        &spilled,
-        stride,
-        true,
-        &spill_errors,
-    );
+    let ce = store.consistent_epoch();
+    if ce > last_spilled.load(Ordering::Relaxed) {
+        spill_consistent(&store, &dstore, ce, &last_spilled, &spilled, &spill_errors);
+    }
     degraded.extend(
         spill_errors
             .lock()
@@ -386,36 +381,30 @@ fn restore_cross_geometry<T: SyntheticFill>(
     })
 }
 
-/// Spill the current consistent epoch if it advanced far enough past the
-/// last spilled one (`force` ignores the stride). Failures are recorded,
-/// never raised — the run itself must not die of a full disk; the next
-/// spill (or the final forced one) retries.
-fn try_spill<T: Scalar>(
+/// Spill consistent epoch `ce` straight from the store's shared
+/// snapshots. Failures are recorded, never raised — the run itself must
+/// not die of a full disk; the next spill (or the final one) retries.
+fn spill_consistent<T: Scalar>(
     store: &CheckpointStore<T>,
     dstore: &DurableStore,
+    ce: usize,
     last_spilled: &AtomicUsize,
     spilled: &AtomicU64,
-    stride: usize,
-    force: bool,
     errors: &Mutex<Vec<String>>,
 ) {
-    let ce = store.consistent_epoch();
-    let last = last_spilled.load(Ordering::Relaxed);
-    if ce <= last || (!force && ce - last < stride) {
-        return;
-    }
-    // All-keys-or-nothing: a None means the floor already moved on —
-    // the next tick spills the newer epoch instead.
-    let Some(records) = store.epoch_records(ce) else {
+    // All-keys-or-nothing: a None means the floor already moved on (or a
+    // snapshot failed its digest) — a newer epoch is spilled instead.
+    let Some(snapshots) = store.epoch_snapshots(ce) else {
         return;
     };
+    let records: Vec<RecordRef<'_, T>> = snapshots.iter().map(|s| s.as_record_ref()).collect();
     let push_err = |e: DurableError| {
         errors
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .push(e.to_string());
     };
-    match dstore.spill_epoch(ce, &records) {
+    match dstore.spill_records(ce, &records) {
         Ok(_) => {
             last_spilled.store(ce, Ordering::Relaxed);
             spilled.fetch_add(1, Ordering::Relaxed);

@@ -225,9 +225,9 @@ fn deposit_snapshot<T: Scalar>(
     store: &CheckpointStore<T>,
     slot: usize,
     epoch: usize,
-    grids: Vec<Grid3<T>>,
+    grids: &[Grid3<T>],
 ) {
-    store.deposit(ctx.plan.rank, slot, epoch, grids);
+    store.deposit_from(ctx.plan.rank, slot, epoch, grids);
     let scheduled = ctx
         .fabric
         .config()
@@ -421,7 +421,7 @@ fn run_single<T: Scalar>(
                     std::mem::swap(&mut inputs, &mut outputs);
                 }
                 if let Some(store) = ctx.ckpt {
-                    deposit_snapshot(ctx, store, 0, sweep + block, inputs.clone());
+                    deposit_snapshot(ctx, store, 0, sweep + block, &inputs);
                 }
                 if !ctx.throttle.is_zero() {
                     std::thread::sleep(ctx.throttle);
@@ -508,7 +508,7 @@ fn run_endpoints<T: Scalar>(
                                     // stale epoch pins the consistent floor,
                                     // so rollback lands where it last swapped.
                                     if let Some(store) = ctx.ckpt {
-                                        deposit_snapshot(ctx, store, t, sweep + block, ins.clone());
+                                        deposit_snapshot(ctx, store, t, sweep + block, &ins);
                                     }
                                     if !ctx.throttle.is_zero() {
                                         std::thread::sleep(ctx.throttle);
@@ -774,7 +774,7 @@ fn run_master_pool<T: Scalar>(
                             // Master-only: one deposit covers the rank; the
                             // pool never owns grids across sweeps.
                             if let Some(store) = ctx.ckpt {
-                                deposit_snapshot(ctx, store, 0, sweep + block, ins.clone());
+                                deposit_snapshot(ctx, store, 0, sweep + block, &ins);
                             }
                             // Workers idle at the next slab fence meanwhile.
                             if !ctx.throttle.is_zero() {
