@@ -125,43 +125,45 @@ impl<T: Scalar> Grid3<T> {
     }
 
     /// Zero every halo cell (used before zero-boundary stencils).
+    ///
+    /// Walks rows, not cells: a row outside the interior x/y extents is
+    /// all halo, any other row is halo only in its first and last `halo`
+    /// points.
     pub fn clear_halo(&mut self) {
-        let h = self.halo as isize;
-        let [nx, ny, nz] = [self.n[0] as isize, self.n[1] as isize, self.n[2] as isize];
-        for i in -h..nx + h {
-            for j in -h..ny + h {
-                for k in -h..nz + h {
-                    let interior =
-                        (0..nx).contains(&i) && (0..ny).contains(&j) && (0..nz).contains(&k);
-                    if !interior {
-                        self.set(i, j, k, T::zero());
-                    }
-                }
+        let (h, [nx, ny, nz], py) = (self.halo, self.n, self.pad[1]);
+        for (r, row) in self.data.chunks_exact_mut(self.pad[2]).enumerate() {
+            if (h..h + nx).contains(&(r / py)) && (h..h + ny).contains(&(r % py)) {
+                row[..h].fill(T::zero());
+                row[h + nz..].fill(T::zero());
+            } else {
+                row.fill(T::zero());
             }
         }
     }
 
     /// Fill the halo from the grid's own interior with periodic wrapping —
     /// the single-rank (sequential reference) version of a halo exchange.
+    ///
+    /// Every coordinate wraps independently, so edge and corner ghosts are
+    /// filled too (the star stencil never reads them, but a fully defined
+    /// shell keeps the reference simple). Row-wise: a ghost row first takes
+    /// its periodic image row's interior run, then every row wraps its own
+    /// z ghosts from its (by then current) interior run.
     pub fn fill_halo_periodic(&mut self) {
-        let h = self.halo as isize;
-        let [nx, ny, nz] = [self.n[0] as isize, self.n[1] as isize, self.n[2] as isize];
-        // Work on a copy of indices to avoid aliasing; wrap each coordinate
-        // independently (star stencil ⇒ edge/corner halo unused, but filling
-        // them costs little and keeps the reference simple and safe).
-        for i in -h..nx + h {
-            for j in -h..ny + h {
-                for k in -h..nz + h {
-                    let interior =
-                        (0..nx).contains(&i) && (0..ny).contains(&j) && (0..nz).contains(&k);
-                    if interior {
-                        continue;
-                    }
-                    let wi = i.rem_euclid(nx);
-                    let wj = j.rem_euclid(ny);
-                    let wk = k.rem_euclid(nz);
-                    let v = self.get(wi, wj, wk);
-                    self.set(i, j, k, v);
+        let (h, n, pad) = (self.halo, self.n, self.pad);
+        // Padded coordinate of the interior cell a padded coordinate images.
+        let wrap =
+            |p: usize, n: usize| h + (p as isize - h as isize).rem_euclid(n as isize) as usize;
+        for x in 0..pad[0] {
+            for y in 0..pad[1] {
+                let row = (x * pad[1] + y) * pad[2];
+                let (wx, wy) = (wrap(x, n[0]), wrap(y, n[1]));
+                if (wx, wy) != (x, y) {
+                    let image = (wx * pad[1] + wy) * pad[2] + h;
+                    self.data.copy_within(image..image + n[2], row + h);
+                }
+                for z in (0..h).chain(h + n[2]..pad[2]) {
+                    self.data[row + z] = self.data[row + wrap(z, n[2])];
                 }
             }
         }
@@ -170,12 +172,11 @@ impl<T: Scalar> Grid3<T> {
     /// Copy another grid's interior into ours (extents must match).
     pub fn copy_interior_from(&mut self, other: &Grid3<T>) {
         assert_eq!(self.n, other.n);
+        let nz = self.n[2];
         for i in 0..self.n[0] as isize {
             for j in 0..self.n[1] as isize {
-                for k in 0..self.n[2] as isize {
-                    let v = other.get(i, j, k);
-                    self.set(i, j, k, v);
-                }
+                let (to, from) = (self.idx(i, j, 0), other.idx(i, j, 0));
+                self.data[to..to + nz].copy_from_slice(&other.data[from..from + nz]);
             }
         }
     }
@@ -284,6 +285,80 @@ mod tests {
         g.clear_halo();
         assert_eq!(g.get(-1, 0, 0), 0.0);
         assert_eq!(g.get(0, 0, 0), 7.0);
+    }
+
+    /// The per-cell walks `clear_halo` and `fill_halo_periodic` replaced,
+    /// kept as their references: visit every padded cell, test whether it
+    /// is interior, wrap each coordinate independently.
+    fn shell_reference(g: &mut Grid3<f64>, periodic: bool) {
+        let h = g.halo() as isize;
+        let [nx, ny, nz] = g.n().map(|e| e as isize);
+        for i in -h..nx + h {
+            for j in -h..ny + h {
+                for k in -h..nz + h {
+                    if (0..nx).contains(&i) && (0..ny).contains(&j) && (0..nz).contains(&k) {
+                        continue;
+                    }
+                    let v = if periodic {
+                        g.get(i.rem_euclid(nx), j.rem_euclid(ny), k.rem_euclid(nz))
+                    } else {
+                        0.0
+                    };
+                    g.set(i, j, k, v);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shell_walks_match_the_per_cell_reference_cell_for_cell() {
+        // Uneven extents, extents smaller than the halo (multiple wraps),
+        // halo 0..=4; ghosts start as garbage so a missed cell shows.
+        let extents = [
+            [1, 1, 1],
+            [1, 4, 2],
+            [2, 1, 5],
+            [3, 5, 4],
+            [7, 2, 3],
+            [5, 6, 9],
+        ];
+        for n in extents {
+            for halo in 0..=4 {
+                for periodic in [true, false] {
+                    let mut g: Grid3<f64> =
+                        Grid3::from_fn(n, halo, |i, j, k| (1 + i * 100 + j * 10 + k) as f64);
+                    let interior: Vec<_> = g.iter_interior().collect();
+                    for (c, v) in g.data_mut().iter_mut().enumerate() {
+                        if *v == 0.0 {
+                            *v = -(c as f64) - 0.5;
+                        }
+                    }
+                    let mut want = g.clone();
+                    shell_reference(&mut want, periodic);
+                    if periodic {
+                        g.fill_halo_periodic();
+                    } else {
+                        g.clear_halo();
+                    }
+                    assert_eq!(g, want, "n={n:?} halo={halo} periodic={periodic}");
+                    assert_eq!(g.iter_interior().collect::<Vec<_>>(), interior);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn copy_interior_crosses_halo_depths_and_leaves_ghosts_alone() {
+        let a: Grid3<f64> = Grid3::from_fn([3, 4, 5], 1, |i, j, k| (i * 100 + j * 10 + k) as f64);
+        let mut b: Grid3<f64> = Grid3::zeros([3, 4, 5], 3);
+        b.data_mut().fill(-1.0);
+        b.copy_interior_from(&a);
+        assert_eq!(
+            b.iter_interior().collect::<Vec<_>>(),
+            a.iter_interior().collect::<Vec<_>>()
+        );
+        let ghosts = b.data().iter().filter(|&&v| v == -1.0).count();
+        assert_eq!(ghosts, b.data().len() - b.interior_points());
     }
 
     #[test]

@@ -78,34 +78,65 @@ pub fn face_points_region<T: Scalar>(
     points
 }
 
-/// The per-axis index ranges of one face region: `h` planes adjacent to
-/// `boundary` of `axis` (interior planes when `pack`, ghost planes when
-/// not), crossed with the `wide`-extended extents of the other axes.
-fn face_region_ranges<T: Scalar>(
-    g: &Grid3<T>,
-    axis: usize,
-    boundary: Side,
-    h: usize,
-    wide: [usize; 3],
-    pack: bool,
-) -> [(isize, isize); 3] {
-    let n = g.n();
-    let mut ranges = [(0isize, 0isize); 3];
-    for b in 0..3 {
-        ranges[b] = if b == axis {
-            let ext = n[b] as isize;
-            let h = h as isize;
-            match (boundary, pack) {
-                (Side::Low, true) => (0, h),
-                (Side::High, true) => (ext - h, ext),
-                (Side::Low, false) => (-h, 0),
-                (Side::High, false) => (ext, ext + h),
-            }
-        } else {
-            (-(wide[b] as isize), (n[b] + wide[b]) as isize)
+/// [`pack_face_region`] appends z-runs no longer than this point by point:
+/// for the `depth`-long runs of a z-face a `memcpy` call costs more than it
+/// moves (measured 4.65 → 3.91 GB/s on an 8³ z-face). Longer runs — the
+/// whole rows of x- and y-faces — are appended as slices.
+const SHORT_RUN: usize = 4;
+
+/// One face region as its contiguous z-runs, in ascending global order:
+/// run `(di, dj)` starts at storage index `first + di·xs + dj·ys` and all
+/// are `run` points long.
+struct FaceRuns {
+    first: usize,
+    planes: usize,
+    rows: usize,
+    run: usize,
+    ys: usize,
+    xs: usize,
+}
+
+impl FaceRuns {
+    /// The region of `h` planes adjacent to `boundary` of `axis` (interior
+    /// planes when `pack`, ghost planes when not), crossed with the
+    /// `wide`-extended extents of the other axes.
+    fn of<T: Scalar>(
+        g: &Grid3<T>,
+        axis: usize,
+        boundary: Side,
+        h: usize,
+        wide: [usize; 3],
+        pack: bool,
+    ) -> FaceRuns {
+        let n = g.n();
+        let mut lo = wide.map(|w| -(w as isize));
+        let mut hi = [0, 1, 2].map(|b| (n[b] + wide[b]) as isize);
+        let (ext, h) = (n[axis] as isize, h as isize);
+        (lo[axis], hi[axis]) = match (boundary, pack) {
+            (Side::Low, true) => (0, h),
+            (Side::High, true) => (ext - h, ext),
+            (Side::Low, false) => (-h, 0),
+            (Side::High, false) => (ext, ext + h),
         };
+        let (ys, xs) = g.strides();
+        FaceRuns {
+            first: g.idx(lo[0], lo[1], lo[2]),
+            planes: (hi[0] - lo[0]) as usize,
+            rows: (hi[1] - lo[1]) as usize,
+            run: (hi[2] - lo[2]) as usize,
+            ys,
+            xs,
+        }
     }
-    ranges
+
+    /// Call `f` with every run's first storage index, in order.
+    fn for_each(&self, mut f: impl FnMut(usize)) {
+        for di in 0..self.planes {
+            for dj in 0..self.rows {
+                f(self.first + di * self.xs + dj * self.ys);
+            }
+        }
+    }
 }
 
 /// Append the `halo` interior planes adjacent to the `side` boundary of
@@ -141,15 +172,17 @@ pub fn pack_face_region<T: Scalar>(
     wide: [usize; 3],
     buf: &mut Vec<T>,
 ) {
-    face_points_region(g, axis, h, wide); // validate depth and widths
-    let r = face_region_ranges(g, axis, side, h, wide, true);
-    for i in r[0].0..r[0].1 {
-        for j in r[1].0..r[1].1 {
-            for k in r[2].0..r[2].1 {
-                buf.push(g.get(i, j, k));
-            }
+    buf.reserve(face_points_region(g, axis, h, wide)); // also validates depth and widths
+    let runs = FaceRuns::of(g, axis, side, h, wide, true);
+    let (src, run) = (g.data(), runs.run);
+    runs.for_each(|at| {
+        let row = &src[at..at + run];
+        if run <= SHORT_RUN {
+            buf.extend(row.iter().copied());
+        } else {
+            buf.extend_from_slice(row);
         }
-    }
+    });
 }
 
 /// Write a face received *from* the `from` side of `axis` into the ghost
@@ -193,15 +226,18 @@ pub fn unpack_face_region<T: Scalar>(
         "halo buffer underrun: have {}, need {points}",
         buf.len()
     );
-    let mut it = buf.iter().copied();
-    let r = face_region_ranges(g, axis, from, h, wide, false);
-    for i in r[0].0..r[0].1 {
-        for j in r[1].0..r[1].1 {
-            for k in r[2].0..r[2].1 {
-                g.set(i, j, k, it.next().expect("length checked"));
-            }
+    let runs = FaceRuns::of(g, axis, from, h, wide, false);
+    let (dst, run) = (g.data_mut(), runs.run);
+    let mut rest = buf;
+    runs.for_each(|at| {
+        let (row, tail) = rest.split_at(run);
+        rest = tail;
+        // A plain loop at every run length: it vectorizes in place and
+        // measured faster than `copy_from_slice` from 2- to 144-point runs.
+        for (d, &v) in dst[at..at + run].iter_mut().zip(row) {
+            *d = v;
         }
-    }
+    });
     points
 }
 
@@ -312,9 +348,10 @@ pub fn zero_face_region<T: Scalar>(
     h: usize,
     wide: [usize; 3],
 ) {
-    let points = face_points_region(g, axis, h, wide);
-    let zeros = vec![T::zero(); points];
-    unpack_face_region(g, axis, from, h, wide, &zeros);
+    face_points_region(g, axis, h, wide); // validate depth and widths
+    let runs = FaceRuns::of(g, axis, from, h, wide, false);
+    let dst = g.data_mut();
+    runs.for_each(|at| dst[at..at + runs.run].fill(T::zero()));
 }
 
 #[cfg(test)]

@@ -1,8 +1,11 @@
 //! Grid point types: real (`f64`) and complex ([`C64`]).
 //!
 //! The paper: "every point in the grid can be a real or complex number
-//! (8 or 16 bytes)". The stencil kernel is generic over this trait; the
-//! communication layers only need [`Scalar::BYTES`].
+//! (8 or 16 bytes)". The communication layers only need
+//! [`Scalar::BYTES`]; the stencil kernel sees every grid as flat `f64`
+//! *lanes* ([`Scalar::lanes`]) — one per real point, two (`re, im`) per
+//! complex point — because its coefficients are real, so both point types
+//! run the same row kernel.
 
 use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
@@ -22,6 +25,16 @@ pub trait Scalar:
 {
     /// Bytes per grid point (8 or 16).
     const BYTES: usize;
+
+    /// `f64` lanes per point: 1 for real, 2 (`re, im`) for complex.
+    const LANES: usize;
+
+    /// The points of `s` as flat `f64` lanes, [`Scalar::LANES`] per point
+    /// in storage order.
+    fn lanes(s: &[Self]) -> &[f64];
+
+    /// Mutable [`Scalar::lanes`].
+    fn lanes_mut(s: &mut [Self]) -> &mut [f64];
 
     /// Additive identity.
     fn zero() -> Self;
@@ -53,6 +66,15 @@ pub trait Scalar:
 
 impl Scalar for f64 {
     const BYTES: usize = 8;
+    const LANES: usize = 1;
+
+    fn lanes(s: &[f64]) -> &[f64] {
+        s
+    }
+
+    fn lanes_mut(s: &mut [f64]) -> &mut [f64] {
+        s
+    }
 
     fn zero() -> Self {
         0.0
@@ -84,7 +106,10 @@ impl Scalar for f64 {
 }
 
 /// A complex number stored as two `f64`s — the 16-byte grid point type.
+/// `repr(C)` pins the layout to `re, im` with no padding, which the lane
+/// view ([`Scalar::lanes`]) relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct C64 {
     /// Real part.
     pub re: f64,
@@ -154,8 +179,31 @@ impl Mul<f64> for C64 {
     }
 }
 
+// The lane view's layout argument, checked at compile time: a `C64` is
+// exactly two `f64`s at `f64` alignment.
+const _: () = assert!(std::mem::size_of::<C64>() == 2 * std::mem::size_of::<f64>());
+const _: () = assert!(std::mem::align_of::<C64>() == std::mem::align_of::<f64>());
+
 impl Scalar for C64 {
     const BYTES: usize = 16;
+    const LANES: usize = 2;
+
+    fn lanes(s: &[C64]) -> &[f64] {
+        // SAFETY: `C64` is `repr(C) { re: f64, im: f64 }` — size 16, align
+        // 8, no padding (asserted above) — so `s` is `2·len` initialized,
+        // contiguous, `f64`-aligned values inside one allocation; `2·len`
+        // cannot overflow because the slice's byte length already fits
+        // `isize`. The returned borrow has `s`'s lifetime and is shared
+        // like it.
+        unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<f64>(), s.len() * 2) }
+    }
+
+    fn lanes_mut(s: &mut [C64]) -> &mut [f64] {
+        // SAFETY: layout as in `lanes`; every `f64` bit pattern is a valid
+        // `C64` component, so writes through the view keep `s` valid, and
+        // the view holds `s`'s unique borrow for its whole lifetime.
+        unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<f64>(), s.len() * 2) }
+    }
 
     fn zero() -> Self {
         C64::new(0.0, 0.0)
@@ -196,6 +244,42 @@ mod tests {
         assert_eq!(<f64 as Scalar>::BYTES, 8);
         assert_eq!(<C64 as Scalar>::BYTES, 16);
         assert_eq!(std::mem::size_of::<C64>(), 16);
+        assert_eq!(std::mem::align_of::<C64>(), 8);
+        assert_eq!(<f64 as Scalar>::LANES * 8, <f64 as Scalar>::BYTES);
+        assert_eq!(<C64 as Scalar>::LANES * 8, <C64 as Scalar>::BYTES);
+    }
+
+    #[test]
+    fn lanes_are_re_im_interleaved_and_writes_land_in_the_right_component() {
+        let mut v = vec![
+            C64::new(1.0, -2.0),
+            C64::new(3.0, -4.0),
+            C64::new(5.0, -6.0),
+        ];
+        assert_eq!(C64::lanes(&v), &[1.0, -2.0, 3.0, -4.0, 5.0, -6.0]);
+        assert_eq!(C64::lanes(&v[1..2]), &[3.0, -4.0]);
+        assert!(C64::lanes(&v[..0]).is_empty());
+        let lanes = C64::lanes_mut(&mut v);
+        lanes[2] = 30.0; // point 1, re
+        lanes[5] = -60.0; // point 2, im
+        assert_eq!(
+            v,
+            vec![
+                C64::new(1.0, -2.0),
+                C64::new(30.0, -4.0),
+                C64::new(5.0, -60.0)
+            ]
+        );
+        // NaN payloads and signed zeros pass through the view untouched.
+        let odd = f64::from_bits(0x7ff8_0000_0000_beef);
+        C64::lanes_mut(&mut v)[1] = odd;
+        C64::lanes_mut(&mut v)[0] = -0.0;
+        assert_eq!(v[0].bit_pattern(), [(-0.0f64).to_bits(), odd.to_bits()]);
+
+        let mut r = vec![1.0f64, 2.0];
+        assert_eq!(f64::lanes(&r), &[1.0, 2.0]);
+        f64::lanes_mut(&mut r)[1] = 7.0;
+        assert_eq!(r, vec![1.0, 7.0]);
     }
 
     #[test]

@@ -88,6 +88,79 @@ impl StencilCoeffs {
     }
 }
 
+/// The one row kernel every entry point runs. For each lane `l` of one
+/// z-row it accumulates, left to right with a separate multiply and add
+/// per term, the centre and then the z, y and x arms, each arm in the order
+/// −1, +1, −2, +2 (`arms[a][t]` is the row displaced that way, `k[a][t]`
+/// its coefficient). That order *is* the operator's floating-point result:
+/// every plane and both scalar types reach it through this function, so
+/// they agree bit for bit.
+///
+/// Re-slicing every row to `dst`'s length up front removes the per-lane
+/// bounds checks; inlined into [`sweep_rows`], the re-slices fold into its
+/// once-per-row range checks and `dst`'s no-alias guarantee lets the loop
+/// vectorize without run-time overlap tests.
+#[inline(always)]
+fn row_kernel(c0: f64, k: &[[f64; 4]; 3], dst: &mut [f64], centre: &[f64], arms: [[&[f64]; 4]; 3]) {
+    let n = dst.len();
+    let centre = &centre[..n];
+    let [z, y, x] = arms.map(|arm| arm.map(|row| &row[..n]));
+    let [kz, ky, kx] = k;
+    for l in 0..n {
+        let mut acc = centre[l] * c0;
+        acc += z[0][l] * kz[0];
+        acc += z[1][l] * kz[1];
+        acc += z[2][l] * kz[2];
+        acc += z[3][l] * kz[3];
+        acc += y[0][l] * ky[0];
+        acc += y[1][l] * ky[1];
+        acc += y[2][l] * ky[2];
+        acc += y[3][l] * ky[3];
+        acc += x[0][l] * kx[0];
+        acc += x[1][l] * kx[1];
+        acc += x[2][l] * kx[2];
+        acc += x[3][l] * kx[3];
+        dst[l] = acc;
+    }
+}
+
+/// Run [`row_kernel`] over the box of `count` points whose first point is
+/// `first` (interior-relative, may reach into ghosts), writing row
+/// `(di, dj)` of the box at `dst[dst_first + di·dst_xs + dj·dst_ys ..]`.
+///
+/// Callers have checked that `input`'s halo covers the box plus
+/// [`StencilCoeffs::HALO`]; each of the fourteen row slices is still
+/// range-checked once per row.
+fn sweep_rows<T: Scalar>(
+    coef: &StencilCoeffs,
+    input: &Grid3<T>,
+    first: [isize; 3],
+    count: [usize; 3],
+    dst: &mut [T],
+    dst_first: usize,
+    (dst_ys, dst_xs): (usize, usize),
+) {
+    let k = [2, 1, 0].map(|a| [coef.m1[a], coef.p1[a], coef.m2[a], coef.p2[a]]);
+    // Everything below is in lanes: a point is `T::LANES` consecutive
+    // `f64`s, so the z neighbors sit ±1·LANES and ±2·LANES away.
+    let lanes = T::LANES;
+    let (ys, xs) = input.strides();
+    let strides = [lanes, ys * lanes, xs * lanes];
+    let src = T::lanes(input.data());
+    let dst = T::lanes_mut(dst);
+    let len = count[2] * lanes;
+    let origin = input.idx(first[0], first[1], first[2]) * lanes;
+    for di in 0..count[0] {
+        for dj in 0..count[1] {
+            let c = origin + di * strides[2] + dj * strides[1];
+            let d = (dst_first + di * dst_xs + dj * dst_ys) * lanes;
+            let row = |at: usize| &src[at..at + len];
+            let arms = strides.map(|s| [row(c - s), row(c + s), row(c - 2 * s), row(c + 2 * s)]);
+            row_kernel(coef.c0, &k, &mut dst[d..d + len], row(c), arms);
+        }
+    }
+}
+
 /// Apply the stencil to every interior point of `input` (halos must be
 /// filled by the caller), writing into the interior of `out`.
 ///
@@ -112,43 +185,16 @@ pub fn apply_xrange<T: Scalar>(
     assert!(input.halo() >= StencilCoeffs::HALO, "halo too shallow");
     assert!(out.halo() >= StencilCoeffs::HALO);
     assert!(x0 <= x1 && x1 <= n[0]);
-
-    // z stride is 1; y stride is pad_z (`zs_in`); x stride is pad_y·pad_z.
-    let (zs_in, xs_in) = input.strides();
-    let src = input.data();
-    let c0 = coef.c0;
-    let [mx1, my1, mz1] = coef.m1;
-    let [px1, py1, pz1] = coef.p1;
-    let [mx2, my2, mz2] = coef.m2;
-    let [px2, py2, pz2] = coef.p2;
-
-    for i in x0..x1 {
-        for j in 0..n[1] {
-            let base_in = input.idx(i as isize, j as isize, 0);
-            let base_out = out.idx(i as isize, j as isize, 0);
-            let dst = &mut out.data_mut()[base_out..base_out + n[2]];
-            for (k, d) in dst.iter_mut().enumerate() {
-                let c = base_in + k;
-                let mut acc = src[c].scale(c0);
-                // z neighbors: contiguous.
-                acc += src[c - 1].scale(mz1);
-                acc += src[c + 1].scale(pz1);
-                acc += src[c - 2].scale(mz2);
-                acc += src[c + 2].scale(pz2);
-                // y neighbors: one row away.
-                acc += src[c - zs_in].scale(my1);
-                acc += src[c + zs_in].scale(py1);
-                acc += src[c - 2 * zs_in].scale(my2);
-                acc += src[c + 2 * zs_in].scale(py2);
-                // x neighbors: one plane away.
-                acc += src[c - xs_in].scale(mx1);
-                acc += src[c + xs_in].scale(px1);
-                acc += src[c - 2 * xs_in].scale(mx2);
-                acc += src[c + 2 * xs_in].scale(px2);
-                *d = acc;
-            }
-        }
-    }
+    let (dst_first, dst_strides) = (out.idx(x0 as isize, 0, 0), out.strides());
+    sweep_rows(
+        coef,
+        input,
+        [x0 as isize, 0, 0],
+        [x1 - x0, n[1], n[2]],
+        out.data_mut(),
+        dst_first,
+        dst_strides,
+    );
 }
 
 /// Apply the stencil to the interior *extended* outward by `em[a]` planes
@@ -181,45 +227,17 @@ pub fn apply_region<T: Scalar>(
         );
         assert!(out.halo() >= em[a].max(ep[a]), "output halo too shallow");
     }
-
-    let (zs_in, xs_in) = input.strides();
-    let src = input.data();
-    let c0 = coef.c0;
-    let [mx1, my1, mz1] = coef.m1;
-    let [px1, py1, pz1] = coef.p1;
-    let [mx2, my2, mz2] = coef.m2;
-    let [px2, py2, pz2] = coef.p2;
-
-    let z0 = -(em[2] as isize);
-    let z_len = n[2] + em[2] + ep[2];
-    for i in -(em[0] as isize)..(n[0] + ep[0]) as isize {
-        for j in -(em[1] as isize)..(n[1] + ep[1]) as isize {
-            let base_in = input.idx(i, j, z0);
-            let base_out = out.idx(i, j, z0);
-            let dst = &mut out.data_mut()[base_out..base_out + z_len];
-            for (k, d) in dst.iter_mut().enumerate() {
-                let c = base_in + k;
-                let mut acc = src[c].scale(c0);
-                // z neighbors: contiguous (ghosts are contiguous with the
-                // interior in the padded layout).
-                acc += src[c - 1].scale(mz1);
-                acc += src[c + 1].scale(pz1);
-                acc += src[c - 2].scale(mz2);
-                acc += src[c + 2].scale(pz2);
-                // y neighbors: one row away.
-                acc += src[c - zs_in].scale(my1);
-                acc += src[c + zs_in].scale(py1);
-                acc += src[c - 2 * zs_in].scale(my2);
-                acc += src[c + 2 * zs_in].scale(py2);
-                // x neighbors: one plane away.
-                acc += src[c - xs_in].scale(mx1);
-                acc += src[c + xs_in].scale(px1);
-                acc += src[c - 2 * xs_in].scale(mx2);
-                acc += src[c + 2 * xs_in].scale(px2);
-                *d = acc;
-            }
-        }
-    }
+    let first = em.map(|e| -(e as isize));
+    let (dst_first, dst_strides) = (out.idx(first[0], first[1], first[2]), out.strides());
+    sweep_rows(
+        coef,
+        input,
+        first,
+        [0, 1, 2].map(|a| n[a] + em[a] + ep[a]),
+        out.data_mut(),
+        dst_first,
+        dst_strides,
+    );
 }
 
 /// Apply the stencil for interior x range `x0..x1`, writing into a raw
@@ -239,42 +257,17 @@ pub fn apply_slab<T: Scalar>(
     let h = input.halo();
     assert!(h >= StencilCoeffs::HALO);
     assert!(x0 <= x1 && x1 <= n[0]);
-    let pad = input.padded();
-    let plane = pad[1] * pad[2];
-    assert_eq!(slab.len(), (x1 - x0) * plane, "slab size mismatch");
-
-    let (zs, xs) = input.strides();
-    let src = input.data();
-    let c0 = coef.c0;
-    let [mx1, my1, mz1] = coef.m1;
-    let [px1, py1, pz1] = coef.p1;
-    let [mx2, my2, mz2] = coef.m2;
-    let [px2, py2, pz2] = coef.p2;
-
-    for i in x0..x1 {
-        for j in 0..n[1] {
-            let base_in = input.idx(i as isize, j as isize, 0);
-            let base_out = (i - x0) * plane + (j + h) * pad[2] + h;
-            let dst = &mut slab[base_out..base_out + n[2]];
-            for (k, d) in dst.iter_mut().enumerate() {
-                let c = base_in + k;
-                let mut acc = src[c].scale(c0);
-                acc += src[c - 1].scale(mz1);
-                acc += src[c + 1].scale(pz1);
-                acc += src[c - 2].scale(mz2);
-                acc += src[c + 2].scale(pz2);
-                acc += src[c - zs].scale(my1);
-                acc += src[c + zs].scale(py1);
-                acc += src[c - 2 * zs].scale(my2);
-                acc += src[c + 2 * zs].scale(py2);
-                acc += src[c - xs].scale(mx1);
-                acc += src[c + xs].scale(px1);
-                acc += src[c - 2 * xs].scale(mx2);
-                acc += src[c + 2 * xs].scale(px2);
-                *d = acc;
-            }
-        }
-    }
+    let (ys, xs) = input.strides();
+    assert_eq!(slab.len(), (x1 - x0) * xs, "slab size mismatch");
+    sweep_rows(
+        coef,
+        input,
+        [x0 as isize, 0, 0],
+        [x1 - x0, n[1], n[2]],
+        slab,
+        h * ys + h,
+        (ys, xs),
+    );
 }
 
 /// Split `0..nx` into `parts` near-equal slab boundaries (the interior cut
@@ -528,6 +521,227 @@ mod tests {
         let input: Grid3<f64> = Grid3::zeros([4, 4, 4], 2);
         let mut out = Grid3::zeros([4, 4, 4], 2);
         apply_region(&coef, &input, &mut out, [1; 3], [1; 3]);
+    }
+
+    /// The scalar, per-element definition the row kernel replaced, kept as
+    /// the oracle: bounds-checked `get`s and `Scalar::scale`, accumulated
+    /// in the same fixed order.
+    fn oracle_point<T: Scalar>(coef: &StencilCoeffs, g: &Grid3<T>, p: [isize; 3]) -> T {
+        let at = |a: usize, d: isize| {
+            let mut q = p;
+            q[a] += d;
+            g.get(q[0], q[1], q[2])
+        };
+        let mut acc = at(0, 0).scale(coef.c0);
+        for a in [2, 1, 0] {
+            acc += at(a, -1).scale(coef.m1[a]);
+            acc += at(a, 1).scale(coef.p1[a]);
+            acc += at(a, -2).scale(coef.m2[a]);
+            acc += at(a, 2).scale(coef.p2[a]);
+        }
+        acc
+    }
+
+    /// SplitMix64 — the differential test's only source of variety.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A finite value of varied magnitude and sign.
+        fn finite(&mut self) -> f64 {
+            let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            unit * 10f64.powi(self.below(7) as i32 - 3)
+        }
+
+        /// Mostly finite values, salted with the ones `==` cannot tell
+        /// apart or a sloppy kernel would mangle: signed zeros, subnormals
+        /// and (when `infs`) infinities, whose differences mint NaNs.
+        fn salted(&mut self, infs: bool) -> f64 {
+            let sign = self.next() & (1 << 63);
+            match self.below(16) {
+                0 => f64::from_bits(sign),
+                1 => f64::from_bits(sign | (1 + self.next() % 0xf_ffff)),
+                2 if infs => f64::from_bits(sign | f64::INFINITY.to_bits()),
+                _ => self.finite(),
+            }
+        }
+
+        /// A NaN of either sign carrying its own payload.
+        fn nan(&mut self) -> f64 {
+            let sign = self.next() & (1 << 63);
+            f64::from_bits(sign | f64::NAN.to_bits() | (1 + self.next() % 0xffff_ffff))
+        }
+    }
+
+    /// Fill all of `g`'s storage, ghosts included, with salted values.
+    ///
+    /// IEEE-754 hardware passes a lone NaN operand's payload through an
+    /// add, and the kernel must too; which of *two* NaN operands' payloads
+    /// survives is unspecified in Rust (and does differ between the scalar
+    /// oracle and the vectorized kernel in release builds). So a grid gets
+    /// either infinities or NaNs, and its NaNs — each with its own payload
+    /// — are kept out of one another's 13-point footprints.
+    fn salt<T: Scalar>(rng: &mut Rng, g: &mut Grid3<T>) {
+        let infs = rng.below(2) == 0;
+        g.data_mut().fill_with(|| {
+            T::from_bit_pattern([rng.salted(infs).to_bits(), rng.salted(infs).to_bits()])
+        });
+        if infs {
+            return;
+        }
+        let pad = g.padded();
+        let mut placed: Vec<[usize; 3]> = Vec::new();
+        for _ in 0..g.data().len() / 8 {
+            let p = pad.map(|e| rng.below(e));
+            let apart = |q: &[usize; 3]| {
+                (0..3).any(|a| p[a].abs_diff(q[a]) > 4) || (0..3).all(|a| p[a] != q[a])
+            };
+            if placed.iter().all(apart) {
+                placed.push(p);
+                g.data_mut()[(p[0] * pad[1] + p[1]) * pad[2] + p[2]] =
+                    T::from_bit_pattern([rng.nan().to_bits(), rng.nan().to_bits()]);
+            }
+        }
+    }
+
+    /// What an output cell holds before a kernel call; any cell outside
+    /// the call's box must still hold it afterwards.
+    fn sentinel<T: Scalar>() -> T {
+        T::from_bit_pattern([0x7ff8_dead_beef_0001; 2])
+    }
+
+    fn blank<T: Scalar>(n: [usize; 3], halo: usize) -> Grid3<T> {
+        let mut g = Grid3::zeros(n, halo);
+        g.data_mut().fill(sentinel());
+        g
+    }
+
+    /// `got` equals `oracle` bit for bit on the box `lo..hi` and holds the
+    /// sentinel everywhere else, ghosts included.
+    fn check_box<T: Scalar>(
+        got: &Grid3<T>,
+        oracle: &Grid3<T>,
+        lo: [isize; 3],
+        hi: [isize; 3],
+        what: &str,
+    ) {
+        let (n, h) = (got.n().map(|e| e as isize), got.halo() as isize);
+        for i in -h..n[0] + h {
+            for j in -h..n[1] + h {
+                for k in -h..n[2] + h {
+                    let p = [i, j, k];
+                    let inside = (0..3).all(|a| (lo[a]..hi[a]).contains(&p[a]));
+                    let want = if inside {
+                        oracle.get(i, j, k)
+                    } else {
+                        sentinel()
+                    };
+                    assert_eq!(
+                        got.get(i, j, k).bit_pattern(),
+                        want.bit_pattern(),
+                        "{what}: n={:?} halo={} cell {p:?} (inside the box: {inside})",
+                        got.n(),
+                        oracle.halo() + 2,
+                    );
+                }
+            }
+        }
+    }
+
+    /// All four entry points against the oracle on one randomized case.
+    fn differential_case<T: Scalar>(rng: &mut Rng, n: [usize; 3], halo: usize) {
+        let coef = StencilCoeffs {
+            c0: rng.finite(),
+            m1: [rng.finite(), rng.finite(), rng.finite()],
+            p1: [rng.finite(), rng.finite(), rng.finite()],
+            m2: [rng.finite(), rng.finite(), rng.finite()],
+            p2: [rng.finite(), rng.finite(), rng.finite()],
+        };
+        let mut input: Grid3<T> = Grid3::zeros(n, halo);
+        salt(rng, &mut input);
+
+        // The oracle over the widest box the halo admits, computed once.
+        let e = halo - StencilCoeffs::HALO;
+        let (ni, ei) = (n.map(|x| x as isize), e as isize);
+        let mut oracle: Grid3<T> = Grid3::zeros(n, e);
+        for i in -ei..ni[0] + ei {
+            for j in -ei..ni[1] + ei {
+                for k in -ei..ni[2] + ei {
+                    oracle.set(i, j, k, oracle_point(&coef, &input, [i, j, k]));
+                }
+            }
+        }
+
+        let mut out = blank(n, 2 + rng.below(3));
+        apply(&coef, &input, &mut out);
+        check_box(&out, &oracle, [0; 3], ni, "apply");
+
+        for x0 in 0..=n[0] {
+            for x1 in x0..=n[0] {
+                let mut out = blank(n, 2 + rng.below(3));
+                apply_xrange(&coef, &input, &mut out, x0, x1);
+                let (lo, hi) = ([x0 as isize, 0, 0], [x1 as isize, ni[1], ni[2]]);
+                check_box(&out, &oracle, lo, hi, "apply_xrange");
+            }
+        }
+
+        for parts in 1..=5 {
+            let mut out = blank(n, halo);
+            let bounds = slab_bounds(n[0], parts);
+            let slabs = out.split_x_slabs(&bounds[1..bounds.len() - 1]);
+            for (s, slab) in slabs.into_iter().enumerate() {
+                apply_slab(&coef, &input, bounds[s], bounds[s + 1], slab);
+            }
+            check_box(&out, &oracle, [0; 3], ni, "apply_slab");
+        }
+
+        // Every (em, ep) the halo admits: (e+1)^6 boxes.
+        let steps = e + 1;
+        for code in 0..steps.pow(6) {
+            let digit = |d: u32| code / steps.pow(d) % steps;
+            let (em, ep) = (
+                [digit(0), digit(1), digit(2)],
+                [digit(3), digit(4), digit(5)],
+            );
+            let mut out = blank(n, e + rng.below(2));
+            apply_region(&coef, &input, &mut out, em, ep);
+            let lo = em.map(|x| -(x as isize));
+            let hi = [0, 1, 2].map(|a| ni[a] + ep[a] as isize);
+            check_box(&out, &oracle, lo, hi, "apply_region");
+        }
+    }
+
+    fn differential_suite<T: Scalar>(seed: u64) {
+        let mut rng = Rng(seed);
+        for halo in 2..=4 {
+            // Every row length 1..=9 — 1, 2 and 3 are shorter than the
+            // stencil's reach — under random x/y extents.
+            for nz in 1..=9 {
+                let n = [1 + rng.below(9), 1 + rng.below(9), nz];
+                differential_case::<T>(&mut rng, n, halo);
+            }
+        }
+    }
+
+    #[test]
+    fn every_entry_point_matches_the_scalar_oracle_bitwise_f64() {
+        differential_suite::<f64>(0x13);
+    }
+
+    #[test]
+    fn every_entry_point_matches_the_scalar_oracle_bitwise_c64() {
+        differential_suite::<C64>(0xC64);
     }
 
     #[test]

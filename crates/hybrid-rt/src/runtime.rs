@@ -42,7 +42,7 @@ use gpaw_grid::scalar::Scalar;
 use gpaw_grid::stencil::{BoundaryCond, StencilCoeffs};
 use gpaw_simmpi::RunReport;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -286,6 +286,34 @@ fn restore_inputs<T: Scalar>(
     }
 }
 
+/// Run `work(i, &mut items[i])` for every item, the items dealt round-robin
+/// over up to `threads` threads — the caller plus scoped helpers. This is
+/// how a rank fills its synthetic inputs: the fill is `sin`-bound and
+/// independent per grid, and the rank's compute threads have nothing else
+/// to do yet. The grids themselves are allocated by the caller, so the
+/// allocator sees the same thread it always did.
+///
+/// One thread or one item works inline, with no spawn. A helper's panic
+/// is re-raised on the caller once every helper has been joined, so it
+/// unwinds into the rank's `catch_unwind` like a panic in a serial fill.
+fn for_each_dealt<G: Send>(items: &mut [G], threads: usize, work: impl Fn(usize, &mut G) + Sync) {
+    let dealers = threads.min(items.len()).max(1);
+    let mut hands: Vec<Vec<(usize, &mut G)>> = (0..dealers).map(|_| Vec::new()).collect();
+    for (i, item) in items.iter_mut().enumerate() {
+        hands[i % dealers].push((i, item));
+    }
+    let play = |hand: Vec<(usize, &mut G)>| hand.into_iter().for_each(|(i, item)| work(i, item));
+    std::thread::scope(|s| {
+        let mut hands = hands.into_iter();
+        let mine = hands.next().unwrap_or_default();
+        let helpers: Vec<_> = hands.map(|hand| s.spawn(|| play(hand))).collect();
+        play(mine);
+        for helper in helpers {
+            helper.join().unwrap_or_else(|p| resume_unwind(p));
+        }
+    });
+}
+
 /// Execute `job` under `strategy` on real OS threads.
 ///
 /// Fails with [`RunError::Map`] when the job's thread count does not
@@ -368,22 +396,24 @@ pub(crate) fn run_attempt<T: SyntheticFill>(
                             }
                         };
                         let asg = rank_assignment(cfg.approach, job.n_grids, map, rank);
-                        // Fresh runs fill synthetically; a supervised
-                        // resume restores the rollback epoch's snapshot.
-                        let inputs: Vec<Grid3<T>> = if start_epoch == 0 {
-                            let mut inputs = Vec::with_capacity(asg.count);
-                            for i in 0..asg.count {
-                                let mut grid = Grid3::zeros(plan.sub.ext, halo);
-                                T::fill(&mut grid, &plan.sub, job.grid_ext, job.seed, asg.id(i));
-                                inputs.push(grid);
-                            }
+                        // Fresh runs fill synthetically, on the rank's own
+                        // threads; a supervised resume restores the
+                        // rollback epoch's snapshot.
+                        let blank_grids = || -> Vec<Grid3<T>> {
+                            (0..asg.count)
+                                .map(|_| Grid3::zeros(plan.sub.ext, halo))
+                                .collect()
+                        };
+                        let inputs = if start_epoch == 0 {
+                            let mut inputs = blank_grids();
+                            for_each_dealt(&mut inputs, threads, |i, grid| {
+                                T::fill(grid, &plan.sub, job.grid_ext, job.seed, asg.id(i));
+                            });
                             inputs
                         } else {
                             restore_inputs(ckpt, rank, programs, &asg, start_epoch)
                         };
-                        let outputs: Vec<Grid3<T>> = (0..asg.count)
-                            .map(|_| Grid3::zeros(plan.sub.ext, halo))
-                            .collect();
+                        let outputs = blank_grids();
                         let ctx = RankCtx {
                             fabric,
                             plan: &plan,
@@ -525,6 +555,85 @@ mod tests {
             .err()
             .expect("no grids must fail");
         assert!(matches!(err, RunError::NoGrids));
+    }
+
+    #[test]
+    fn every_item_is_worked_once_under_its_own_index_whoever_finishes_first() {
+        // Two dealers over five items: the caller works 0, 2, 4 and the
+        // helper 1, 3. Item 0 blocks until the helper has finished its
+        // last item, so the helper's whole hand completes before the
+        // caller's first — every slot must still hold its own index.
+        let (done, wait) = std::sync::mpsc::channel::<()>();
+        let (done, wait) = (std::sync::Mutex::new(done), std::sync::Mutex::new(wait));
+        let mut items = vec![None; 5];
+        for_each_dealt(&mut items, 2, |i, slot| {
+            if i == 0 {
+                wait.lock()
+                    .expect("unpoisoned")
+                    .recv()
+                    .expect("helper signals");
+            } else if i == 3 {
+                done.lock()
+                    .expect("unpoisoned")
+                    .send(())
+                    .expect("caller waits");
+            }
+            assert!(slot.replace((i, std::thread::current().id())).is_none());
+        });
+        let me = std::thread::current().id();
+        for (at, slot) in items.iter().enumerate() {
+            let (i, thread) = slot.expect("worked");
+            assert_eq!(i, at);
+            assert_eq!(thread == me, at % 2 == 0, "item {at} on the wrong dealer");
+        }
+        // More threads than items: one dealer per item; no items: no work.
+        let mut squares = [0usize; 3];
+        for_each_dealt(&mut squares, 8, |i, s| *s = i * i);
+        assert_eq!(squares, [0, 1, 4]);
+        for_each_dealt(&mut [0u8; 0], 4, |_, _| unreachable!("nothing to deal"));
+    }
+
+    #[test]
+    fn one_thread_or_one_item_works_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        for (count, threads) in [(5, 1), (1, 4), (3, 0)] {
+            let mut on = vec![None; count];
+            for_each_dealt(&mut on, threads, |_, t| {
+                *t = Some(std::thread::current().id())
+            });
+            assert_eq!(on, vec![Some(me); count], "count {count} threads {threads}");
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_resurfaces_on_the_caller_with_its_message() {
+        let caught = catch_unwind(|| {
+            for_each_dealt(&mut [0u8; 4], 2, |i, _| {
+                assert!(i != 3, "item {i} is cursed")
+            });
+        });
+        let payload = caught.expect_err("the helper's panic must propagate");
+        assert!(panic_message(payload.as_ref()).contains("item 3 is cursed"));
+    }
+
+    #[test]
+    fn a_resume_never_reaches_the_fill() {
+        // Resuming from epoch 1 with no checkpoint store cannot succeed —
+        // and must not quietly refill either: the rank fails typed, from
+        // the restore path.
+        let job = NativeJob::new([12, 12, 12], 3, 1).with_threads(2);
+        let geo = resolve_geometry(&job, Approach::HybridMultiple).expect("valid geometry");
+        let fabric: NativeFabric<f64> = NativeFabric::with_config(&geo.map, fabric_config(&job));
+        let err = run_attempt(&job, &HybridMultiple, &geo, &fabric, None, 1)
+            .err()
+            .expect("nothing to restore from");
+        let RunError::Failed { failures, .. } = err else {
+            panic!("expected a contained rank failure, got {err}");
+        };
+        assert!(failures.iter().all(|f| matches!(
+            &f.kind,
+            FailureKind::Panic(m) if m.contains("without a checkpoint store")
+        )));
     }
 
     #[test]
