@@ -31,7 +31,7 @@
 //! A missing or garbled checkpoint directory is a typed error and exit
 //! code 3 — never a panic.
 
-use gpaw_bench::{approach_slug, approach_slugs, emit_report, mb, parse_approach, secs, Table};
+use gpaw_bench::{emit_report, mb, secs, Table};
 use gpaw_des::SpanKind;
 use gpaw_fd::config::Approach;
 use gpaw_fd::exec::{max_error_vs_reference_planned, sequential_reference};
@@ -69,11 +69,11 @@ fn main() {
                 i += 1;
             }
             "--approach" if i + 1 < args.len() => {
-                approach = Some(parse_approach(&args[i + 1]).unwrap_or_else(|| {
+                approach = Some(Approach::parse(&args[i + 1]).unwrap_or_else(|| {
                     eprintln!(
                         "unknown approach {:?}; expected one of: {}",
                         args[i + 1],
-                        approach_slugs()
+                        Approach::ALL.map(Approach::slug).join(", ")
                     );
                     std::process::exit(2);
                 }));
@@ -159,7 +159,7 @@ fn main() {
                 // Durable pass: spill while running; --restore resumes
                 // this approach from its newest durable epoch first.
                 Some(dir) => {
-                    let durability = DurabilityConfig::new(dir.join(approach_slug(s.approach())))
+                    let durability = DurabilityConfig::new(dir.join(s.approach().slug()))
                         .with_spill_every(spill_every)
                         .with_restore(restore);
                     match supervise_durable::<f64>(

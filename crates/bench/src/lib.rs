@@ -13,35 +13,17 @@
 //! | `headline` | §VII-B / §VIII numbers (1.94×, utilization, FlatStatic) |
 //! | `ablations` | §V design-choice ablations |
 //!
-//! This library holds the shared pieces: the paper's workload presets, an
-//! aligned-table printer, and a simulated-seconds formatter.
+//! The `gate` binary runs the CI matrix: seven fixed scenarios whose
+//! numbers are gated against `results/baseline.json` through [`gate`].
+//!
+//! This library holds the shared pieces: the gate's ledger, the paper's
+//! workload presets, an aligned-table printer, and a simulated-seconds
+//! formatter.
 
 use gpaw_fd::runner::FdExperiment;
-use gpaw_fd::{Approach, ExperimentReport};
+use gpaw_fd::ExperimentReport;
 
-/// Every approach the compiler can emit, in canonical order — THE
-/// strategy list for every soak and suite in this crate. Delegates to
-/// [`Approach::ALL`] so a new approach registers in every binary at
-/// once; nothing in `src/bin/` may carry its own approach array.
-pub fn all_approaches() -> &'static [Approach] {
-    &Approach::ALL
-}
-
-/// Parse a kebab-case `--approach` value (see [`Approach::parse`]).
-pub fn parse_approach(name: &str) -> Option<Approach> {
-    Approach::parse(name)
-}
-
-/// The kebab-case name of an approach: `--approach` values and
-/// per-approach checkpoint subdirectories (see [`Approach::slug`]).
-pub fn approach_slug(a: Approach) -> &'static str {
-    a.slug()
-}
-
-/// Comma-separated slug list, for usage and error messages.
-pub fn approach_slugs() -> String {
-    Approach::ALL.map(Approach::slug).join(", ")
-}
+pub mod gate;
 
 /// Write `report` to `BENCH_<name>.json` in the current directory (the
 /// machine-readable twin of the printed tables) and say where it went.
@@ -206,27 +188,6 @@ mod tests {
         assert_eq!(secs(0.0025), "2.500ms");
         assert_eq!(secs(2.5e-6), "2.500us");
         assert_eq!(mb(1_500_000), "1.5");
-    }
-
-    #[test]
-    fn approach_helpers_round_trip_the_canonical_list() {
-        // The registry property the soaks depend on: every approach —
-        // including TemporalBlocked — appears exactly once, parses from
-        // its own slug, and nothing else parses.
-        let all = all_approaches();
-        assert_eq!(all.len(), Approach::ALL.len());
-        for &a in all {
-            assert_eq!(parse_approach(approach_slug(a)), Some(a));
-        }
-        assert!(all.contains(&Approach::TemporalBlocked));
-        assert_eq!(
-            parse_approach("temporal-blocked"),
-            Some(Approach::TemporalBlocked)
-        );
-        assert_eq!(parse_approach("no-such-approach"), None);
-        for &a in all {
-            assert!(approach_slugs().contains(approach_slug(a)));
-        }
     }
 
     #[test]
