@@ -23,14 +23,16 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
         for seed in 0..SEEDS {
             let what = format!("{} seed {seed}", g.name);
             let chaotic = g.job.with_fault(FaultPlan::benign(seed));
-            let run = run_native::<f64>(&chaotic, g.s.as_ref()).context(&what)?;
+            let run = execute::<f64>(&chaotic, g.s.as_ref(), &RunPolicy::bare())
+                .context(&what)?
+                .run;
             g.identity
                 .check(&format!("{what}, benign chaos"), Identity::of(&run))?;
 
             let plan = FaultPlan::quiet(seed).with_corrupt_payload(0, g.dst, 1 + seed % 2);
             let corrupt = g.job.with_recv_timeout_ms(300).with_fault(plan);
             expect_typed_corruption(&what, &corrupt, &g)?;
-            let sup = supervise::<f64>(&corrupt, g.s.as_ref(), &retry(4)).context(&what)?;
+            let sup = execute::<f64>(&corrupt, g.s.as_ref(), &retry(4)).context(&what)?;
             g.identity
                 .check(&format!("{what}, corrupt recovery"), Identity::of(&sup.run))?;
             let detected = sup.recovery.corruptions_detected;
@@ -44,7 +46,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
         .with_threads(THREADS[0])
         .with_recv_timeout_ms(WATCHDOG_MS);
     let lethal = lethal.with_fault(FaultPlan::quiet(1).with_black_hole(0, 1, 1));
-    match run_native::<f64>(&lethal, &HybridMultiple) {
+    match execute::<f64>(&lethal, &HybridMultiple, &RunPolicy::bare()) {
         Ok(_) => {
             return Err(SoakFailure::divergence(
                 "black-holed run completed: fault lost",

@@ -14,7 +14,7 @@ use super::*;
 use gpaw_bgp_hw::Partition;
 use gpaw_fd::program::{compile_rank, predicted_logical_span, SweepProgram};
 use gpaw_fd::Approach::{FlatOptimized, HybridMultiple, TemporalBlocked};
-use gpaw_hybrid_rt::{supervise_degradable, DegradePolicy};
+use gpaw_hybrid_rt::DegradePolicy;
 
 const SEEDS: u64 = 4;
 /// The lethal rank fails from this sweep, so epochs 1 and 2 commit first
@@ -34,7 +34,7 @@ fn job(threads: usize, throttle_ms: u64) -> NativeJob {
 }
 
 /// The job and retry policy a durable child of this scenario runs.
-pub fn victim(threads: usize) -> (NativeJob, RetryPolicy) {
+pub fn victim(threads: usize) -> (NativeJob, RunPolicy<'static>) {
     (job(threads, 30), retry(2))
 }
 
@@ -79,8 +79,15 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
             let lethal = FaultPlan::benign(seed).with_lethal_rank_from(1, LETHAL_FROM);
             let (faulted, what) = (g.job.with_fault(lethal), format!("{} seed {seed}", g.name));
             let degrade = DegradePolicy::default();
-            let sup = supervise_degradable::<f64>(&faulted, g.s.as_ref(), &retry(2), &degrade)
-                .context(&what)?;
+            let sup = execute::<f64>(
+                &faulted,
+                g.s.as_ref(),
+                &RunPolicy {
+                    degrade,
+                    ..retry(2)
+                },
+            )
+            .context(&what)?;
             verify_reference(&what, &faulted, a, &sup.run)?;
             let Some(deg) = sup.recovery.degradation.as_ref() else {
                 return Err(SoakFailure::divergence(format!(
@@ -143,8 +150,15 @@ fn kill_rounds(root: &Path) -> Result<(u64, u64), SoakFailure> {
             // directory; the restart then starts fresh on 1 node.
             let what = format!("{} kill seed {seed} (killed at {delay:?})", s.name());
             let durability = DurabilityConfig::new(&dir).with_restore(dir.is_dir());
-            let dr = supervise_durable::<f64>(&one_node, s.as_ref(), &retry(2), &durability)
-                .context(&what)?;
+            let dr = execute::<f64>(
+                &one_node,
+                s.as_ref(),
+                &RunPolicy {
+                    durable: Some(durability),
+                    ..retry(2)
+                },
+            )
+            .context(&what)?;
             verify_reference(&what, &one_node, a, &dr.run)?;
             if dr.durable.resumed_from == 0 {
                 continue;

@@ -31,7 +31,7 @@ fn job(threads: usize, throttle_ms: u64) -> NativeJob {
 }
 
 /// The job and retry policy a durable child of this scenario runs.
-pub fn victim(threads: usize) -> (NativeJob, RetryPolicy) {
+pub fn victim(threads: usize) -> (NativeJob, RunPolicy<'static>) {
     (job(threads, 25), retry(4))
 }
 
@@ -56,9 +56,11 @@ fn soak(ledger: &mut Ledger, root: &Path) -> Result<(), SoakFailure> {
             // A very early kill can beat the victim to creating the
             // directory; the operator's restart then starts fresh.
             let what = format!("{} seed {seed} (killed at {delay:?})", g.name);
-            let restore = DurabilityConfig::new(&dir).with_restore(dir.is_dir());
-            let dr = supervise_durable::<f64>(&g.job, g.s.as_ref(), &retry(4), &restore);
-            let dr = dr.context(&what)?;
+            let restore = RunPolicy {
+                durable: Some(DurabilityConfig::new(&dir).with_restore(dir.is_dir())),
+                ..retry(4)
+            };
+            let dr = execute::<f64>(&g.job, g.s.as_ref(), &restore).context(&what)?;
             let (resumed_from, skipped) = (dr.durable.resumed_from, dr.durable.degraded.len());
             let what = format!("{what}, resumed from epoch {resumed_from}");
             g.identity.check(&what, Identity::of(&dr.run))?;
@@ -90,7 +92,11 @@ fn soak(ledger: &mut Ledger, root: &Path) -> Result<(), SoakFailure> {
 /// for a missing directory, in the typed-error exit code — never a panic
 /// or a wrong answer. Returns the number of cases.
 fn corruption_cases(root: &Path) -> Result<u64, SoakFailure> {
-    let (a, job, policy) = (Approach::HybridMultiple, job(2, 0), retry(4));
+    let (a, job) = (Approach::HybridMultiple, job(2, 0));
+    let durable = |config: DurabilityConfig| RunPolicy {
+        durable: Some(config),
+        ..retry(4)
+    };
     let s = strategy_for::<f64>(a);
     let (_, identity) = clean(&job, s.as_ref())?;
     let newest_epoch = |dir: &Path, damage: fn(&mut Vec<u8>)| {
@@ -122,12 +128,12 @@ fn corruption_cases(root: &Path) -> Result<u64, SoakFailure> {
     ];
     for (case, damage, max_resume) in cases {
         let dir = root.join(format!("corrupt_{case}"));
-        let durable = DurabilityConfig::new(&dir);
-        supervise_durable::<f64>(&job, s.as_ref(), &policy, &durable).context(case)?;
+        let spill = DurabilityConfig::new(&dir);
+        execute::<f64>(&job, s.as_ref(), &durable(spill.clone())).context(case)?;
         damage(&dir);
-        let restore = durable.with_restore(true);
         let what = format!("{case}: restore (it must degrade, not fail)");
-        let dr = supervise_durable::<f64>(&job, s.as_ref(), &policy, &restore).context(&what)?;
+        let restore = durable(spill.with_restore(true));
+        let dr = execute::<f64>(&job, s.as_ref(), &restore).context(&what)?;
         let (digest, resumed_from) = (run_digest(&dr.run.sets), dr.durable.resumed_from);
         ensure!(
             digest == identity.digest,

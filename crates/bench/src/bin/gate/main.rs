@@ -47,8 +47,8 @@ use gpaw_fd::plan::RankPlan;
 use gpaw_fd::Approach;
 use gpaw_grid::stencil::StencilCoeffs;
 use gpaw_hybrid_rt::{
-    run_digest, run_native, strategy_for, supervise, supervise_durable, DurabilityConfig,
-    FaultPlan, NativeJob, NativeRun, RetryPolicy, RunError, Strategy,
+    execute, run_digest, strategy_for, DurabilityConfig, FaultPlan, NativeJob, NativeRun,
+    RetryPolicy, RunError, RunPolicy, Strategy,
 };
 use gpaw_simmpi::RunReport;
 use std::path::Path;
@@ -103,13 +103,13 @@ fn usage() -> u8 {
     2
 }
 
-/// Every soak's retry policy: `max_attempts`, 2 ms base backoff.
-fn retry(max_attempts: u32) -> RetryPolicy {
+/// Every soak's supervised policy: `max_attempts`, 2 ms base backoff.
+fn retry(max_attempts: u32) -> RunPolicy<'static> {
     let base_backoff = Duration::from_millis(2);
-    RetryPolicy {
+    RunPolicy::supervised(RetryPolicy {
         max_attempts,
         base_backoff,
-    }
+    })
 }
 
 /// SplitMix64: seed-derived schedules, identical on every host and run.
@@ -166,7 +166,9 @@ fn clean(
     s: &dyn Strategy<f64>,
 ) -> Result<(NativeRun<f64>, Identity), SoakFailure> {
     let what = format!("{} clean run ({} threads)", s.name(), job.threads);
-    let run = run_native::<f64>(job, s).context(&what)?;
+    let run = execute::<f64>(job, s, &RunPolicy::bare())
+        .context(&what)?
+        .run;
     verify_reference(&what, job, s.approach(), &run)?;
     let identity = Identity::of(&run);
     Ok((run, identity))
@@ -194,7 +196,7 @@ fn verify_reference(
 /// An unsupervised corrupted run must fail with the typed
 /// [`RunError::Integrity`]: never complete, never surface as a stall.
 fn expect_typed_corruption(what: &str, job: &NativeJob, g: &Group) -> Result<(), SoakFailure> {
-    match run_native::<f64>(job, g.s.as_ref()) {
+    match execute::<f64>(job, g.s.as_ref(), &RunPolicy::bare()) {
         Err(RunError::Integrity { .. }) => Ok(()),
         other => {
             let got = other
@@ -286,7 +288,14 @@ fn child_main(scenario: &str, args: &[String]) -> u8 {
     let durability = DurabilityConfig::new(dir).with_spill_every(1);
     let durability = durability.with_restore(mode == "restore");
     let s = strategy_for(approach);
-    match supervise_durable::<f64>(&job, s.as_ref(), &policy, &durability) {
+    match execute::<f64>(
+        &job,
+        s.as_ref(),
+        &RunPolicy {
+            durable: Some(durability),
+            ..policy
+        },
+    ) {
         Ok(_) => 0,
         Err(e) => {
             eprintln!("{scenario} child: {e}");

@@ -150,7 +150,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
             // racing dispatch order would make the exact cache counts
             // host-dependent.
             cache_capacity: 256,
-            retry: retry(4),
+            retry: retry(4).retry,
             ..ServiceConfig::default()
         });
         let started = Instant::now();

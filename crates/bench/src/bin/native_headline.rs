@@ -38,8 +38,7 @@ use gpaw_fd::exec::{max_error_vs_reference_planned, sequential_reference};
 use gpaw_fd::{ChromeTrace, ExperimentReport};
 use gpaw_grid::stencil::StencilCoeffs;
 use gpaw_hybrid_rt::{
-    run_native, strategy_for, supervise_durable, DurabilityConfig, NativeJob, NativeRun,
-    RetryPolicy, Strategy,
+    execute, strategy_for, DurabilityConfig, NativeJob, NativeRun, RetryPolicy, RunPolicy, Strategy,
 };
 use std::path::PathBuf;
 
@@ -155,45 +154,33 @@ fn main() {
         let cfg = job.config(s.approach());
         let mut best: Option<NativeRun<f64>> = None;
         for _ in 0..repeats {
-            let run = match &checkpoint_dir {
+            let policy = match &checkpoint_dir {
                 // Durable pass: spill while running; --restore resumes
                 // this approach from its newest durable epoch first.
-                Some(dir) => {
-                    let durability = DurabilityConfig::new(dir.join(s.approach().slug()))
-                        .with_spill_every(spill_every)
-                        .with_restore(restore);
-                    match supervise_durable::<f64>(
-                        &job,
-                        s.as_ref(),
-                        &RetryPolicy::default(),
-                        &durability,
-                    ) {
-                        Ok(dr) => {
-                            if dr.durable.resumed_from > 0 {
-                                println!(
-                                    "[durable] {}: resumed from epoch {}",
-                                    s.name(),
-                                    dr.durable.resumed_from
-                                );
-                            }
-                            for note in &dr.durable.degraded {
-                                println!("[durable] {}: degraded: {note}", s.name());
-                            }
-                            dr.run
-                        }
-                        // One shared taxonomy: Durable → 3, Integrity
-                        // → 4, other failures → 1.
-                        Err(e) => {
-                            eprintln!("{}: {e}", s.name());
-                            std::process::exit(e.exit_code());
-                        }
-                    }
-                }
-                None => run_native::<f64>(&job, s.as_ref()).unwrap_or_else(|e| {
-                    eprintln!("{}: {e}", s.name());
-                    std::process::exit(e.exit_code());
-                }),
+                Some(dir) => RunPolicy {
+                    durable: Some(
+                        DurabilityConfig::new(dir.join(s.approach().slug()))
+                            .with_spill_every(spill_every)
+                            .with_restore(restore),
+                    ),
+                    ..RunPolicy::supervised(RetryPolicy::default())
+                },
+                None => RunPolicy::bare(),
             };
+            // One shared exit taxonomy: Durable → 3, Integrity → 4, other
+            // failures → 1.
+            let sup = execute::<f64>(&job, s.as_ref(), &policy).unwrap_or_else(|e| {
+                eprintln!("{}: {e}", s.name());
+                std::process::exit(e.exit_code());
+            });
+            if sup.durable.resumed_from > 0 {
+                let epoch = sup.durable.resumed_from;
+                println!("[durable] {}: resumed from epoch {epoch}", s.name());
+            }
+            for note in &sup.durable.degraded {
+                println!("[durable] {}: degraded: {note}", s.name());
+            }
+            let run = sup.run;
             let err =
                 max_error_vs_reference_planned(&run.sets, &run.map, job.grid_ext, &reference, &cfg);
             assert_eq!(

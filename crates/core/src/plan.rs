@@ -325,20 +325,34 @@ impl RankPlan {
 
 /// Whether `map` can legally decompose `grid_ext` under `cfg` — the
 /// panicking geometry asserts of [`RankPlan::for_rank`] and
-/// `Decomposition::new`, asked as a question. A degradation candidate
-/// geometry must pass this before any program is compiled for it: every
-/// axis needs at least one plane per part, and the *smallest* sub-extent
+/// `Decomposition::new`, asked as a question. Every geometry a native run
+/// (or a shrink candidate) resolves must pass this before any program is
+/// compiled for it: every axis needs at least one plane per part, and the
+/// *smallest* sub-extent
 /// (the floor share) must still admit the exchange depth
 /// (`cfg.halo_depth()` — the stencil halo times the fused block, so a
 /// temporal-blocked shrink is checked against its widened ghosts).
 pub fn decomposition_supports(map: &CartMap, grid_ext: [usize; 3], cfg: &FdConfig) -> bool {
-    let halo = cfg.halo_depth();
+    decomposition_shortfall(map, grid_ext, cfg).is_none()
+}
+
+/// Why [`decomposition_supports`] says no: the first axis whose smallest
+/// sub-extent (the floor share — 0 when the axis has more parts than
+/// planes) is shallower than `cfg.halo_depth()`, as `(axis, sub_extent)`.
+/// `None` when every axis admits the exchange depth.
+pub fn decomposition_shortfall(
+    map: &CartMap,
+    grid_ext: [usize; 3],
+    cfg: &FdConfig,
+) -> Option<(usize, usize)> {
     let parts = if cfg.approach == Approach::FlatStatic {
         map.partition.node_shape.dims
     } else {
         map.proc_dims
     };
-    (0..3).all(|d| parts[d] >= 1 && parts[d] <= grid_ext[d] && grid_ext[d] / parts[d] >= halo)
+    (0..3)
+        .map(|d| (d, grid_ext[d].checked_div(parts[d]).unwrap_or(0)))
+        .find(|&(_, sub)| sub < cfg.halo_depth())
 }
 
 /// True when the face `ld` of position `pc` in a `dims` grid lies on a

@@ -5,7 +5,7 @@
 //! through `join().expect(..)`. These types are the error channel that
 //! replaces both: every way a run can fail — bad geometry, a receive that
 //! hit the deadlock watchdog, a rank thread that panicked, a fabric left
-//! undrained — terminates [`crate::run_native`] with a [`RunError`]
+//! undrained — terminates [`crate::execute`] with a [`RunError`]
 //! naming the failed rank, the strategy, the phase, and (for watchdog
 //! expiries) the full [`FabricDiagnostic`](crate::fault::FabricDiagnostic)
 //! snapshot.
@@ -140,6 +140,17 @@ pub enum RunError {
     },
     /// The geometry could not be mapped (thread count, process grid…).
     Map(MapError),
+    /// The decomposition is too fine for the exchange: along `axis`, the
+    /// smallest subdomain (0 when the axis has more parts than planes)
+    /// is shallower than the ghost depth the job's config needs.
+    Decomposition {
+        /// The first axis that falls short.
+        axis: usize,
+        /// Its smallest sub-extent.
+        sub_extent: usize,
+        /// `cfg.halo_depth()`: the stencil halo times the fused block.
+        halo_depth: usize,
+    },
     /// One or more ranks failed; every failure is listed, worst first
     /// (panics before timeouts, then by rank).
     Failed {
@@ -173,9 +184,15 @@ pub enum RunError {
 impl RunError {
     /// The first (worst) rank failure, when the run failed mid-flight.
     pub fn first_failure(&self) -> Option<&RankFailure> {
+        self.rank_failures()?.first()
+    }
+
+    /// Every rank failure, when the run failed mid-flight — the failures
+    /// a retry or a shrink can act on. `None` for errors no rerun can fix.
+    pub(crate) fn rank_failures(&self) -> Option<&[RankFailure]> {
         match self {
             RunError::Failed { failures, .. } | RunError::Integrity { failures, .. } => {
-                failures.first()
+                Some(failures)
             }
             _ => None,
         }
@@ -214,6 +231,15 @@ impl fmt::Display for RunError {
                 )
             }
             RunError::Map(e) => write!(f, "geometry rejected: {e}"),
+            RunError::Decomposition {
+                axis,
+                sub_extent,
+                halo_depth,
+            } => write!(
+                f,
+                "decomposition too fine: axis {axis} has a sub-extent of {sub_extent}, \
+                 below the exchange depth {halo_depth}"
+            ),
             RunError::Failed { strategy, failures } => {
                 write!(f, "{strategy}: {} rank(s) failed", failures.len())?;
                 for fail in failures {

@@ -30,24 +30,30 @@
 //!   fleet, or master + worker pool, chosen by the compiled thread roles
 //!   — with barrier draining on failure so a dead thread never strands
 //!   its siblings;
-//! * [`runtime`] — [`run_native`]: geometry + synthetic fill + per-rank
-//!   threads under `catch_unwind`, returning grids, a
+//! * [`runtime`] — [`NativeJob`] and one attempt: geometry resolution
+//!   (every check, every rank's compiled programs), synthetic fill, and
+//!   per-rank threads under `catch_unwind`, returning grids, a
 //!   [`gpaw_simmpi::RunReport`], and raw span timelines;
-//! * [`supervisor`] — [`supervise`]: checkpoint/replay recovery. Epoch
+//! * [`supervisor`] — [`execute`]: the one run driver. A [`RunPolicy`]
+//!   names the retries, the geometry shrinks, the disk and the program
+//!   cache; a bare policy runs one attempt with no checkpoints. Epoch
 //!   checkpoints (`gpaw_fd::checkpoint`, deposited at every sweep's
 //!   `AdvanceBuffer` boundary) plus the fabric's send-side retransmission
 //!   buffers let a failed attempt roll back to the newest consistent
-//!   epoch and resume mid-program — completed runs are bitwise identical
-//!   to fault-free ones, with retries and retransmissions itemized in a
-//!   [`RecoveryReport`];
-//! * [`durable`] — [`supervise_durable`]: the durability plane. A
-//!   background spiller serializes every consistent epoch to disk
+//!   epoch and resume mid-program; exhausted retries shrink the job onto
+//!   fewer ranks. Completed runs are bitwise identical to fault-free
+//!   ones, with retries, retransmissions and geometry changes itemized
+//!   in a [`RecoveryReport`]. [`run_native`], [`supervise`] and
+//!   [`supervise_durable`] are one-line wrappers kept for the benchmark
+//!   package;
+//! * [`durable`] — the durability plane's disk side. A background
+//!   spiller serializes every consistent epoch to disk
 //!   (`gpaw_fd::durable`'s checksummed, atomically-renamed format);
-//!   `--restore` recovers the newest valid epoch — degrading past
-//!   corrupt files with typed errors, never a panic — seeds the fabric
-//!   with the killed process's statically-known logical traffic, and
-//!   resumes mid-program, so a SIGKILLed run finishes bit-identical to
-//!   an uninterrupted one;
+//!   `restore` recovers the newest valid epoch — degrading past corrupt
+//!   files with typed errors, never a panic — and the driver seeds the
+//!   fabric with the killed process's statically-known logical traffic
+//!   and resumes mid-program, so a SIGKILLed run finishes bit-identical
+//!   to an uninterrupted one;
 //! * [`service`] — [`JobService`]: the multi-tenant job server. A
 //!   bounded submission queue with admission control, a shared worker
 //!   pool multiplexing many jobs, per-tenant fair scheduling with
@@ -74,9 +80,7 @@ pub mod service;
 pub mod strategy;
 pub mod supervisor;
 
-pub use durable::{
-    supervise_durable, supervise_durable_cached, DurabilityConfig, DurableReport, DurableRun,
-};
+pub use durable::{DurabilityConfig, DurableReport};
 pub use error::{FailureKind, RankFailure, RunError, StrategyError};
 pub use fabric::{FabricStats, NativeFabric};
 pub use fault::{
@@ -85,7 +89,7 @@ pub use fault::{
     RecvError, RecvTimeout,
 };
 pub use report::native_run_report;
-pub use runtime::{run_native, run_native_cached, NativeJob, NativeRun};
+pub use runtime::{NativeJob, NativeRun};
 pub use service::{
     run_digest, AdmissionError, JobHandle, JobResult, JobService, Priority, ServiceConfig,
     ServiceOutcome, ServiceStats,
@@ -95,7 +99,7 @@ pub use strategy::{
     HybridMultiple, RankCtx, Strategy, TemporalBlocked, ThreadResult,
 };
 pub use supervisor::{
-    supervise, supervise_cached, supervise_degradable, supervise_degradable_cached,
-    DegradationReport, DegradePolicy, FailureClass, FailureSummary, GeometrySegment,
-    RecoveryReport, RetryPolicy, SupervisedRun,
+    execute, run_native, supervise, supervise_durable, DegradationReport, DegradePolicy,
+    FailureClass, FailureSummary, GeometrySegment, RecoveryReport, RetryPolicy, RunPolicy,
+    SupervisedRun,
 };

@@ -1,8 +1,8 @@
 //! Launching a native run: one OS thread per rank, a strategy per rank.
 //!
-//! [`run_native`] is the native counterpart of
+//! A native run is the counterpart of
 //! `gpaw_fd::exec::run_distributed_traced`: it builds the same
-//! [`CartMap`]/[`RankPlan`] geometry, fills the
+//! [`CartMap`]/`RankPlan` geometry, fills the
 //! same synthetic grids, then hands each rank to a [`Strategy`] instead of
 //! the functional executor. The outcome carries the final grids (for
 //! bitwise validation), a [`RunReport`] in the timed plane's shape, and
@@ -15,26 +15,26 @@
 //! in through [`NativeJob::with_fault`] and
 //! [`NativeJob::with_recv_timeout_ms`].
 //!
-//! Internally a run is split into *geometry resolution*
-//! (`resolve_geometry`) and *one attempt* (`run_attempt`); `run_native`
-//! is resolve + a fresh fabric + one attempt from epoch 0. The supervisor
-//! (`crate::supervisor`) reuses both to replay attempts against the same
-//! fabric from a checkpointed epoch.
+//! This module holds the two halves of a run: *geometry resolution*
+//! (`JobGeometry::resolve`, every check plus every rank's compiled
+//! programs) and *one attempt* (`run_attempt`). The run driver
+//! ([`crate::supervisor::execute`]) resolves each geometry once and
+//! replays attempts on it from checkpointed epochs.
 
 use crate::error::{panic_message, FailureKind, RankFailure, RunError};
 use crate::fabric::NativeFabric;
-use crate::fault::{FabricConfig, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::report::native_run_report;
 use crate::strategy::{RankCtx, Strategy, ThreadResult};
 use gpaw_bgp_hw::spec::STENCIL_FLOPS_PER_POINT;
 use gpaw_bgp_hw::{CartMap, Partition};
 use gpaw_des::SimDuration;
-use gpaw_fd::checkpoint::CheckpointStore;
+use gpaw_fd::checkpoint::{shard_layout, CheckpointStore, ShardSpec};
 use gpaw_fd::config::{Approach, FdConfig};
 use gpaw_fd::exec::SyntheticFill;
-use gpaw_fd::plan::{rank_assignment, GridAssignment, RankPlan};
+use gpaw_fd::plan::{decomposition_shortfall, rank_assignment, GridAssignment};
 use gpaw_fd::progcache::{JobPrograms, ProgramCache};
-use gpaw_fd::program::{compile_rank, SweepProgram, ThreadRole};
+use gpaw_fd::program::{SweepProgram, ThreadRole};
 use gpaw_fd::trace::ThreadSpans;
 use gpaw_grid::grid3::Grid3;
 use gpaw_grid::gridset::GridSet;
@@ -70,8 +70,9 @@ pub struct NativeJob {
     /// Grid spacing per axis (Laplacian coefficients).
     pub spacing: [f64; 3],
     /// Deadlock-watchdog budget per receive, in milliseconds (plumbs into
-    /// [`FabricConfig::recv_timeout`]). A receive that waits longer fails
-    /// the run with a fabric snapshot instead of hanging.
+    /// [`FabricConfig::recv_timeout`](crate::fault::FabricConfig::recv_timeout)).
+    /// A receive that waits longer fails the run with a fabric snapshot
+    /// instead of hanging.
     pub recv_timeout_ms: u64,
     /// Sleep this long at every sweep boundary (each `AdvanceBuffer`),
     /// per thread. 0 (the default) means full speed; the durability soak
@@ -166,28 +167,28 @@ pub struct NativeRun<T: Scalar> {
     pub map: CartMap,
 }
 
-/// A job's execution geometry, resolved once and shared by every attempt
-/// of a (possibly supervised) run: the rank/node map, the thread count,
-/// the engine config, the stencil, and — when resolved through a
-/// [`ProgramCache`] — every rank's pre-compiled sweep programs.
+/// A job's execution geometry, resolved once per geometry a run executes
+/// on and shared by every attempt there: the rank/node map, the thread
+/// count, the engine config, the stencil, and every rank's compiled sweep
+/// programs.
 pub(crate) struct JobGeometry {
     pub map: CartMap,
     pub threads: usize,
     pub cfg: FdConfig,
     pub coef: StencilCoeffs,
     /// Compiled programs for all ranks, shared via the program cache.
-    /// `None` means every rank thread compiles its own (the uncached
-    /// path); the two are bit-identical — compilation is a pure function
-    /// of the geometry.
-    pub programs: Option<Arc<JobPrograms>>,
+    pub programs: Arc<JobPrograms>,
 }
 
-/// Validate `job` under `approach` and resolve its geometry — all the
-/// checks `run_native` performs before any thread is spawned.
-pub(crate) fn resolve_geometry(
+/// Every check a run makes before anything is compiled or spawned: grids
+/// to sweep, a standard partition, a thread count that divides the
+/// cores, and subdomains no shallower than the exchange depth. Returns
+/// the rank map, the threads per rank and the engine config. Admission
+/// calls this alone, so a rejected job never reaches the program cache.
+pub(crate) fn check_geometry(
     job: &NativeJob,
     approach: Approach,
-) -> Result<JobGeometry, RunError> {
+) -> Result<(CartMap, usize, FdConfig), RunError> {
     if job.n_grids == 0 {
         return Err(RunError::NoGrids);
     }
@@ -201,45 +202,52 @@ pub(crate) fn resolve_geometry(
         _ => 1,
     };
     map.cores_per_thread(threads)?;
-    Ok(JobGeometry {
-        map,
-        threads,
-        cfg: job.config(approach),
-        coef: StencilCoeffs::laplacian(job.spacing),
-        programs: None,
-    })
+    let cfg = job.config(approach);
+    if let Some((axis, sub_extent)) = decomposition_shortfall(&map, job.grid_ext, &cfg) {
+        return Err(RunError::Decomposition {
+            axis,
+            sub_extent,
+            halo_depth: cfg.halo_depth(),
+        });
+    }
+    Ok((map, threads, cfg))
 }
 
-/// [`resolve_geometry`], then populate the geometry's programs from
-/// `cache` — a hit skips `compile_rank` entirely, a miss compiles the
-/// whole job once and memoizes it for the next submission with the same
-/// shape. `bytes_per_point` is the scalar width the run will use
-/// (`T::BYTES`); it is part of the cache key because the plan's message
-/// sizes depend on it.
-pub(crate) fn resolve_geometry_cached(
-    job: &NativeJob,
-    approach: Approach,
-    cache: &ProgramCache,
-    bytes_per_point: usize,
-) -> Result<JobGeometry, RunError> {
-    let mut geo = resolve_geometry(job, approach)?;
-    geo.programs = Some(cache.get_or_compile(
-        &geo.cfg,
-        &geo.map,
-        job.grid_ext,
-        job.n_grids,
-        geo.threads,
-        bytes_per_point,
-    ));
-    Ok(geo)
-}
+impl JobGeometry {
+    /// [`check_geometry`], then every rank's programs through `cache` — a
+    /// hit skips `compile_rank` entirely, a miss compiles the whole job
+    /// once and memoizes it for the next job of the same shape.
+    /// `bytes_per_point` is the scalar width the run will use
+    /// (`T::BYTES`); it is part of the cache key because the plan's
+    /// message sizes depend on it.
+    pub(crate) fn resolve(
+        job: &NativeJob,
+        approach: Approach,
+        cache: &ProgramCache,
+        bytes_per_point: usize,
+    ) -> Result<JobGeometry, RunError> {
+        let (map, threads, cfg) = check_geometry(job, approach)?;
+        let programs = cache.get_or_compile(
+            &cfg,
+            &map,
+            job.grid_ext,
+            job.n_grids,
+            threads,
+            bytes_per_point,
+        );
+        Ok(JobGeometry {
+            map,
+            threads,
+            cfg,
+            coef: StencilCoeffs::laplacian(job.spacing),
+            programs,
+        })
+    }
 
-/// The fabric configuration `job` implies for an unsupervised run.
-pub(crate) fn fabric_config(job: &NativeJob) -> FabricConfig {
-    FabricConfig {
-        recv_timeout: Duration::from_millis(job.recv_timeout_ms),
-        plan: job.fault,
-        ..FabricConfig::default()
+    /// The geometry's checkpoint layout: one shard per `(rank, slot)` key
+    /// its depositing threads snapshot under.
+    pub(crate) fn layout(&self) -> Vec<ShardSpec> {
+        shard_layout(&self.programs)
     }
 }
 
@@ -314,43 +322,11 @@ fn for_each_dealt<G: Send>(items: &mut [G], threads: usize, work: impl Fn(usize,
     });
 }
 
-/// Execute `job` under `strategy` on real OS threads.
-///
-/// Fails with [`RunError::Map`] when the job's thread count does not
-/// evenly divide the cores one process drives (e.g. 3 threads on a 4-core
-/// node), [`RunError::UnsupportedNodeCount`] for a node count without a
-/// standard partition, and [`RunError::Failed`] when any rank panicked,
-/// timed out on a receive, or left the fabric undrained — the process
-/// neither aborts nor hangs.
-pub fn run_native<T: SyntheticFill>(
-    job: &NativeJob,
-    strategy: &dyn Strategy<T>,
-) -> Result<NativeRun<T>, RunError> {
-    let geo = resolve_geometry(job, strategy.approach())?;
-    let fabric: NativeFabric<T> = NativeFabric::with_config(&geo.map, fabric_config(job));
-    run_attempt(job, strategy, &geo, &fabric, None, 0)
-}
-
-/// [`run_native`], but pulling the compiled sweep programs through
-/// `cache`: repeat submissions of the same job shape skip `compile_rank`
-/// and interpret the memoized programs. The outcome is bit-identical to
-/// the uncached path — compilation is deterministic, and the cache merely
-/// decides who runs it.
-pub fn run_native_cached<T: SyntheticFill>(
-    job: &NativeJob,
-    strategy: &dyn Strategy<T>,
-    cache: &ProgramCache,
-) -> Result<NativeRun<T>, RunError> {
-    let geo = resolve_geometry_cached(job, strategy.approach(), cache, T::BYTES)?;
-    let fabric: NativeFabric<T> = NativeFabric::with_config(&geo.map, fabric_config(job));
-    run_attempt(job, strategy, &geo, &fabric, None, 0)
-}
-
 /// One attempt at `job`: spawn every rank, interpret from `start_epoch`,
 /// and collect either a [`NativeRun`] or the worst-first failure list.
-/// `run_native` calls this once with a fresh fabric; the supervisor calls
-/// it repeatedly against one shared fabric and checkpoint store, after
-/// rolling both back to a consistent epoch.
+/// The driver calls it against one fabric (and, when the policy can roll
+/// back, one checkpoint store) per geometry, rolling both back to a
+/// consistent epoch between attempts.
 pub(crate) fn run_attempt<T: SyntheticFill>(
     job: &NativeJob,
     strategy: &dyn Strategy<T>,
@@ -373,28 +349,13 @@ pub(crate) fn run_attempt<T: SyntheticFill>(
             .map(|rank| {
                 s.spawn(move || -> RankOutcome<T> {
                     let run = catch_unwind(AssertUnwindSafe(|| {
-                        // The rank's sweep programs are compiled exactly
-                        // once; the strategy only interprets them. A
-                        // cache-resolved geometry already carries them
-                        // (programs embed their plan); otherwise compile
-                        // here, on the rank's own thread. The rank holds
-                        // (and fills) only the grids its assignment names —
-                        // all of them except under FlatStatic's static
-                        // quarters.
-                        let compiled;
-                        let plan;
-                        let programs: &[SweepProgram] = match &geo.programs {
-                            Some(all) => {
-                                let progs = &all[rank];
-                                plan = progs[0].plan.clone();
-                                progs
-                            }
-                            None => {
-                                plan = RankPlan::for_rank(map, job.grid_ext, rank, T::BYTES, cfg);
-                                compiled = compile_rank(cfg, map, &plan, job.n_grids, threads);
-                                &compiled
-                            }
-                        };
+                        // The geometry carries the rank's compiled
+                        // programs (which embed its plan); the strategy
+                        // only interprets them. The rank holds (and fills)
+                        // only the grids its assignment names — all of
+                        // them except under FlatStatic's static quarters.
+                        let programs: &[SweepProgram] = &geo.programs[rank];
+                        let plan = &programs[0].plan;
                         let asg = rank_assignment(cfg.approach, job.n_grids, map, rank);
                         // Fresh runs fill synthetically, on the rank's own
                         // threads; a supervised resume restores the
@@ -416,7 +377,7 @@ pub(crate) fn run_attempt<T: SyntheticFill>(
                         let outputs = blank_grids();
                         let ctx = RankCtx {
                             fabric,
-                            plan: &plan,
+                            plan,
                             coef,
                             programs,
                             threads,
@@ -519,15 +480,22 @@ pub(crate) fn run_attempt<T: SyntheticFill>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FabricConfig;
     use crate::strategy::HybridMultiple;
+    use crate::supervisor::{execute, RunPolicy};
     use gpaw_bgp_hw::MapError;
+
+    /// The error a bare run of `job` under `strategy` fails with.
+    fn bare_error(job: &NativeJob, strategy: &dyn Strategy<f64>) -> RunError {
+        execute(job, strategy, &RunPolicy::bare())
+            .err()
+            .expect("the job must be rejected")
+    }
 
     #[test]
     fn thread_counts_that_do_not_divide_are_rejected() {
         let job = NativeJob::new([12, 12, 12], 4, 2).with_threads(3);
-        let err = run_native::<f64>(&job, &HybridMultiple)
-            .err()
-            .expect("3 of 4 must fail");
+        let err = bare_error(&job, &HybridMultiple);
         assert!(matches!(
             err,
             RunError::Map(MapError::ThreadCountNotDivisor {
@@ -540,9 +508,7 @@ mod tests {
     #[test]
     fn unsupported_node_counts_are_an_error_not_a_panic() {
         let job = NativeJob::new([12, 12, 12], 2, 3);
-        let err = run_native::<f64>(&job, &HybridMultiple)
-            .err()
-            .expect("3 nodes has no standard partition");
+        let err = bare_error(&job, &HybridMultiple);
         assert!(matches!(err, RunError::UnsupportedNodeCount { nodes: 3 }));
         assert!(err.to_string().contains("unsupported node count 3"));
     }
@@ -551,9 +517,7 @@ mod tests {
     fn zero_grid_jobs_are_rejected() {
         let mut job = NativeJob::new([12, 12, 12], 1, 1);
         job.n_grids = 0;
-        let err = run_native::<f64>(&job, &HybridMultiple)
-            .err()
-            .expect("no grids must fail");
+        let err = bare_error(&job, &HybridMultiple);
         assert!(matches!(err, RunError::NoGrids));
     }
 
@@ -622,8 +586,11 @@ mod tests {
         // and must not quietly refill either: the rank fails typed, from
         // the restore path.
         let job = NativeJob::new([12, 12, 12], 3, 1).with_threads(2);
-        let geo = resolve_geometry(&job, Approach::HybridMultiple).expect("valid geometry");
-        let fabric: NativeFabric<f64> = NativeFabric::with_config(&geo.map, fabric_config(&job));
+        let cache = ProgramCache::new(1);
+        let geo = JobGeometry::resolve(&job, Approach::HybridMultiple, &cache, f64::BYTES)
+            .expect("valid geometry");
+        let fabric: NativeFabric<f64> =
+            NativeFabric::with_config(&geo.map, FabricConfig::default());
         let err = run_attempt(&job, &HybridMultiple, &geo, &fabric, None, 1)
             .err()
             .expect("nothing to restore from");

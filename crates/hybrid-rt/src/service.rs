@@ -7,7 +7,8 @@
 //! * **admission control** — [`JobService::submit`] is non-blocking. A
 //!   full queue answers [`AdmissionError::QueueFull`] immediately, and a
 //!   job whose geometry can never run (bad node count, non-divisor thread
-//!   count, zero grids) bounces at the door with
+//!   count, a decomposition finer than the exchange depth, zero grids)
+//!   bounces at the door, before anything is compiled, with
 //!   [`AdmissionError::Rejected`] instead of wasting a worker slot;
 //! * **fair scheduling** — one FIFO lane per tenant. Workers pick the
 //!   lane whose head job has the highest [`Priority`]; ties go to the
@@ -18,8 +19,9 @@
 //!   through one shared [`ProgramCache`]: repeat traffic with the same
 //!   `(FdConfig, CartMap, threads)` shape skips `compile_rank` entirely
 //!   ([`ServiceStats::cache`] exposes the hit/miss counters);
-//! * **fault isolation** — every job runs under the supervisor with its
-//!   own fabric and checkpoint store. A tenant's injected panic or
+//! * **fault isolation** — every job is one [`execute`] call under one
+//!   [`RunPolicy`], with its own fabric and checkpoint store; durability
+//!   and shrink-to-survive compose. A tenant's injected panic or
 //!   black-holed message is retried to completion inside its own run;
 //!   neighbors share nothing but the scheduler lock and immutable cached
 //!   programs, so their bitwise results and traffic counts cannot move;
@@ -32,11 +34,11 @@
 //! Shutdown is graceful: [`JobService::join`] drains the queue, stops the
 //! workers, and returns the [`ServiceStats`] ledger.
 
-use crate::durable::{supervise_durable_cached, DurabilityConfig};
+use crate::durable::DurabilityConfig;
 use crate::error::RunError;
-use crate::runtime::{resolve_geometry, NativeJob};
+use crate::runtime::{check_geometry, NativeJob};
 use crate::strategy::strategy_for;
-use crate::supervisor::{supervise_degradable_cached, DegradePolicy, RecoveryReport, RetryPolicy};
+use crate::supervisor::{execute, DegradePolicy, RecoveryReport, RetryPolicy, RunPolicy};
 use gpaw_fd::config::Approach;
 use gpaw_fd::exec::SyntheticFill;
 use gpaw_fd::progcache::{CacheStats, ProgramCache};
@@ -127,10 +129,10 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Supervisor retry policy every job runs under.
     pub retry: RetryPolicy,
-    /// Escalation policy past exhausted retries: non-durable jobs whose
-    /// geometry keeps failing shrink onto fewer ranks (reporting
-    /// [`JobResult::degraded_to_ranks`]) instead of failing the tenant.
-    /// [`DegradePolicy::disabled`] restores the old fail-fast behavior.
+    /// Escalation policy past exhausted retries: jobs whose geometry
+    /// keeps failing — durable ones included — shrink onto fewer ranks
+    /// (reporting [`JobResult::degraded_to_ranks`]) instead of failing the
+    /// tenant. [`DegradePolicy::disabled`] restores fail-fast behavior.
     pub degrade: DegradePolicy,
     /// Keep each job's final grids in its outcome. Off by default: the
     /// digest already pins the result bitwise, and grids are the one
@@ -402,9 +404,7 @@ impl<T: SyntheticFill> JobService<T> {
         job: NativeJob,
         durable: Option<PathBuf>,
     ) -> Result<JobHandle<T>, AdmissionError> {
-        if let Err(e) = resolve_geometry(&job, approach) {
-            return Err(AdmissionError::Rejected(e));
-        }
+        check_geometry(&job, approach).map_err(AdmissionError::Rejected)?;
         let slot = Arc::new(Slot {
             outcome: Mutex::new(None),
             done: Condvar::new(),
@@ -482,8 +482,10 @@ impl<T: SyntheticFill> JobService<T> {
         }
         self.shared.work.notify_all();
         for w in self.workers.drain(..) {
-            // A worker that panicked already parked its failure in the
-            // job's outcome slot; nothing more to salvage here.
+            // Runs contain their ranks' panics and admission rejects every
+            // geometry that could trip a plan assert, so a worker only
+            // panics on a driver bug — and then nothing delivers that
+            // job's outcome. Its join error carries nothing to salvage.
             let _ = w.join();
         }
     }
@@ -547,48 +549,28 @@ fn worker_loop<T: SyntheticFill>(shared: &Shared<T>) {
         let queued = qjob.submitted.elapsed();
         let started = Instant::now();
         let strategy = strategy_for::<T>(qjob.approach);
-        let result = match &qjob.durable {
+        let policy = RunPolicy {
+            retry: shared.retry,
+            degrade: shared.degrade,
             // Durable lane: spill under root/<name>, and restore first if
             // that directory already exists — a same-name resubmission
             // after a restart picks up where the dead server left off.
-            Some(dir) => {
-                let durability = DurabilityConfig::new(dir)
+            durable: qjob.durable.as_ref().map(|dir| {
+                DurabilityConfig::new(dir)
                     .with_spill_every(shared.spill_every)
-                    .with_restore(dir.is_dir());
-                supervise_durable_cached(
-                    &qjob.job,
-                    strategy.as_ref(),
-                    &shared.retry,
-                    &durability,
-                    &shared.cache,
-                )
-                .map(|dr| JobResult {
-                    digest: run_digest(&dr.run.sets),
-                    messages: dr.run.report.messages,
-                    network_bytes: dr.run.report.total_network_bytes,
-                    degraded_to_ranks: dr.recovery.degradation.as_ref().map(|d| d.to_ranks),
-                    recovery: dr.recovery,
-                    resumed_from_epoch: dr.durable.resumed_from,
-                    sets: shared.keep_grids.then_some(dr.run.sets),
-                })
-            }
-            None => supervise_degradable_cached(
-                &qjob.job,
-                strategy.as_ref(),
-                &shared.retry,
-                &shared.degrade,
-                &shared.cache,
-            )
-            .map(|sup| JobResult {
-                digest: run_digest(&sup.run.sets),
-                messages: sup.run.report.messages,
-                network_bytes: sup.run.report.total_network_bytes,
-                degraded_to_ranks: sup.recovery.degradation.as_ref().map(|d| d.to_ranks),
-                recovery: sup.recovery,
-                resumed_from_epoch: 0,
-                sets: shared.keep_grids.then_some(sup.run.sets),
+                    .with_restore(dir.is_dir())
             }),
+            cache: Some(&shared.cache),
         };
+        let result = execute(&qjob.job, strategy.as_ref(), &policy).map(|sup| JobResult {
+            digest: run_digest(&sup.run.sets),
+            messages: sup.run.report.messages,
+            network_bytes: sup.run.report.total_network_bytes,
+            degraded_to_ranks: sup.recovery.degradation.as_ref().map(|d| d.to_ranks),
+            recovery: sup.recovery,
+            resumed_from_epoch: sup.durable.resumed_from,
+            sets: shared.keep_grids.then_some(sup.run.sets),
+        });
         let ran = started.elapsed();
         {
             let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());

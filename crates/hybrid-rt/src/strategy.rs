@@ -396,7 +396,7 @@ pub fn run_programs<T: Scalar>(
 }
 
 /// A single-threaded rank: interpret the one program on the calling
-/// thread. (Panic containment lives one level up, in `run_native`'s
+/// thread. (Panic containment lives one level up, in `run_attempt`'s
 /// per-rank `catch_unwind`.)
 fn run_single<T: Scalar>(
     ctx: &RankCtx<'_, T>,

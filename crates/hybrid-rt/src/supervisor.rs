@@ -1,9 +1,14 @@
-//! The supervisor loop: contained failures become completed runs.
+//! The run driver: every native run is [`execute`] under a [`RunPolicy`].
 //!
-//! [`supervise`] wraps [`run_attempt`](crate::runtime) in a bounded retry
-//! loop. One fabric (with send-side history retention) and one
-//! [`CheckpointStore`] live across every attempt; when an attempt fails
-//! with [`RunError::Failed`], the supervisor
+//! A bare run, a supervised run, a degradable one and a durable one differ
+//! only in policy. The driver resolves the job's geometry — compiled
+//! programs included, through the policy's [`ProgramCache`] or a one-shot
+//! one — and builds one fabric per geometry it runs on. Only when the
+//! policy can roll back (more than one attempt, a shrink budget, or a
+//! disk) does it also build a [`CheckpointStore`] and turn on the
+//! fabric's send-side history, so a bare run pays for neither. When an
+//! attempt fails with [`RunError::Failed`] or [`RunError::Integrity`],
+//! the driver
 //!
 //! 1. **classifies** each rank failure (panic, detected payload
 //!    corruption, starved receive — the black-hole shape, where the
@@ -20,6 +25,16 @@
 //!    mid-program and the fabric's re-queued history hands rolled-back
 //!    receivers their in-flight messages again.
 //!
+//! Once a geometry's retries are exhausted on rank-pinned failures and
+//! the [`DegradePolicy`] allows, the driver **shrinks**: it picks the
+//! largest supported smaller geometry, gathers the last verified epoch
+//! under the old layout, re-shards it onto the new one, closes the old
+//! geometry's [`GeometrySegment`] at the statically-exact traffic of its
+//! committed span, and resumes there with a fresh retry budget. Restoring
+//! a spill that another geometry wrote (`crate::durable`) takes the same
+//! gather → re-shard path before the first attempt, so durability and
+//! degradation compose.
+//!
 //! Replayed sends land in the fabric's *retransmission* counters, never
 //! the logical ones, so a recovered run reports exactly the traffic of a
 //! fault-free run plus an explicit [`RecoveryReport`] of the overhead.
@@ -33,23 +48,21 @@
 //! communication phase, before the swap, so a deposited epoch is always a
 //! fully completed sweep.
 
+use crate::durable::{
+    corrupt, recover_validated, seed_restored_traffic, spilling, DurabilityConfig, DurableReport,
+};
 use crate::error::{FailureKind, RankFailure, RunError};
 use crate::fabric::NativeFabric;
 use crate::fault::{EscalationStat, FabricConfig, FaultPlan};
-use crate::runtime::{
-    fabric_config, resolve_geometry, resolve_geometry_cached, run_attempt, JobGeometry, NativeJob,
-    NativeRun,
-};
+use crate::runtime::{run_attempt, JobGeometry, NativeJob, NativeRun};
 use crate::strategy::Strategy;
-use gpaw_fd::checkpoint::{gather_epoch, reshard_epoch, shard_layout, CheckpointStore};
+use gpaw_fd::checkpoint::{gather_epoch, reshard_epoch, CheckpointStore, RegridError};
 use gpaw_fd::config::Approach;
+use gpaw_fd::durable::{DurableStore, SnapshotRecord};
 use gpaw_fd::exec::SyntheticFill;
-use gpaw_fd::plan::{decomposition_supports, RankPlan};
-use gpaw_fd::progcache::{JobPrograms, ProgramCache};
-use gpaw_fd::program::{compile_rank, predicted_logical_span};
-use gpaw_grid::grid3::Grid3;
+use gpaw_fd::progcache::ProgramCache;
+use gpaw_fd::program::predicted_logical_span;
 use gpaw_grid::scalar::Scalar;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How hard the supervisor tries before giving up.
@@ -95,13 +108,55 @@ impl Default for DegradePolicy {
 }
 
 impl DegradePolicy {
-    /// No escalation: exhausted retries fail the run (the plain
-    /// [`supervise`] behavior).
+    /// No escalation: exhausted retries fail the run.
     pub fn disabled() -> DegradePolicy {
         DegradePolicy {
             max_degrades: 0,
             min_ranks: 1,
         }
+    }
+}
+
+/// How [`execute`] drives a run: retries, shrinks, disk, and where the
+/// compiled programs come from. A policy that cannot roll back — one
+/// attempt, no shrink, no disk — runs with no checkpoints and no send
+/// history.
+pub struct RunPolicy<'a> {
+    /// Attempts per geometry and the backoff between them.
+    pub retry: RetryPolicy,
+    /// Geometry shrinks allowed once a geometry's retries are exhausted.
+    pub degrade: DegradePolicy,
+    /// Spill consistent epochs to disk (and, with `restore`, resume from
+    /// the newest valid one first).
+    pub durable: Option<DurabilityConfig>,
+    /// A program cache shared across runs; `None` compiles into a
+    /// one-shot cache that lives for this run only.
+    pub cache: Option<&'a ProgramCache>,
+}
+
+impl<'a> RunPolicy<'a> {
+    /// One attempt, no shrink, no disk: the plain run.
+    pub fn bare() -> RunPolicy<'a> {
+        RunPolicy::supervised(RetryPolicy {
+            max_attempts: 1,
+            base_backoff: Duration::ZERO,
+        })
+    }
+
+    /// Checkpoint/replay retries under `retry`, and nothing more.
+    pub fn supervised(retry: RetryPolicy) -> RunPolicy<'a> {
+        RunPolicy {
+            retry,
+            degrade: DegradePolicy::disabled(),
+            durable: None,
+            cache: None,
+        }
+    }
+
+    /// Whether a failure could ever be rolled back — the one condition
+    /// for keeping checkpoints and send history.
+    fn rolls_back(&self) -> bool {
+        self.retry.max_attempts > 1 || self.degrade.max_degrades > 0 || self.durable.is_some()
     }
 }
 
@@ -180,7 +235,8 @@ pub struct DegradationReport {
     pub from_ranks: usize,
     /// Ranks of the geometry that completed.
     pub to_ranks: usize,
-    /// Geometry shrinks performed.
+    /// Geometry changes: shrinks, plus a restore onto a geometry other
+    /// than the one that wrote the spill.
     pub degrades: u32,
     /// The rank failures that triggered each shrink (their
     /// `resumed_from` is the epoch the next geometry resumed at).
@@ -190,7 +246,7 @@ pub struct DegradationReport {
     pub segments: Vec<GeometrySegment>,
 }
 
-/// Recovery overhead of a supervised run that completed.
+/// Recovery overhead of a run that completed.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// Attempts used, the successful one included. 1 = no failure.
@@ -218,19 +274,383 @@ pub struct RecoveryReport {
     /// geometry the run executed on (rank indices refer to the geometry
     /// active when the counter was charged).
     pub rank_escalations: Vec<EscalationStat>,
-    /// The geometry walk, when the run only completed by shrinking onto
-    /// fewer ranks. `None` for a run that finished on its original
-    /// geometry.
+    /// The geometry walk, when the run completed on a geometry other than
+    /// the one it (or the spill it restored) started on. `None` for a run
+    /// that kept its geometry.
     pub degradation: Option<DegradationReport>,
 }
 
-/// A run the supervisor carried to completion: the ordinary outcome plus
-/// the recovery overhead it cost.
+/// A completed run: the ordinary outcome plus what completing it cost.
 pub struct SupervisedRun<T: Scalar> {
     /// The completed run — grids bitwise identical to a fault-free run.
     pub run: NativeRun<T>,
     /// What the completion cost in retries and retransmissions.
     pub recovery: RecoveryReport,
+    /// Spill/restore overhead; `DurableReport::default()` for a run
+    /// without a disk.
+    pub durable: DurableReport,
+}
+
+/// Execute `job` under `strategy` as `policy` says.
+///
+/// Completes with a [`SupervisedRun`] whose grids are bitwise identical
+/// to a fault-free run and whose *logical* traffic counts are exactly a
+/// fault-free run's: every retry's resends are accounted separately in
+/// the [`RecoveryReport`], and a run that changed geometry reports each
+/// geometry's share in [`RecoveryReport::degradation`]. Fails at once for
+/// errors no rerun can fix — a bad geometry (a non-standard node count,
+/// a thread count that does not divide the cores, a decomposition finer
+/// than the exchange depth), zero grids, an unusable checkpoint
+/// directory — and with the last attempt's [`RunError`] once retries and
+/// shrinks are exhausted. No failure aborts or hangs the process.
+pub fn execute<T: SyntheticFill>(
+    job: &NativeJob,
+    strategy: &dyn Strategy<T>,
+    policy: &RunPolicy<'_>,
+) -> Result<SupervisedRun<T>, RunError> {
+    let one_shot;
+    let cache = match policy.cache {
+        Some(cache) => cache,
+        None => {
+            one_shot = ProgramCache::new(1);
+            &one_shot
+        }
+    };
+    let resolve = |job: &NativeJob| JobGeometry::resolve(job, strategy.approach(), cache, T::BYTES);
+    let mut job = *job;
+    let mut geo = resolve(&job)?;
+    let rolls_back = policy.rolls_back();
+    let mut recovery = RecoveryReport::default();
+    let mut durable = DurableReport::default();
+    // Closed geometries, oldest first: each one shrunk away, or the
+    // writer of a spill restored onto a different geometry.
+    let mut segments: Vec<GeometrySegment> = Vec::new();
+    let mut triggers: Vec<FailureSummary> = Vec::new();
+    let mut shrinks = 0u32;
+    // The epoch the next geometry resumes from, with its records already
+    // on that geometry's layout; `None` is the synthetic fill at epoch 0.
+    let mut resume: Option<(usize, Vec<SnapshotRecord<T>>)> = None;
+
+    let disk = match &policy.durable {
+        Some(d) if d.restore => Some((d, DurableStore::open(&d.dir)?)),
+        Some(d) => Some((d, DurableStore::create(&d.dir)?)),
+        None => None,
+    };
+    if let Some((d, disk)) = disk.as_ref().filter(|(d, _)| d.restore) {
+        if let Some(r) = recover_validated(disk, &d.dir, &job, &geo, &resolve, &mut durable)? {
+            let records = match r.writer {
+                None => r.records,
+                Some(writer) => {
+                    let records = regrid(&r.records, &writer, &geo, &job).map_err(|e| {
+                        corrupt(
+                            &d.dir,
+                            format!("gathering the spilled epoch {} failed: {e}", r.epoch),
+                        )
+                    })?;
+                    // The killed process's measured counters died with
+                    // it; its committed span is statically known.
+                    let span = predicted_logical_span(&writer.programs, 0, r.epoch);
+                    segments.push(segment(&writer, (0, r.epoch), span, span));
+                    records
+                }
+            };
+            resume = Some((r.epoch, records));
+        }
+    }
+
+    loop {
+        let ranks = geo.map.ranks();
+        let config = FabricConfig {
+            recv_timeout: Duration::from_millis(job.recv_timeout_ms),
+            plan: job.fault,
+            retain_history: rolls_back,
+            ..FabricConfig::default()
+        };
+        let fabric: NativeFabric<T> = NativeFabric::with_config(&geo.map, config);
+        let store: Option<CheckpointStore<T>> = rolls_back
+            .then(|| CheckpointStore::new(geo.layout().into_iter().map(|s| (s.rank, s.slot))));
+        let start_epoch = resume.as_ref().map_or(0, |(epoch, _)| *epoch);
+        if let (Some((epoch, records)), Some(store)) = (resume.take(), &store) {
+            for rec in records {
+                store.deposit(rec.rank, rec.slot, epoch, rec.grids);
+            }
+        }
+        let seg_start = if segments.is_empty() {
+            // A fresh run, or a restore onto the geometry that wrote the
+            // spill: this fabric accounts for the whole run, so charge it
+            // the traffic of the sweeps already done.
+            if start_epoch > 0 {
+                seed_restored_traffic(&fabric, &geo.programs, start_epoch);
+            }
+            0
+        } else {
+            // A geometry that took over from another: every rank carries
+            // the scar, and the fabric measures only this segment.
+            for r in 0..ranks {
+                fabric.note_degrade_survived(r);
+            }
+            start_epoch
+        };
+
+        let mut attempts = || {
+            let store = store.as_ref();
+            retry_loop(
+                &job,
+                strategy,
+                &policy.retry,
+                &geo,
+                &fabric,
+                store,
+                start_epoch,
+                &mut recovery,
+            )
+        };
+        let result = match (&disk, &store) {
+            (Some((d, disk)), Some(store)) => spilling(
+                store,
+                disk,
+                d.spill_every,
+                start_epoch,
+                &mut durable,
+                attempts,
+            ),
+            _ => attempts(),
+        };
+        // Fold this geometry's overhead in before its fabric and store go.
+        let stats = fabric.stats();
+        recovery.messages_retransmitted += stats.retransmitted_messages;
+        recovery.bytes_retransmitted += stats.retransmitted_bytes;
+        recovery.corruptions_detected += stats.corruptions_detected;
+        recovery.snapshot_digest_failures += store.as_ref().map_or(0, |s| s.digest_failures());
+        merge_escalations(&mut recovery.rank_escalations, &fabric.escalation_stats());
+        let charged = (stats.messages_total, stats.bytes_per_node.iter().sum());
+
+        let err = match result {
+            Ok(run) => {
+                if !segments.is_empty() {
+                    segments.push(segment(&geo, (seg_start, job.sweeps), charged, charged));
+                    recovery.degradation = Some(DegradationReport {
+                        from_ranks: segments[0].ranks,
+                        to_ranks: ranks,
+                        degrades: segments.len() as u32 - 1,
+                        triggers,
+                        segments,
+                    });
+                }
+                return Ok(SupervisedRun {
+                    run,
+                    recovery,
+                    durable,
+                });
+            }
+            Err(err) => err,
+        };
+        // Escalate only rank-pinned failures, within budget, onto a
+        // geometry that exists.
+        let (Some(failures), Some(store)) = (err.rank_failures(), &store) else {
+            return Err(err);
+        };
+        if shrinks >= policy.degrade.max_degrades {
+            return Err(err);
+        }
+        let target = shrink_target(&job, strategy.approach(), &policy.degrade, &resolve);
+        let Some((next_job, next_geo)) = target else {
+            return Err(err);
+        };
+        // Hand the last verified epoch over; anything unverifiable
+        // degrades the resume point to the synthetic fill.
+        let epoch = store.verified_consistent_epoch();
+        let handed = (epoch > 0)
+            .then(|| store.epoch_records(epoch))
+            .flatten()
+            .and_then(|records| regrid(&records, &geo, &next_geo, &job).ok());
+        let resumed_from = if handed.is_some() { epoch } else { 0 };
+        for f in failures {
+            let summary = FailureSummary {
+                attempt: recovery.attempts,
+                rank: f.rank,
+                class: classify(f),
+                resumed_from,
+            };
+            triggers.push(summary);
+            recovery.failures.push(summary);
+        }
+        for r in 0..ranks {
+            recovery.epochs_replayed += store.rank_epoch(r).saturating_sub(resumed_from);
+        }
+        let committed = predicted_logical_span(&geo.programs, seg_start, resumed_from);
+        segments.push(segment(&geo, (seg_start, resumed_from), committed, charged));
+        resume = handed.map(|records| (resumed_from, records));
+        (job, geo) = (next_job, next_geo);
+        shrinks += 1;
+    }
+}
+
+/// [`execute`] under [`RunPolicy::bare`], returning only the run. Kept
+/// because the benchmark package pins this name.
+pub fn run_native<T: SyntheticFill>(
+    job: &NativeJob,
+    strategy: &dyn Strategy<T>,
+) -> Result<NativeRun<T>, RunError> {
+    execute(job, strategy, &RunPolicy::bare()).map(|sup| sup.run)
+}
+
+/// [`execute`] under [`RunPolicy::supervised`]. Kept because the
+/// benchmark package pins this name.
+pub fn supervise<T: SyntheticFill>(
+    job: &NativeJob,
+    strategy: &dyn Strategy<T>,
+    policy: &RetryPolicy,
+) -> Result<SupervisedRun<T>, RunError> {
+    execute(job, strategy, &RunPolicy::supervised(*policy))
+}
+
+/// [`execute`] under [`RunPolicy::supervised`] plus `durability`. Kept
+/// because the benchmark package pins this name.
+pub fn supervise_durable<T: SyntheticFill>(
+    job: &NativeJob,
+    strategy: &dyn Strategy<T>,
+    policy: &RetryPolicy,
+    durability: &DurabilityConfig,
+) -> Result<SupervisedRun<T>, RunError> {
+    execute(
+        job,
+        strategy,
+        &RunPolicy {
+            durable: Some(durability.clone()),
+            ..RunPolicy::supervised(*policy)
+        },
+    )
+}
+
+/// The attempts on one geometry: run from `start_epoch`; on a rank-pinned
+/// failure with attempts left, roll the store and fabric back to the
+/// verified consistent epoch, back off, and go again. Attempts and
+/// absorbed failures are added to `recovery` as they happen, so they
+/// survive an `Err` return; the caller folds in the fabric's and store's
+/// counters.
+#[allow(clippy::too_many_arguments)]
+fn retry_loop<T: SyntheticFill>(
+    job: &NativeJob,
+    strategy: &dyn Strategy<T>,
+    policy: &RetryPolicy,
+    geo: &JobGeometry,
+    fabric: &NativeFabric<T>,
+    store: Option<&CheckpointStore<T>>,
+    mut start_epoch: usize,
+    recovery: &mut RecoveryReport,
+) -> Result<NativeRun<T>, RunError> {
+    let max_attempts = policy.max_attempts.max(1);
+    let mut attempt = 0u32;
+    loop {
+        attempt += 1;
+        recovery.attempts += 1;
+        let err = match run_attempt(job, strategy, geo, fabric, store, start_epoch) {
+            Ok(run) => return Ok(run),
+            Err(err) => err,
+        };
+        // Geometry/config errors are deterministic; retrying cannot
+        // change them.
+        let Some(failures) = err.rank_failures() else {
+            return Err(err);
+        };
+        // Every failed attempt is charged against its ranks, whether the
+        // next step is a retry here or an escalation in the caller.
+        for f in failures {
+            fabric.note_retry(f.rank);
+        }
+        let Some(store) = store.filter(|_| attempt < max_attempts) else {
+            return Err(err);
+        };
+        // The *verified* floor: a poisoned snapshot never becomes a
+        // rollback target — the walk purges it and degrades, possibly to
+        // the synthetic fill (epoch 0, full replay).
+        let epoch = store.verified_consistent_epoch();
+        for r in 0..geo.map.ranks() {
+            recovery.epochs_replayed += store.rank_epoch(r).saturating_sub(epoch);
+        }
+        for f in failures {
+            recovery.failures.push(FailureSummary {
+                attempt: recovery.attempts,
+                rank: f.rank,
+                class: classify(f),
+                resumed_from: epoch,
+            });
+        }
+        // All rank threads have been joined; the fabric is quiescent, so
+        // rollback is safe.
+        store.rollback(epoch);
+        fabric.rollback(epoch);
+        std::thread::sleep(
+            policy
+                .base_backoff
+                .saturating_mul(2u32.saturating_pow(attempt - 1)),
+        );
+        start_epoch = epoch;
+    }
+}
+
+/// Carry one epoch's state from geometry `from` to geometry `to`: gather
+/// `records`, laid out as `from`'s threads deposit, into global grids,
+/// then cut those into `to`'s layout for its store. The one path for both
+/// a shrink and a restore of a spill another geometry wrote.
+fn regrid<T: Scalar>(
+    records: &[SnapshotRecord<T>],
+    from: &JobGeometry,
+    to: &JobGeometry,
+    job: &NativeJob,
+) -> Result<Vec<SnapshotRecord<T>>, RegridError> {
+    let halo = from.cfg.halo_depth();
+    let global = gather_epoch(records, &from.layout(), job.grid_ext, job.n_grids, halo)?;
+    Ok(reshard_epoch(&global, &to.layout(), to.cfg.halo_depth()))
+}
+
+/// `geo`'s segment over the epoch `span`: `committed` logical traffic,
+/// and whatever its fabric `charged` beyond that as discarded.
+fn segment(
+    geo: &JobGeometry,
+    span: (usize, usize),
+    committed: (u64, u64),
+    charged: (u64, u64),
+) -> GeometrySegment {
+    GeometrySegment {
+        nodes: geo.map.partition.nodes(),
+        ranks: geo.map.ranks(),
+        proc_dims: geo.map.proc_dims,
+        start_epoch: span.0,
+        end_epoch: span.1,
+        logical_messages: committed.0,
+        logical_bytes: committed.1,
+        messages_discarded: charged.0.saturating_sub(committed.0),
+        bytes_discarded: charged.1.saturating_sub(committed.1),
+    }
+}
+
+/// The largest geometry strictly below `job.nodes` that resolves
+/// (standard partition, valid thread split, subdomains no shallower than
+/// the exchange depth) with at least `degrade.min_ranks` ranks. A
+/// candidate below the floor is never resolved and a rejected one fails
+/// before compiling, so neither reaches the program cache. The shrunken
+/// job runs with the permanent lethal fault stripped — the dead rank's
+/// hardware is not part of the surviving partition.
+fn shrink_target(
+    job: &NativeJob,
+    approach: Approach,
+    degrade: &DegradePolicy,
+    resolve: &impl Fn(&NativeJob) -> Result<JobGeometry, RunError>,
+) -> Option<(NativeJob, JobGeometry)> {
+    let ranks_per_node = approach.exec_mode().processes_per_node();
+    (1..job.nodes)
+        .rev()
+        .filter(|&nodes| nodes * ranks_per_node >= degrade.min_ranks.max(1))
+        .find_map(|nodes| {
+            let smaller = NativeJob {
+                nodes,
+                fault: job.fault.map(FaultPlan::without_lethal),
+                ..*job
+            };
+            Some((smaller, resolve(&smaller).ok()?))
+        })
 }
 
 /// Classify one rank failure for the [`RecoveryReport`].
@@ -255,91 +675,8 @@ fn classify(f: &RankFailure) -> FailureClass {
     }
 }
 
-/// The checkpoint keys a supervised run registers: hybrid-multiple ranks
-/// deposit per endpoint slot, every other approach deposits the whole
-/// rank under slot 0.
-pub(crate) fn checkpoint_keys(
-    approach: Approach,
-    ranks: usize,
-    threads: usize,
-) -> Vec<(usize, usize)> {
-    match approach {
-        Approach::HybridMultiple | Approach::TemporalBlocked => (0..ranks)
-            .flat_map(|r| (0..threads).map(move |t| (r, t)))
-            .collect(),
-        _ => (0..ranks).map(|r| (r, 0)).collect(),
-    }
-}
-
-/// Execute `job` under `strategy` with checkpoint/replay recovery.
-///
-/// Completes with a [`SupervisedRun`] whose grids are bitwise identical
-/// to a fault-free run and whose *logical* traffic counts are exactly a
-/// fault-free run's — every retry's resends are accounted separately in
-/// the [`RecoveryReport`]. Fails with the last attempt's [`RunError`]
-/// when `policy.max_attempts` is exhausted, or immediately for errors no
-/// retry can fix (bad geometry, zero grids).
-pub fn supervise<T: SyntheticFill>(
-    job: &NativeJob,
-    strategy: &dyn Strategy<T>,
-    policy: &RetryPolicy,
-) -> Result<SupervisedRun<T>, RunError> {
-    let geo = resolve_geometry(job, strategy.approach())?;
-    supervise_geo(job, strategy, policy, &geo)
-}
-
-/// [`supervise`], but resolving the compiled sweep programs through
-/// `cache`. The geometry (programs included) is resolved exactly once per
-/// supervised run, so retried attempts re-interpret the same programs —
-/// attempts never re-count cache traffic.
-pub fn supervise_cached<T: SyntheticFill>(
-    job: &NativeJob,
-    strategy: &dyn Strategy<T>,
-    policy: &RetryPolicy,
-    cache: &ProgramCache,
-) -> Result<SupervisedRun<T>, RunError> {
-    let geo = resolve_geometry_cached(job, strategy.approach(), cache, T::BYTES)?;
-    supervise_geo(job, strategy, policy, &geo)
-}
-
-/// The supervisor loop proper, on an already-resolved geometry.
-fn supervise_geo<T: SyntheticFill>(
-    job: &NativeJob,
-    strategy: &dyn Strategy<T>,
-    policy: &RetryPolicy,
-    geo: &JobGeometry,
-) -> Result<SupervisedRun<T>, RunError> {
-    let cfg = FabricConfig {
-        retain_history: true,
-        ..fabric_config(job)
-    };
-    let fabric: NativeFabric<T> = NativeFabric::with_config(&geo.map, cfg);
-    let ranks = geo.map.ranks();
-    let store: CheckpointStore<T> =
-        CheckpointStore::new(checkpoint_keys(strategy.approach(), ranks, geo.threads));
-    let mut carry = RecoveryCarry::default();
-    retry_loop(job, strategy, policy, geo, &fabric, &store, 0, &mut carry)
-}
-
-/// Recovery totals accumulated *before* the current geometry's retry
-/// loop — zero for an ordinary supervised run, the prior geometries'
-/// overhead for a degraded one. `retry_loop` adds its own attempts and
-/// failures into it as it goes (so they survive an `Err` return) and
-/// folds its fabric/store counters on top when it completes.
-#[derive(Debug, Default)]
-pub(crate) struct RecoveryCarry {
-    pub attempts: u32,
-    pub epochs_replayed: usize,
-    pub messages_retransmitted: u64,
-    pub bytes_retransmitted: u64,
-    pub corruptions_detected: u64,
-    pub snapshot_digest_failures: u64,
-    pub failures: Vec<FailureSummary>,
-    pub rank_escalations: Vec<EscalationStat>,
-}
-
 /// Merge per-rank escalation counters, summing where ranks collide.
-pub(crate) fn merge_escalations(into: &mut Vec<EscalationStat>, from: &[EscalationStat]) {
+fn merge_escalations(into: &mut Vec<EscalationStat>, from: &[EscalationStat]) {
     for s in from {
         if let Some(e) = into.iter_mut().find(|e| e.rank == s.rank) {
             e.retries += s.retries;
@@ -349,366 +686,6 @@ pub(crate) fn merge_escalations(into: &mut Vec<EscalationStat>, from: &[Escalati
         }
     }
     into.sort_unstable_by_key(|e| e.rank);
-}
-
-/// The bounded retry loop on caller-provided fabric and checkpoint state,
-/// resuming from `start_epoch`. [`supervise_geo`] hands it fresh state at
-/// epoch 0 and an empty carry; the durable layer (`crate::durable`) hands
-/// it a fabric seeded with restored logical traffic and a store
-/// rehydrated from disk, while a spiller thread watches the same store in
-/// parallel; the degradation driver hands it each successive geometry
-/// with the prior ones' overhead carried over.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn retry_loop<T: SyntheticFill>(
-    job: &NativeJob,
-    strategy: &dyn Strategy<T>,
-    policy: &RetryPolicy,
-    geo: &JobGeometry,
-    fabric: &NativeFabric<T>,
-    store: &CheckpointStore<T>,
-    mut start_epoch: usize,
-    carry: &mut RecoveryCarry,
-) -> Result<SupervisedRun<T>, RunError> {
-    let ranks = geo.map.ranks();
-    let max_attempts = policy.max_attempts.max(1);
-    for attempt in 1..=max_attempts {
-        carry.attempts += 1;
-        match run_attempt(job, strategy, geo, fabric, Some(store), start_epoch) {
-            Ok(run) => {
-                let stats = fabric.stats();
-                let mut rank_escalations = carry.rank_escalations.clone();
-                merge_escalations(&mut rank_escalations, &fabric.escalation_stats());
-                return Ok(SupervisedRun {
-                    run,
-                    recovery: RecoveryReport {
-                        attempts: carry.attempts,
-                        epochs_replayed: carry.epochs_replayed,
-                        messages_retransmitted: carry.messages_retransmitted
-                            + stats.retransmitted_messages,
-                        bytes_retransmitted: carry.bytes_retransmitted + stats.retransmitted_bytes,
-                        corruptions_detected: carry.corruptions_detected
-                            + stats.corruptions_detected,
-                        snapshot_digest_failures: carry.snapshot_digest_failures
-                            + store.digest_failures(),
-                        failures: carry.failures.clone(),
-                        rank_escalations,
-                        degradation: None,
-                    },
-                });
-            }
-            Err(err) => {
-                let (RunError::Failed {
-                    failures: rank_failures,
-                    ..
-                }
-                | RunError::Integrity {
-                    failures: rank_failures,
-                    ..
-                }) = &err
-                else {
-                    // Geometry/config errors are deterministic; retrying
-                    // cannot change them.
-                    return Err(err);
-                };
-                // Every failed attempt is charged against its ranks,
-                // whether the next step is a retry here or an escalation
-                // in the caller.
-                for f in rank_failures {
-                    fabric.note_retry(f.rank);
-                }
-                if attempt == max_attempts {
-                    return Err(err);
-                }
-                // The *verified* floor: a poisoned snapshot never becomes
-                // a rollback target — the walk purges it and degrades,
-                // possibly to the synthetic fill (epoch 0, full replay).
-                let epoch = store.verified_consistent_epoch();
-                for r in 0..ranks {
-                    carry.epochs_replayed += store.rank_epoch(r).saturating_sub(epoch);
-                }
-                for f in rank_failures {
-                    carry.failures.push(FailureSummary {
-                        attempt: carry.attempts,
-                        rank: f.rank,
-                        class: classify(f),
-                        resumed_from: epoch,
-                    });
-                }
-                // All rank threads have been joined; the fabric is
-                // quiescent, so rollback is safe.
-                store.rollback(epoch);
-                fabric.rollback(epoch);
-                std::thread::sleep(
-                    policy
-                        .base_backoff
-                        .saturating_mul(2u32.saturating_pow(attempt - 1)),
-                );
-                start_epoch = epoch;
-            }
-        }
-    }
-    unreachable!("the final attempt always returns")
-}
-
-/// [`supervise`], escalating past exhausted retries: when a geometry's
-/// retry budget runs out on rank-pinned failures, gather the last
-/// *verified* consistent epoch into global grids, pick the largest
-/// supported smaller geometry, recompile, re-shard, and resume
-/// mid-program — at most `degrade.max_degrades` times. A degraded run
-/// completes bit-identical to an uninterrupted one and reports the
-/// geometry walk in [`RecoveryReport::degradation`].
-pub fn supervise_degradable<T: SyntheticFill>(
-    job: &NativeJob,
-    strategy: &dyn Strategy<T>,
-    policy: &RetryPolicy,
-    degrade: &DegradePolicy,
-) -> Result<SupervisedRun<T>, RunError> {
-    supervise_degradable_inner(job, strategy, policy, degrade, None)
-}
-
-/// [`supervise_degradable`] resolving every geometry's compiled programs
-/// through `cache` — shrink targets hit the cache too, so repeat
-/// degradations of same-shaped jobs skip recompilation.
-pub fn supervise_degradable_cached<T: SyntheticFill>(
-    job: &NativeJob,
-    strategy: &dyn Strategy<T>,
-    policy: &RetryPolicy,
-    degrade: &DegradePolicy,
-    cache: &ProgramCache,
-) -> Result<SupervisedRun<T>, RunError> {
-    supervise_degradable_inner(job, strategy, policy, degrade, Some(cache))
-}
-
-/// Resolve `job`'s geometry, through `cache` when one is shared.
-fn resolve_either<T: SyntheticFill>(
-    job: &NativeJob,
-    approach: Approach,
-    cache: Option<&ProgramCache>,
-) -> Result<JobGeometry, RunError> {
-    match cache {
-        Some(c) => resolve_geometry_cached(job, approach, c, T::BYTES),
-        None => resolve_geometry(job, approach),
-    }
-}
-
-/// Every rank's compiled programs for `geo` — the cached set when the
-/// geometry carries one, a fresh compilation otherwise (compilation is a
-/// pure function of the geometry, so the two are identical).
-fn all_programs<T: Scalar>(job: &NativeJob, geo: &JobGeometry) -> Arc<JobPrograms> {
-    if let Some(progs) = &geo.programs {
-        return progs.clone();
-    }
-    Arc::new(
-        (0..geo.map.ranks())
-            .map(|r| {
-                let plan = RankPlan::for_rank(&geo.map, job.grid_ext, r, T::BYTES, &geo.cfg);
-                compile_rank(&geo.cfg, &geo.map, &plan, job.n_grids, geo.threads)
-            })
-            .collect(),
-    )
-}
-
-/// The largest supported geometry strictly below `job.nodes`: standard
-/// partition, valid thread split, every sub-extent at least the exchange
-/// depth, and at least `degrade.min_ranks` ranks. The shrunken job runs
-/// with the permanent lethal fault stripped — the dead rank's hardware
-/// is not part of the surviving partition.
-fn shrink_target<T: SyntheticFill>(
-    job: &NativeJob,
-    approach: Approach,
-    cache: Option<&ProgramCache>,
-    degrade: &DegradePolicy,
-) -> Option<(NativeJob, JobGeometry)> {
-    for nodes in (1..job.nodes).rev() {
-        let mut smaller = *job;
-        smaller.nodes = nodes;
-        smaller.fault = smaller.fault.map(FaultPlan::without_lethal);
-        let Ok(geo) = resolve_either::<T>(&smaller, approach, cache) else {
-            continue;
-        };
-        if geo.map.ranks() < degrade.min_ranks.max(1)
-            || !decomposition_supports(&geo.map, smaller.grid_ext, &geo.cfg)
-        {
-            continue;
-        }
-        return Some((smaller, geo));
-    }
-    None
-}
-
-/// The escalation state machine: retry → shrink → fail.
-///
-/// Each geometry gets a full retry budget. When it is exhausted on
-/// rank-pinned failures and a shrink is still allowed, the driver
-/// gathers the last verified epoch's snapshots into global grids
-/// (falling back to the synthetic fill when nothing is deposited),
-/// closes the geometry's [`GeometrySegment`] with the statically-exact
-/// traffic of its committed span, re-shards onto the shrink target's
-/// layout, and resumes the retry loop there. Failures that are not
-/// rank-pinned — and exhaustion with no supported smaller geometry —
-/// propagate unchanged.
-fn supervise_degradable_inner<T: SyntheticFill>(
-    job: &NativeJob,
-    strategy: &dyn Strategy<T>,
-    policy: &RetryPolicy,
-    degrade: &DegradePolicy,
-    cache: Option<&ProgramCache>,
-) -> Result<SupervisedRun<T>, RunError> {
-    let approach = strategy.approach();
-    let mut cur_job = *job;
-    let mut geo = resolve_either::<T>(&cur_job, approach, cache)?;
-    let from_ranks = geo.map.ranks();
-    let mut carry = RecoveryCarry::default();
-    let mut degrades = 0u32;
-    let mut triggers: Vec<FailureSummary> = Vec::new();
-    let mut segments: Vec<GeometrySegment> = Vec::new();
-    // The state the next geometry resumes from: a gathered epoch's
-    // global grids, or `None` for the synthetic fill at epoch 0.
-    let mut resume: Option<(usize, Vec<Grid3<T>>)> = None;
-
-    loop {
-        let ranks = geo.map.ranks();
-        let fcfg = FabricConfig {
-            retain_history: true,
-            ..fabric_config(&cur_job)
-        };
-        let fabric: NativeFabric<T> = NativeFabric::with_config(&geo.map, fcfg);
-        let store: CheckpointStore<T> =
-            CheckpointStore::new(checkpoint_keys(approach, ranks, geo.threads));
-        let mut start_epoch = 0usize;
-        if degrades > 0 {
-            // Every rank of a degraded geometry carries the scar.
-            for r in 0..ranks {
-                fabric.note_degrade_survived(r);
-            }
-        }
-        if let Some((epoch, global)) = &resume {
-            let layout = shard_layout(&all_programs::<T>(&cur_job, &geo));
-            for rec in reshard_epoch(global, &layout, geo.cfg.halo_depth()) {
-                store.deposit(rec.rank, rec.slot, *epoch, rec.grids);
-            }
-            start_epoch = *epoch;
-        }
-        let seg_start = start_epoch;
-        match retry_loop(
-            &cur_job,
-            strategy,
-            policy,
-            &geo,
-            &fabric,
-            &store,
-            start_epoch,
-            &mut carry,
-        ) {
-            Ok(mut sup) => {
-                if degrades == 0 {
-                    return Ok(sup);
-                }
-                let stats = fabric.stats();
-                segments.push(GeometrySegment {
-                    nodes: cur_job.nodes,
-                    ranks,
-                    proc_dims: geo.map.proc_dims,
-                    start_epoch: seg_start,
-                    end_epoch: cur_job.sweeps,
-                    logical_messages: stats.messages_total,
-                    logical_bytes: stats.bytes_per_node.iter().sum(),
-                    messages_discarded: 0,
-                    bytes_discarded: 0,
-                });
-                sup.recovery.degradation = Some(DegradationReport {
-                    from_ranks,
-                    to_ranks: ranks,
-                    degrades,
-                    triggers,
-                    segments,
-                });
-                return Ok(sup);
-            }
-            Err(err) => {
-                let (RunError::Failed {
-                    failures: rank_failures,
-                    ..
-                }
-                | RunError::Integrity {
-                    failures: rank_failures,
-                    ..
-                }) = &err
-                else {
-                    return Err(err);
-                };
-                if degrades >= degrade.max_degrades {
-                    return Err(err);
-                }
-                let Some((next_job, next_geo)) =
-                    shrink_target::<T>(&cur_job, approach, cache, degrade)
-                else {
-                    return Err(err);
-                };
-                // Gather the last verified epoch; anything unverifiable
-                // degrades the resume point to the synthetic fill.
-                let programs = all_programs::<T>(&cur_job, &geo);
-                let epoch = store.verified_consistent_epoch();
-                let gathered = if epoch > 0 {
-                    store.epoch_records(epoch).and_then(|records| {
-                        let layout = shard_layout(&programs);
-                        gather_epoch(
-                            &records,
-                            &layout,
-                            cur_job.grid_ext,
-                            cur_job.n_grids,
-                            geo.cfg.halo_depth(),
-                        )
-                        .ok()
-                    })
-                } else {
-                    None
-                };
-                let resume_epoch = if gathered.is_some() { epoch } else { 0 };
-                for f in rank_failures {
-                    let summary = FailureSummary {
-                        attempt: carry.attempts,
-                        rank: f.rank,
-                        class: classify(f),
-                        resumed_from: resume_epoch,
-                    };
-                    triggers.push(summary);
-                    carry.failures.push(summary);
-                }
-                // Fold this geometry's overhead into the carry before its
-                // fabric and store are dropped.
-                let stats = fabric.stats();
-                carry.messages_retransmitted += stats.retransmitted_messages;
-                carry.bytes_retransmitted += stats.retransmitted_bytes;
-                carry.corruptions_detected += stats.corruptions_detected;
-                carry.snapshot_digest_failures += store.digest_failures();
-                merge_escalations(&mut carry.rank_escalations, &fabric.escalation_stats());
-                for r in 0..ranks {
-                    carry.epochs_replayed += store.rank_epoch(r).saturating_sub(resume_epoch);
-                }
-                // Close the segment: committed span at its statically
-                // exact traffic, everything charged beyond it discarded.
-                let (committed_msgs, committed_bytes) =
-                    predicted_logical_span(&programs, seg_start, resume_epoch);
-                let total_bytes: u64 = stats.bytes_per_node.iter().sum();
-                segments.push(GeometrySegment {
-                    nodes: cur_job.nodes,
-                    ranks,
-                    proc_dims: geo.map.proc_dims,
-                    start_epoch: seg_start,
-                    end_epoch: resume_epoch,
-                    logical_messages: committed_msgs,
-                    logical_bytes: committed_bytes,
-                    messages_discarded: stats.messages_total.saturating_sub(committed_msgs),
-                    bytes_discarded: total_bytes.saturating_sub(committed_bytes),
-                });
-                degrades += 1;
-                resume = gathered.map(|global| (resume_epoch, global));
-                cur_job = next_job;
-                geo = next_geo;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -797,10 +774,16 @@ mod tests {
 
     #[test]
     fn hybrid_multiple_registers_one_key_per_endpoint() {
-        let keys = checkpoint_keys(Approach::HybridMultiple, 2, 4);
-        assert_eq!(keys.len(), 8);
-        assert!(keys.contains(&(1, 3)));
-        let keys = checkpoint_keys(Approach::HybridMasterOnly, 2, 4);
-        assert_eq!(keys, vec![(0, 0), (1, 0)]);
+        let keys = |approach| {
+            let job = NativeJob::new([16, 16, 16], 4, 2).with_threads(4);
+            let geo = JobGeometry::resolve(&job, approach, &ProgramCache::new(1), 8)
+                .expect("valid geometry");
+            let layout = geo.layout();
+            layout.iter().map(|s| (s.rank, s.slot)).collect::<Vec<_>>()
+        };
+        let hm = keys(Approach::HybridMultiple);
+        assert_eq!(hm.len(), 8);
+        assert!(hm.contains(&(1, 3)));
+        assert_eq!(keys(Approach::HybridMasterOnly), vec![(0, 0), (1, 0)]);
     }
 }

@@ -8,22 +8,31 @@
 //! * under a *lethal* fault (a black-holed message, an injected panic)
 //!   the run terminates — within the watchdog budget, with a structured
 //!   [`RunError`] naming the failed rank and the awaited `(src, tag)` —
-//!   instead of hanging a condvar or aborting the process.
+//!   instead of hanging a condvar or aborting the process;
+//! * a job whose decomposition is too fine for its exchange depth never
+//!   starts: it is rejected with the typed [`RunError::Decomposition`]
+//!   before a rank spawns, exactly when the plan could not be built.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use gpaw_bgp_hw::{CartMap, Partition};
 use gpaw_fd::exec::{max_error_vs_reference_planned, sequential_reference};
+use gpaw_fd::plan::{decomposition_supports, RankPlan};
+use gpaw_fd::Approach;
 use gpaw_hybrid_rt::{
-    all_strategies, run_native, FailureKind, FaultPlan, HybridMultiple, NativeJob, RunError,
-    Strategy,
+    all_strategies, execute, FailureKind, FaultPlan, FlatOptimized, HybridMultiple, NativeJob,
+    RetryPolicy, RunError, RunPolicy, Strategy,
 };
+use std::time::{Duration, Instant};
 
 fn coef(job: &NativeJob) -> gpaw_grid::stencil::StencilCoeffs {
     gpaw_grid::stencil::StencilCoeffs::laplacian(job.spacing)
 }
 
 fn check_bitwise(job: &NativeJob, strategy: &dyn Strategy<f64>, what: &str) {
-    let run = run_native::<f64>(job, strategy).expect(what);
+    let run = execute::<f64>(job, strategy, &RunPolicy::bare())
+        .expect(what)
+        .run;
     let reference = sequential_reference::<f64>(
         job.grid_ext,
         job.n_grids,
@@ -47,13 +56,17 @@ fn all_strategies_hold_parity_and_traffic_under_twenty_fault_schedules() {
         .with_threads(2)
         .with_sweeps(2);
     for s in all_strategies::<f64>() {
-        let clean = run_native::<f64>(&base, s.as_ref()).expect("clean run");
+        let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+            .expect("clean run")
+            .run;
         for seed in 0..20 {
             let job = base.with_fault(FaultPlan::benign(seed));
             check_bitwise(&job, s.as_ref(), "benign chaos run");
             // Counters are charged per logical message, so benign chaos
             // must not change what the run claims to have communicated.
-            let chaotic = run_native::<f64>(&job, s.as_ref()).expect("benign chaos run");
+            let chaotic = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+                .expect("benign chaos run")
+                .run;
             assert_eq!(
                 chaotic.report.messages,
                 clean.report.messages,
@@ -79,7 +92,7 @@ fn a_black_holed_message_fails_the_run_with_a_diagnostic() {
         .with_threads(2)
         .with_recv_timeout_ms(300)
         .with_fault(FaultPlan::quiet(5).with_black_hole(0, 1, 1));
-    let err = run_native::<f64>(&job, &HybridMultiple)
+    let err = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
         .err()
         .expect("a black hole must fail the run");
     let RunError::Failed { strategy, failures } = &err else {
@@ -112,7 +125,7 @@ fn an_injected_send_panic_is_contained_in_flat_mode() {
     let job = NativeJob::new([10, 10, 10], 3, 2)
         .with_recv_timeout_ms(300)
         .with_fault(FaultPlan::quiet(5).with_panic_on_send(0, 2));
-    let err = run_native::<f64>(&job, &gpaw_hybrid_rt::FlatOptimized)
+    let err = execute::<f64>(&job, &gpaw_hybrid_rt::FlatOptimized, &RunPolicy::bare())
         .err()
         .expect("an injected panic must fail the run");
     let first = err.first_failure().expect("failures must be listed");
@@ -132,7 +145,7 @@ fn an_injected_send_panic_is_contained_in_a_hybrid_endpoint() {
         .with_threads(2)
         .with_recv_timeout_ms(300)
         .with_fault(FaultPlan::quiet(5).with_panic_on_send(0, 0));
-    let err = run_native::<f64>(&job, &HybridMultiple)
+    let err = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
         .err()
         .expect("an injected panic must fail the run");
     let first = err.first_failure().expect("failures must be listed");
@@ -153,8 +166,12 @@ fn chaos_runs_are_reproducible_per_seed() {
     let job = NativeJob::new([10, 8, 6], 4, 2)
         .with_threads(2)
         .with_fault(FaultPlan::benign(77));
-    let a = run_native::<f64>(&job, &HybridMultiple).expect("chaos run");
-    let b = run_native::<f64>(&job, &HybridMultiple).expect("chaos run");
+    let a = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+        .expect("chaos run")
+        .run;
+    let b = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+        .expect("chaos run")
+        .run;
     assert_eq!(a.report.messages, b.report.messages);
     for (x, y) in a.sets.iter().zip(&b.sets) {
         for g in 0..x.len() {
@@ -163,6 +180,76 @@ fn chaos_runs_are_reproducible_per_seed() {
                 0.0,
                 "same seed, different bits"
             );
+        }
+    }
+}
+
+/// 3 planes per axis over 8 virtual-node ranks: some axis gets a
+/// sub-extent of 1 against an exchange depth of 2. The run is rejected
+/// typed at resolution — no rank spawns, so no watchdog runs out, and a
+/// supervised run burns no retries on it.
+#[test]
+fn a_too_fine_decomposition_is_rejected_not_run() {
+    let job = NativeJob::new([3, 3, 3], 2, 2).with_threads(1);
+    let started = Instant::now();
+    for policy in [
+        RunPolicy::bare(),
+        RunPolicy::supervised(RetryPolicy::default()),
+    ] {
+        let err = execute::<f64>(&job, &FlatOptimized, &policy)
+            .err()
+            .expect("a too-fine decomposition must be rejected");
+        let RunError::Decomposition {
+            sub_extent,
+            halo_depth: 2,
+            ..
+        } = err
+        else {
+            panic!("expected RunError::Decomposition at depth 2, got {err}");
+        };
+        assert!(sub_extent < 2, "{err}");
+        assert!(err.to_string().contains("exchange depth 2"), "{err}");
+    }
+    let took = started.elapsed();
+    let watchdog = Duration::from_millis(job.recv_timeout_ms);
+    assert!(took < watchdog / 10, "rejection took {took:?}");
+}
+
+/// Every extent 1..=6 per axis on 1 and 2 nodes, every approach (two
+/// sweeps, so temporal blocking fuses at block 2): a run starts exactly
+/// when `decomposition_supports` says its geometry admits the exchange
+/// depth, every rank's plan then builds, and every other run is the typed
+/// rejection.
+#[test]
+fn runs_start_exactly_when_the_decomposition_supports_them() {
+    for nodes in [1, 2] {
+        for approach in Approach::ALL {
+            let strategy = gpaw_hybrid_rt::strategy_for::<f64>(approach);
+            for e in 0..216 {
+                let ext = [1 + e % 6, 1 + e / 6 % 6, 1 + e / 36];
+                // Four grids, so each FlatStatic core holds at least one.
+                let job = NativeJob::new(ext, 4, nodes)
+                    .with_threads(2)
+                    .with_sweeps(2)
+                    .with_recv_timeout_ms(2000);
+                let cfg = job.config(approach);
+                let partition = Partition::standard(nodes, approach.exec_mode());
+                let map = CartMap::best(partition.expect("1 and 2 are standard"), ext);
+                let supported = decomposition_supports(&map, ext, &cfg);
+                let what = format!("{approach:?} on {nodes} node(s), extents {ext:?}");
+                match execute::<f64>(&job, strategy.as_ref(), &RunPolicy::bare()) {
+                    Ok(_) => {
+                        assert!(supported, "{what}: ran an unsupported geometry");
+                        for rank in 0..map.ranks() {
+                            RankPlan::for_rank(&map, ext, rank, 8, &cfg);
+                        }
+                    }
+                    Err(RunError::Decomposition { .. }) => {
+                        assert!(!supported, "{what}: rejected a supported geometry");
+                    }
+                    Err(e) => panic!("{what}: {e}"),
+                }
+            }
         }
     }
 }

@@ -21,7 +21,7 @@ use gpaw_fd::plan::RankPlan;
 use gpaw_fd::program::compile_rank;
 use gpaw_grid::scalar::Scalar;
 use gpaw_grid::stencil::StencilCoeffs;
-use gpaw_hybrid_rt::{run_native, strategy_for, NativeJob};
+use gpaw_hybrid_rt::{execute, strategy_for, NativeJob, RunPolicy};
 
 const APPROACHES: [Approach; 6] = Approach::ALL;
 
@@ -45,8 +45,9 @@ fn every_approach_is_bitwise_on_every_plane_at_every_thread_count() {
                 .with_sweeps(2);
             let cfg = job.config(approach);
             let coef = StencilCoeffs::laplacian(job.spacing);
-            let native =
-                run_native::<f64>(&job, strategy_for(approach).as_ref()).expect("valid job");
+            let native = execute::<f64>(&job, strategy_for(approach).as_ref(), &RunPolicy::bare())
+                .expect("valid job")
+                .run;
 
             // Native vs the sequential reference.
             let reference = sequential_reference::<f64>(
@@ -103,8 +104,13 @@ fn flat_static_runs_natively_with_zero_plane_specific_code() {
     let job = NativeJob::new([13, 11, 9], 9, 2).with_sweeps(3);
     let cfg = job.config(Approach::FlatStatic);
     let coef = StencilCoeffs::laplacian(job.spacing);
-    let native =
-        run_native::<f64>(&job, strategy_for(Approach::FlatStatic).as_ref()).expect("valid job");
+    let native = execute::<f64>(
+        &job,
+        strategy_for(Approach::FlatStatic).as_ref(),
+        &RunPolicy::bare(),
+    )
+    .expect("valid job")
+    .run;
     // 8 virtual ranks; each holds only its static quarter of the grids,
     // so the 4 cores of each node partition the 9 grids exactly once.
     assert_eq!(native.sets.len(), 8);
@@ -161,8 +167,9 @@ fn predicted_program_traffic_equals_observed_fabric_traffic() {
                     .with_threads(threads)
                     .with_sweeps(2);
                 job.batch = batch;
-                let run =
-                    run_native::<f64>(&job, strategy_for(approach).as_ref()).expect("valid job");
+                let run = execute::<f64>(&job, strategy_for(approach).as_ref(), &RunPolicy::bare())
+                    .expect("valid job")
+                    .run;
                 let (messages, bytes_per_node) = predict(&job, approach, &run.map);
                 let point = format!("{approach:?} batch {batch} threads {threads}");
                 assert_eq!(

@@ -29,8 +29,8 @@ use gpaw_fd::plan::RankPlan;
 use gpaw_fd::program::{compile_rank, predicted_logical_span, SweepProgram};
 use gpaw_fd::Approach;
 use gpaw_hybrid_rt::{
-    strategy_for, supervise_degradable, supervise_durable, DegradePolicy, DurabilityConfig,
-    FaultPlan, NativeJob, RetryPolicy, RunError, Strategy, SupervisedRun,
+    execute, run_digest, strategy_for, DegradePolicy, DurabilityConfig, FaultPlan, NativeJob,
+    RetryPolicy, RunError, RunPolicy, Strategy, SupervisedRun,
 };
 use std::time::Duration;
 
@@ -58,10 +58,14 @@ fn base_job() -> NativeJob {
         .with_recv_timeout_ms(200)
 }
 
-fn policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 2,
-        base_backoff: Duration::from_millis(1),
+/// Two attempts per geometry, then at most `degrade` shrinks.
+fn policy(degrade: DegradePolicy) -> RunPolicy<'static> {
+    RunPolicy {
+        degrade,
+        ..RunPolicy::supervised(RetryPolicy {
+            max_attempts: 2,
+            base_backoff: Duration::from_millis(1),
+        })
     }
 }
 
@@ -124,13 +128,10 @@ fn degraded_runs_complete_bit_identical_across_twenty_seeds() {
         for seed in 0..20 {
             let job =
                 base.with_fault(FaultPlan::benign(seed).with_lethal_rank_from(1, LETHAL_FROM));
-            let sup = supervise_degradable::<f64>(
-                &job,
-                strategy.as_ref(),
-                &policy(),
-                &DegradePolicy::default(),
-            )
-            .unwrap_or_else(|e| panic!("{} seed {seed}: degradation failed: {e}", strategy.name()));
+            let sup = execute::<f64>(&job, strategy.as_ref(), &policy(DegradePolicy::default()))
+                .unwrap_or_else(|e| {
+                    panic!("{} seed {seed}: degradation failed: {e}", strategy.name())
+                });
             assert_bitwise(&job, strategy.as_ref(), &sup);
 
             let deg = sup.recovery.degradation.as_ref().unwrap_or_else(|| {
@@ -208,13 +209,8 @@ fn degradation_resumes_from_a_mid_run_epoch_not_the_fill() {
     let base = base_job();
     let job = base.with_fault(FaultPlan::quiet(3).with_lethal_rank_from(1, LETHAL_FROM));
     let strategy = strategy_for::<f64>(Approach::TemporalBlocked);
-    let sup = supervise_degradable::<f64>(
-        &job,
-        strategy.as_ref(),
-        &policy(),
-        &DegradePolicy::default(),
-    )
-    .expect("degradation must complete");
+    let sup = execute::<f64>(&job, strategy.as_ref(), &policy(DegradePolicy::default()))
+        .expect("degradation must complete");
     let deg = sup.recovery.degradation.as_ref().expect("degraded");
     // The resume point is the verified epoch 2 — a real mid-run
     // checkpoint (temporal block boundary), not the synthetic fill.
@@ -229,14 +225,9 @@ fn degradation_resumes_from_a_mid_run_epoch_not_the_fill() {
 fn disabled_escalation_fails_like_the_plain_supervisor() {
     let job = base_job().with_fault(FaultPlan::quiet(7).with_lethal_rank(1));
     let strategy = strategy_for::<f64>(Approach::HybridMultiple);
-    let err = supervise_degradable::<f64>(
-        &job,
-        strategy.as_ref(),
-        &policy(),
-        &DegradePolicy::disabled(),
-    )
-    .err()
-    .expect("no escalation budget");
+    let err = execute::<f64>(&job, strategy.as_ref(), &policy(DegradePolicy::disabled()))
+        .err()
+        .expect("no escalation budget");
     assert!(matches!(err, RunError::Failed { .. }), "{err}");
 }
 
@@ -250,7 +241,7 @@ fn min_ranks_floor_blocks_the_shrink() {
         max_degrades: 1,
         min_ranks: 2, // 1 node in SMP mode is 1 rank — below the floor
     };
-    let err = supervise_degradable::<f64>(&job, strategy.as_ref(), &policy(), &floor)
+    let err = execute::<f64>(&job, strategy.as_ref(), &policy(floor))
         .err()
         .expect("no geometry satisfies the floor");
     assert!(matches!(err, RunError::Failed { .. }), "{err}");
@@ -262,13 +253,8 @@ fn min_ranks_floor_blocks_the_shrink() {
 fn clean_degradable_runs_report_no_degradation() {
     let job = base_job();
     let strategy = strategy_for::<f64>(Approach::TemporalBlocked);
-    let sup = supervise_degradable::<f64>(
-        &job,
-        strategy.as_ref(),
-        &policy(),
-        &DegradePolicy::default(),
-    )
-    .expect("clean run");
+    let sup = execute::<f64>(&job, strategy.as_ref(), &policy(DegradePolicy::default()))
+        .expect("clean run");
     assert!(sup.recovery.degradation.is_none());
     assert!(sup.recovery.rank_escalations.is_empty());
     assert_eq!(sup.recovery.attempts, 1);
@@ -294,11 +280,13 @@ fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
         // its final epoch — the on-disk state of a process that died
         // after committing epoch 2.
         let half = base_job().with_sweeps(LETHAL_FROM);
-        supervise_durable::<f64>(
+        execute::<f64>(
             &half,
             strategy.as_ref(),
-            &policy(),
-            &DurabilityConfig::new(&dir),
+            &RunPolicy {
+                durable: Some(DurabilityConfig::new(&dir)),
+                ..policy(DegradePolicy::disabled())
+            },
         )
         .unwrap_or_else(|e| panic!("{}: phase 1 failed: {e}", strategy.name()));
 
@@ -307,24 +295,19 @@ fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
             nodes: 1,
             ..base_job()
         };
-        let dr = supervise_durable::<f64>(
+        let dr = execute::<f64>(
             &full,
             strategy.as_ref(),
-            &policy(),
-            &DurabilityConfig::new(&dir).with_restore(true),
+            &RunPolicy {
+                durable: Some(DurabilityConfig::new(&dir).with_restore(true)),
+                ..policy(DegradePolicy::disabled())
+            },
         )
         .unwrap_or_else(|e| panic!("{}: cross-geometry restore failed: {e}", strategy.name()));
         let _ = std::fs::remove_dir_all(&dir);
 
         assert_eq!(dr.durable.resumed_from, LETHAL_FROM);
-        assert_bitwise(
-            &full,
-            strategy.as_ref(),
-            &SupervisedRun {
-                run: dr.run,
-                recovery: dr.recovery.clone(),
-            },
-        );
+        assert_bitwise(&full, strategy.as_ref(), &dr);
 
         let old_programs = programs_for(&half, approach, 2);
         let new_programs = programs_for(&full, approach, 1);
@@ -364,6 +347,68 @@ fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
                 .all(|e| e.degrades_survived >= 1),
             "{}: restored ranks must record the survived degradation",
             strategy.name()
+        );
+    }
+}
+
+/// Durability and degradation compose: a durable job on a permanently
+/// lethal rank shrinks, completes bit-identical with exact per-segment
+/// traffic, and leaves a spill that restoring the same job resumes at its
+/// final epoch — re-sharded back onto the original geometry — with the
+/// digest of an uninterrupted run.
+#[test]
+fn durable_runs_shrink_and_their_spill_restores() {
+    for approach in STRATEGIES {
+        let strategy = strategy_for::<f64>(approach);
+        let dir = std::env::temp_dir().join(format!(
+            "gpaw-durable-degradation-{}-{}",
+            std::process::id(),
+            approach.slug()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = |restore| RunPolicy {
+            durable: Some(DurabilityConfig::new(&dir).with_restore(restore)),
+            ..policy(DegradePolicy::default())
+        };
+        let job = base_job().with_fault(FaultPlan::quiet(5).with_lethal_rank_from(1, LETHAL_FROM));
+        let name = strategy.name();
+
+        let sup = execute::<f64>(&job, strategy.as_ref(), &durable(false))
+            .unwrap_or_else(|e| panic!("{name}: durable degradation failed: {e}"));
+        assert_bitwise(&job, strategy.as_ref(), &sup);
+        assert!(sup.durable.epochs_spilled >= 1, "{name}: nothing spilled");
+        let deg = sup.recovery.degradation.as_ref().expect("the run shrank");
+        let old_programs = programs_for(&job, approach, 2);
+        let new_programs = programs_for(&job, approach, 1);
+        assert_eq!(
+            (deg.from_ranks, deg.to_ranks),
+            (old_programs.len(), new_programs.len())
+        );
+        let spans = [
+            (&old_programs, (0, LETHAL_FROM)),
+            (&new_programs, (LETHAL_FROM, SWEEPS)),
+        ];
+        assert_eq!(deg.segments.len(), spans.len());
+        for (seg, (programs, (from, to))) in deg.segments.iter().zip(spans) {
+            assert_eq!((seg.start_epoch, seg.end_epoch), (from, to), "{name}");
+            assert_eq!(
+                (seg.logical_messages, seg.logical_bytes),
+                predicted_logical_span(programs, from, to),
+                "{name}: segment {from}..{to} traffic is not exact"
+            );
+        }
+
+        let restored = execute::<f64>(&job, strategy.as_ref(), &durable(true))
+            .unwrap_or_else(|e| panic!("{name}: restoring the shrunken spill failed: {e}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(restored.durable.resumed_from, SWEEPS, "{name}");
+        let clean = execute::<f64>(&base_job(), strategy.as_ref(), &RunPolicy::bare())
+            .expect("clean run")
+            .run;
+        assert_eq!(
+            run_digest(&restored.run.sets),
+            run_digest(&clean.sets),
+            "{name}: the restored run's digest diverged"
         );
     }
 }

@@ -25,10 +25,9 @@
 use gpaw_fd::config::Approach;
 use gpaw_fd::durable::DurableStore;
 use gpaw_hybrid_rt::{
-    run_digest, run_native, strategy_for, supervise_durable, AdmissionError, DurabilityConfig,
-    NativeJob, Priority, RetryPolicy, RunError, ServiceConfig,
+    execute, run_digest, strategy_for, AdmissionError, DurabilityConfig, JobService, NativeJob,
+    NativeRun, Priority, RetryPolicy, RunError, RunPolicy, ServiceConfig, SupervisedRun,
 };
-use gpaw_hybrid_rt::{DurableRun, JobService};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -43,11 +42,24 @@ fn base_job(threads: usize, sweeps: usize) -> NativeJob {
         .with_recv_timeout_ms(1000)
 }
 
-fn policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_millis(1),
+/// Three attempts, spilling to — and, if it says so, first restoring
+/// from — `durable`.
+fn policy(durable: DurabilityConfig) -> RunPolicy<'static> {
+    RunPolicy {
+        durable: Some(durable),
+        ..RunPolicy::supervised(RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(1),
+        })
     }
+}
+
+/// The uninterrupted, fault-free run of `job`.
+fn clean_run(job: &NativeJob, approach: Approach) -> NativeRun<f64> {
+    let strategy = strategy_for::<f64>(approach);
+    execute::<f64>(job, strategy.as_ref(), &RunPolicy::bare())
+        .expect("clean run")
+        .run
 }
 
 /// A fresh scratch directory per call, removed by the next test run of
@@ -63,14 +75,14 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_durable(job: &NativeJob, approach: Approach, cfg: &DurabilityConfig) -> DurableRun<f64> {
+fn run_durable(job: &NativeJob, approach: Approach, cfg: &DurabilityConfig) -> SupervisedRun<f64> {
     let strategy = strategy_for::<f64>(approach);
-    supervise_durable::<f64>(job, strategy.as_ref(), &policy(), cfg).expect("durable run completes")
+    execute::<f64>(job, strategy.as_ref(), &policy(cfg.clone())).expect("durable run completes")
 }
 
 /// Assert `dr` is indistinguishable from the uninterrupted `clean` run:
 /// same digest, same logical traffic.
-fn assert_bit_identical(what: &str, dr: &DurableRun<f64>, clean: &gpaw_hybrid_rt::NativeRun<f64>) {
+fn assert_bit_identical(what: &str, dr: &SupervisedRun<f64>, clean: &NativeRun<f64>) {
     assert_eq!(
         run_digest(&dr.run.sets),
         run_digest(&clean.sets),
@@ -101,7 +113,7 @@ fn kill_and_restore_is_bit_identical_for_every_strategy() {
             // restored) only at block boundaries, so the kill points must
             // land on multiples of the approach's temporal block.
             let block = job.config(approach).effective_block();
-            let clean = run_native::<f64>(&job, strategy.as_ref()).expect("clean run");
+            let clean = clean_run(&job, approach);
             for kill_after in [1, 2, 3].into_iter().filter(|k| k % block == 0) {
                 let dir = tmpdir("prefix");
                 // The "kill": a durable run of only `kill_after` sweeps
@@ -141,8 +153,7 @@ fn kill_and_restore_is_bit_identical_for_every_strategy() {
 #[test]
 fn restore_of_a_completed_run_rebuilds_the_report_without_rerunning() {
     let job = base_job(2, 3);
-    let clean = run_native::<f64>(&job, strategy_for::<f64>(Approach::HybridMultiple).as_ref())
-        .expect("clean run");
+    let clean = clean_run(&job, Approach::HybridMultiple);
     let dir = tmpdir("complete");
     let first = run_durable(&job, Approach::HybridMultiple, &DurabilityConfig::new(&dir));
     assert_eq!(first.durable.resumed_from, 0);
@@ -172,8 +183,7 @@ fn newest_epoch_file(dir: &Path) -> PathBuf {
 #[test]
 fn corrupt_newest_epoch_degrades_to_previous_and_stays_bit_identical() {
     let job = base_job(2, 4);
-    let clean = run_native::<f64>(&job, strategy_for::<f64>(Approach::HybridMultiple).as_ref())
-        .expect("clean run");
+    let clean = clean_run(&job, Approach::HybridMultiple);
     let dir = tmpdir("flip");
     run_durable(&job, Approach::HybridMultiple, &DurabilityConfig::new(&dir));
     let path = newest_epoch_file(&dir);
@@ -206,8 +216,7 @@ fn corrupt_newest_epoch_degrades_to_previous_and_stays_bit_identical() {
 #[test]
 fn fully_garbled_directory_restores_from_scratch_and_stays_bit_identical() {
     let job = base_job(2, 3);
-    let clean = run_native::<f64>(&job, strategy_for::<f64>(Approach::FlatOptimized).as_ref())
-        .expect("clean run");
+    let clean = clean_run(&job, Approach::FlatOptimized);
     let dir = tmpdir("garble");
     run_durable(&job, Approach::FlatOptimized, &DurabilityConfig::new(&dir));
     for entry in std::fs::read_dir(&dir).unwrap() {
@@ -236,11 +245,10 @@ fn restoring_a_missing_directory_is_a_typed_error() {
     let job = base_job(2, 2);
     let dir = tmpdir("missing"); // never created
     let strategy = strategy_for::<f64>(Approach::HybridMultiple);
-    let err = supervise_durable::<f64>(
+    let err = execute::<f64>(
         &job,
         strategy.as_ref(),
-        &policy(),
-        &DurabilityConfig::new(&dir).with_restore(true),
+        &policy(DurabilityConfig::new(&dir).with_restore(true)),
     )
     .err()
     .expect("restoring from nowhere must fail");
@@ -261,11 +269,10 @@ fn restoring_into_a_different_geometry_is_a_typed_error() {
     // Same directory, different approach: the checkpoint's key set
     // (one slot per thread) cannot satisfy the master-only geometry.
     let strategy = strategy_for::<f64>(Approach::HybridMasterOnly);
-    let err = supervise_durable::<f64>(
+    let err = execute::<f64>(
         &base_job(2, 3),
         strategy.as_ref(),
-        &policy(),
-        &DurabilityConfig::new(&dir).with_restore(true),
+        &policy(DurabilityConfig::new(&dir).with_restore(true)),
     )
     .err()
     .expect("a mismatched geometry must be rejected");
@@ -289,11 +296,7 @@ fn durable_job_resumes_across_a_service_restart() {
         ..ServiceConfig::default()
     };
     let full = base_job(2, 6);
-    let clean = run_native::<f64>(
-        &full,
-        strategy_for::<f64>(Approach::HybridMultiple).as_ref(),
-    )
-    .expect("clean run");
+    let clean = clean_run(&full, Approach::HybridMultiple);
 
     // Server 1 runs the job's first 3 sweeps durably, then "dies" (join
     // is a graceful stand-in: what matters is that only the disk

@@ -14,8 +14,8 @@ use gpaw_grid::decomp::Subdomain;
 use gpaw_grid::grid3::Grid3;
 use gpaw_grid::scalar::{Scalar, C64};
 use gpaw_hybrid_rt::{
-    run_native, supervise, FailureKind, FaultPlan, HybridMasterOnly, HybridMultiple, NativeJob,
-    RetryPolicy, RunError, Strategy, TemporalBlocked,
+    execute, FailureKind, FaultPlan, HybridMasterOnly, HybridMultiple, NativeJob, RetryPolicy,
+    RunError, RunPolicy, Strategy, TemporalBlocked,
 };
 use std::ops::{Add, AddAssign, Neg, Sub};
 use std::time::Duration;
@@ -28,7 +28,9 @@ fn digests_do_not_depend_on_the_filler_count<T: SyntheticFill>() {
                 let job = NativeJob::new([12, 10, 8], n_grids, 2)
                     .with_threads(threads)
                     .with_sweeps(2);
-                let run = run_native::<T>(&job, strategy).expect("valid job");
+                let run = execute::<T>(&job, strategy, &RunPolicy::bare())
+                    .expect("valid job")
+                    .run;
                 run_digest(&run.sets)
             };
             // One thread is the serial fill; 2 and 4 deal the grids.
@@ -143,7 +145,7 @@ fn a_panicking_fill_is_a_typed_rank_failure_not_a_hang() {
             .with_threads(threads)
             .with_seed(cursed)
             .with_recv_timeout_ms(500);
-        let err = run_native::<Boom>(&job, &HybridMultiple)
+        let err = execute::<Boom>(&job, &HybridMultiple, &RunPolicy::bare())
             .err()
             .expect("the fill panics on every rank");
         let RunError::Failed { failures, .. } = err else {
@@ -180,12 +182,15 @@ fn a_supervised_retry_restores_from_the_store_not_from_a_refill() {
         max_attempts: 4,
         base_backoff: Duration::from_millis(1),
     };
-    let clean = run_native::<f64>(&base, &HybridMultiple).expect("clean run");
+    let clean = execute::<f64>(&base, &HybridMultiple, &RunPolicy::bare())
+        .expect("clean run")
+        .run;
     let resumed_mid = [8u64, 12, 16, 24, 32, 48, 64]
         .into_iter()
         .find(|&after_sends| {
             let job = base.with_fault(FaultPlan::quiet(9).with_panic_on_send(0, after_sends));
-            let sup = supervise::<f64>(&job, &HybridMultiple, &policy).expect("recovers");
+            let sup = execute::<f64>(&job, &HybridMultiple, &RunPolicy::supervised(policy))
+                .expect("recovers");
             assert_eq!(run_digest(&sup.run.sets), run_digest(&clean.sets));
             sup.recovery.failures.iter().any(|f| f.resumed_from >= 1)
         });

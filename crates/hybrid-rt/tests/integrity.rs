@@ -23,8 +23,8 @@
 use gpaw_fd::config::Approach;
 use gpaw_fd::plan::RankPlan;
 use gpaw_hybrid_rt::{
-    run_digest, run_native, strategy_for, supervise, FailureClass, FailureKind, FaultPlan,
-    NativeJob, NativeRun, RetryPolicy, RunError, Strategy, SupervisedRun,
+    execute, run_digest, strategy_for, FailureClass, FailureKind, FaultPlan, NativeJob, NativeRun,
+    RetryPolicy, RunError, RunPolicy, Strategy, SupervisedRun,
 };
 use std::time::Duration;
 
@@ -38,11 +38,11 @@ fn base_job(threads: usize) -> NativeJob {
         .with_recv_timeout_ms(300)
 }
 
-fn policy() -> RetryPolicy {
-    RetryPolicy {
+fn policy() -> RunPolicy<'static> {
+    RunPolicy::supervised(RetryPolicy {
         max_attempts: 4,
         base_backoff: Duration::from_millis(1),
-    }
+    })
 }
 
 /// Rank 0's first neighbor under this strategy's geometry — flat
@@ -101,7 +101,9 @@ fn corrupted_payloads_supervise_to_bitwise_parity_across_twenty_seeds() {
         let s = strategy_for::<f64>(approach);
         for threads in [2, 4] {
             let base = base_job(threads);
-            let clean = run_native::<f64>(&base, s.as_ref()).expect("clean run");
+            let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+                .expect("clean run")
+                .run;
             let dst = neighbor_of_rank0(&base, s.as_ref(), &clean);
             for seed in 0..20 {
                 let job = base.with_fault(FaultPlan::benign(seed).with_corrupt_payload(
@@ -109,7 +111,7 @@ fn corrupted_payloads_supervise_to_bitwise_parity_across_twenty_seeds() {
                     dst,
                     1 + seed % 2,
                 ));
-                let sup = supervise::<f64>(&job, s.as_ref(), &policy()).unwrap_or_else(|e| {
+                let sup = execute::<f64>(&job, s.as_ref(), &policy()).unwrap_or_else(|e| {
                     panic!(
                         "{} threads {threads} seed {seed}: recovery failed: {e}",
                         s.name()
@@ -152,10 +154,12 @@ fn unsupervised_corruption_is_a_typed_integrity_error() {
     let base = base_job(2);
     for approach in ALL_APPROACHES {
         let s = strategy_for::<f64>(approach);
-        let clean = run_native::<f64>(&base, s.as_ref()).expect("clean run");
+        let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+            .expect("clean run")
+            .run;
         let dst = neighbor_of_rank0(&base, s.as_ref(), &clean);
         let job = base.with_fault(FaultPlan::quiet(11).with_corrupt_payload(0, dst, 1));
-        let err = run_native::<f64>(&job, s.as_ref())
+        let err = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
             .err()
             .unwrap_or_else(|| panic!("{}: a corrupted payload must fail the run", s.name()));
         assert!(
@@ -186,7 +190,9 @@ fn poisoned_snapshots_degrade_the_rollback_and_recover_bitwise() {
     for approach in ALL_APPROACHES {
         let s = strategy_for::<f64>(approach);
         let base = base_job(2).with_sweeps(3);
-        let clean = run_native::<f64>(&base, s.as_ref()).expect("clean run");
+        let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+            .expect("clean run")
+            .run;
         let mut convicted = false;
         for after_sends in [4u64, 6, 8, 12, 16, 24, 32, 48] {
             let job = base.with_fault(
@@ -194,7 +200,7 @@ fn poisoned_snapshots_degrade_the_rollback_and_recover_bitwise() {
                     .with_panic_on_send(0, after_sends)
                     .with_corrupt_snapshot(0, 0, 1),
             );
-            let sup = supervise::<f64>(&job, s.as_ref(), &policy()).unwrap_or_else(|e| {
+            let sup = execute::<f64>(&job, s.as_ref(), &policy()).unwrap_or_else(|e| {
                 panic!(
                     "{} after_sends {after_sends}: recovery failed: {e}",
                     s.name()
@@ -236,8 +242,10 @@ fn clean_runs_report_zero_detections_under_always_on_verification() {
     for approach in ALL_APPROACHES {
         let s = strategy_for::<f64>(approach);
         let job = base_job(2);
-        let clean = run_native::<f64>(&job, s.as_ref()).expect("clean run");
-        let sup = supervise::<f64>(&job, s.as_ref(), &policy()).expect("supervised clean run");
+        let clean = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+            .expect("clean run")
+            .run;
+        let sup = execute::<f64>(&job, s.as_ref(), &policy()).expect("supervised clean run");
         assert_bitwise_with_exact_traffic("no faults", s.as_ref(), &clean, &sup);
         assert_eq!(sup.recovery.attempts, 1, "{}", s.name());
         assert_eq!(sup.recovery.corruptions_detected, 0, "{}", s.name());
@@ -251,8 +259,8 @@ fn clean_runs_report_zero_detections_under_always_on_verification() {
 fn corrupt_recovery_is_reproducible_per_seed() {
     let job = base_job(2).with_fault(FaultPlan::benign(42).with_corrupt_payload(0, 1, 1));
     let s = strategy_for::<f64>(Approach::HybridMultiple);
-    let a = supervise::<f64>(&job, s.as_ref(), &policy()).expect("first recovery");
-    let b = supervise::<f64>(&job, s.as_ref(), &policy()).expect("second recovery");
+    let a = execute::<f64>(&job, s.as_ref(), &policy()).expect("first recovery");
+    let b = execute::<f64>(&job, s.as_ref(), &policy()).expect("second recovery");
     assert_eq!(run_digest(&a.run.sets), run_digest(&b.run.sets));
     assert_eq!(a.run.report.messages, b.run.report.messages);
     assert_eq!(a.recovery.attempts, b.recovery.attempts);

@@ -11,7 +11,7 @@ use gpaw_fd::exec::{max_error_vs_reference_planned, run_distributed, sequential_
 use gpaw_fd::trace::SpanKind;
 use gpaw_grid::scalar::C64;
 use gpaw_grid::stencil::BoundaryCond;
-use gpaw_hybrid_rt::{all_strategies, run_native, HybridMultiple, NativeJob, Strategy};
+use gpaw_hybrid_rt::{all_strategies, execute, HybridMultiple, NativeJob, RunPolicy, Strategy};
 
 fn coef(job: &NativeJob) -> gpaw_grid::stencil::StencilCoeffs {
     gpaw_grid::stencil::StencilCoeffs::laplacian(job.spacing)
@@ -20,7 +20,9 @@ fn coef(job: &NativeJob) -> gpaw_grid::stencil::StencilCoeffs {
 /// Run `strategy` natively and assert the grids match the sequential
 /// reference bit for bit.
 fn check_bitwise<T: gpaw_fd::exec::SyntheticFill>(job: &NativeJob, strategy: &dyn Strategy<T>) {
-    let run = run_native::<T>(job, strategy).expect("valid job");
+    let run = execute::<T>(job, strategy, &RunPolicy::bare())
+        .expect("valid job")
+        .run;
     let reference = sequential_reference::<T>(
         job.grid_ext,
         job.n_grids,
@@ -89,7 +91,9 @@ fn native_hybrid_multiple_matches_the_functional_plane_rank_by_rank() {
     // Same approach, same geometry ⇒ the per-rank grid sets must be
     // bitwise equal to run_distributed's, not just to the reference.
     let job = NativeJob::new([12, 12, 12], 9, 2).with_sweeps(2);
-    let native = run_native::<f64>(&job, &HybridMultiple).expect("valid job");
+    let native = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+        .expect("valid job")
+        .run;
     let cfg = job.config(gpaw_fd::Approach::HybridMultiple);
     let functional = run_distributed::<f64>(
         job.grid_ext,
@@ -115,7 +119,9 @@ fn native_hybrid_multiple_matches_the_functional_plane_rank_by_rank() {
 fn span_ledgers_satisfy_the_conservation_invariant() {
     let job = NativeJob::new([12, 12, 12], 8, 2).with_sweeps(2);
     for s in all_strategies::<f64>() {
-        let run = run_native::<f64>(&job, s.as_ref()).expect("valid job");
+        let run = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+            .expect("valid job")
+            .run;
         let r = &run.report;
         assert!(r.makespan > SimDuration::ZERO);
         assert!(r.threads > 0);
@@ -149,7 +155,9 @@ fn span_ledgers_satisfy_the_conservation_invariant() {
 fn native_reports_count_real_traffic() {
     let job = NativeJob::new([12, 12, 12], 6, 2);
     for s in all_strategies::<f64>() {
-        let run = run_native::<f64>(&job, s.as_ref()).expect("valid job");
+        let run = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+            .expect("valid job")
+            .run;
         let r = &run.report;
         assert!(r.messages > 0, "{}: no messages recorded", s.name());
         assert!(r.bytes_per_node > 0);
@@ -169,8 +177,12 @@ fn native_reports_count_real_traffic() {
 fn message_counts_are_deterministic() {
     let job = NativeJob::new([12, 10, 8], 6, 2).with_sweeps(2);
     for s in all_strategies::<f64>() {
-        let a = run_native::<f64>(&job, s.as_ref()).expect("valid job");
-        let b = run_native::<f64>(&job, s.as_ref()).expect("valid job");
+        let a = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+            .expect("valid job")
+            .run;
+        let b = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+            .expect("valid job")
+            .run;
         assert_eq!(a.report.messages, b.report.messages, "{}", s.name());
         assert_eq!(
             a.report.total_network_bytes,
@@ -189,7 +201,9 @@ fn hybrid_ledgers_record_barrier_time() {
         &gpaw_hybrid_rt::HybridMultiple as &dyn Strategy<f64>,
         &gpaw_hybrid_rt::HybridMasterOnly,
     ] {
-        let run = run_native::<f64>(&job, s).expect("valid job");
+        let run = execute::<f64>(&job, s, &RunPolicy::bare())
+            .expect("valid job")
+            .run;
         assert!(
             run.report.phases.count(SpanKind::ThreadBarrier) > 0,
             "{}: no barrier spans",

@@ -13,15 +13,19 @@
 //!   [`RecoveryReport`];
 //! * recovery is **bounded** ([`RetryPolicy::max_attempts`]) and
 //!   **mid-program**: a failure past the first epoch resumes from a
-//!   checkpointed epoch `>= 1`, not from scratch.
+//!   checkpointed epoch `>= 1`, not from scratch;
+//! * the policy only changes what a run *can* survive, never what it
+//!   computes: every [`RunPolicy`] gives the same bits and traffic.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gpaw_fd::exec::{max_error_vs_reference_planned, sequential_reference};
 use gpaw_fd::plan::RankPlan;
+use gpaw_fd::progcache::ProgramCache;
 use gpaw_hybrid_rt::{
-    all_strategies, run_native, supervise, FailureClass, FaultPlan, HybridMultiple, NativeJob,
-    NativeRun, RetryPolicy, RunError, Strategy, SupervisedRun,
+    all_strategies, execute, run_digest, DegradePolicy, DurabilityConfig, FailureClass, FaultPlan,
+    HybridMultiple, NativeJob, NativeRun, RetryPolicy, RunError, RunPolicy, Strategy,
+    SupervisedRun,
 };
 use std::time::Duration;
 
@@ -33,11 +37,11 @@ fn base_job() -> NativeJob {
         .with_recv_timeout_ms(300)
 }
 
-fn policy() -> RetryPolicy {
-    RetryPolicy {
+fn policy() -> RunPolicy<'static> {
+    RunPolicy::supervised(RetryPolicy {
         max_attempts: 4,
         base_backoff: Duration::from_millis(1),
-    }
+    })
 }
 
 fn coef(job: &NativeJob) -> gpaw_grid::stencil::StencilCoeffs {
@@ -107,10 +111,12 @@ fn assert_recovered_bitwise(
 fn supervised_runs_absorb_injected_panics_across_twenty_seeds() {
     let base = base_job();
     for s in all_strategies::<f64>() {
-        let clean = run_native::<f64>(&base, s.as_ref()).expect("clean run");
+        let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+            .expect("clean run")
+            .run;
         for seed in 0..20 {
             let job = base.with_fault(FaultPlan::benign(seed).with_panic_on_send(0, seed % 3));
-            let sup = supervise::<f64>(&job, s.as_ref(), &policy())
+            let sup = execute::<f64>(&job, s.as_ref(), &policy())
                 .unwrap_or_else(|e| panic!("{} seed {seed}: recovery failed: {e}", s.name()));
             assert_recovered_bitwise(&job, s.as_ref(), &clean, &sup, "panic injection");
             assert!(sup.recovery.attempts >= 2, "the panic must have fired");
@@ -138,12 +144,14 @@ fn supervised_runs_absorb_injected_panics_across_twenty_seeds() {
 fn supervised_runs_absorb_black_holes_across_twenty_seeds() {
     let base = base_job();
     for s in all_strategies::<f64>() {
-        let clean = run_native::<f64>(&base, s.as_ref()).expect("clean run");
+        let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+            .expect("clean run")
+            .run;
         let dst = neighbor_of_rank0(&base, s.as_ref(), &clean);
         for seed in 0..20 {
             let job =
                 base.with_fault(FaultPlan::benign(seed).with_black_hole(0, dst, 1 + seed % 2));
-            let sup = supervise::<f64>(&job, s.as_ref(), &policy())
+            let sup = execute::<f64>(&job, s.as_ref(), &policy())
                 .unwrap_or_else(|e| panic!("{} seed {seed}: recovery failed: {e}", s.name()));
             assert_recovered_bitwise(&job, s.as_ref(), &clean, &sup, "black hole");
             assert!(sup.recovery.attempts >= 2, "the black hole must have fired");
@@ -171,11 +179,13 @@ fn supervised_runs_absorb_black_holes_across_twenty_seeds() {
 #[test]
 fn recovery_resumes_mid_program_from_a_checkpointed_epoch() {
     let base = base_job().with_sweeps(3);
-    let clean = run_native::<f64>(&base, &HybridMultiple).expect("clean run");
+    let clean = execute::<f64>(&base, &HybridMultiple, &RunPolicy::bare())
+        .expect("clean run")
+        .run;
     let mut resumed_mid = None;
     for after_sends in [4u64, 6, 8, 12, 16, 24, 32, 48] {
         let job = base.with_fault(FaultPlan::quiet(9).with_panic_on_send(0, after_sends));
-        let sup = supervise::<f64>(&job, &HybridMultiple, &policy())
+        let sup = execute::<f64>(&job, &HybridMultiple, &policy())
             .unwrap_or_else(|e| panic!("after_sends {after_sends}: recovery failed: {e}"));
         if sup.recovery.attempts == 1 {
             // The ordinal exceeded the run's sends: the panic never fired.
@@ -208,7 +218,7 @@ fn exhausted_retry_budgets_surface_the_run_error() {
         max_attempts: 1,
         base_backoff: Duration::from_millis(1),
     };
-    let err = supervise::<f64>(&job, &HybridMultiple, &one_shot)
+    let err = execute::<f64>(&job, &HybridMultiple, &RunPolicy::supervised(one_shot))
         .err()
         .expect("one attempt cannot absorb a lethal fault");
     assert!(matches!(err, RunError::Failed { .. }), "{err}");
@@ -219,7 +229,7 @@ fn exhausted_retry_budgets_surface_the_run_error() {
 fn unretryable_errors_fail_fast() {
     let mut job = base_job();
     job.n_grids = 0;
-    let err = supervise::<f64>(&job, &HybridMultiple, &policy())
+    let err = execute::<f64>(&job, &HybridMultiple, &policy())
         .err()
         .expect("zero grids is unretryable");
     assert!(matches!(err, RunError::NoGrids));
@@ -230,8 +240,10 @@ fn unretryable_errors_fail_fast() {
 #[test]
 fn clean_supervised_runs_report_no_recovery_overhead() {
     let job = base_job();
-    let clean = run_native::<f64>(&job, &HybridMultiple).expect("clean run");
-    let sup = supervise::<f64>(&job, &HybridMultiple, &policy()).expect("supervised clean run");
+    let clean = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+        .expect("clean run")
+        .run;
+    let sup = execute::<f64>(&job, &HybridMultiple, &policy()).expect("supervised clean run");
     assert_recovered_bitwise(&job, &HybridMultiple, &clean, &sup, "no faults");
     assert_eq!(sup.recovery.attempts, 1);
     assert!(sup.recovery.failures.is_empty());
@@ -245,8 +257,8 @@ fn clean_supervised_runs_report_no_recovery_overhead() {
 #[test]
 fn recovered_runs_are_reproducible_per_seed() {
     let job = base_job().with_fault(FaultPlan::benign(77).with_panic_on_send(0, 1));
-    let a = supervise::<f64>(&job, &HybridMultiple, &policy()).expect("first recovery");
-    let b = supervise::<f64>(&job, &HybridMultiple, &policy()).expect("second recovery");
+    let a = execute::<f64>(&job, &HybridMultiple, &policy()).expect("first recovery");
+    let b = execute::<f64>(&job, &HybridMultiple, &policy()).expect("second recovery");
     assert_eq!(a.run.report.messages, b.run.report.messages);
     assert_eq!(a.recovery.attempts, b.recovery.attempts);
     for (x, y) in a.run.sets.iter().zip(&b.run.sets) {
@@ -258,4 +270,86 @@ fn recovered_runs_are_reproducible_per_seed() {
             );
         }
     }
+}
+
+/// The policy matrix: {bare, retry, retry+degrade, durable,
+/// durable+degrade} × {one-shot cache, shared cache} — ten ways to drive
+/// one clean job, one result. Every run has the bare run's digest and
+/// logical traffic; the bare policy makes exactly one attempt; only the
+/// durable policies spill, and only their directories exist afterwards;
+/// the shared cache compiles the job once for all five of its runs.
+#[test]
+fn every_policy_gives_the_same_run() {
+    let job = base_job();
+    let root = std::env::temp_dir().join(format!("gpaw-policy-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let bare = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+        .expect("bare run")
+        .run;
+    let identity = |run: &NativeRun<f64>| {
+        let r = &run.report;
+        (run_digest(&run.sets), r.messages, r.total_network_bytes)
+    };
+    let shared = ProgramCache::new(4);
+    let degrade = DegradePolicy::default();
+    for (column, cache) in [("one-shot", None), ("shared", Some(&shared))] {
+        let disk = |row: &str| Some(DurabilityConfig::new(root.join(column).join(row)));
+        let rows = [
+            ("bare", RunPolicy::bare()),
+            ("retry", policy()),
+            (
+                "retry+degrade",
+                RunPolicy {
+                    degrade,
+                    ..policy()
+                },
+            ),
+            (
+                "durable",
+                RunPolicy {
+                    durable: disk("durable"),
+                    ..policy()
+                },
+            ),
+            (
+                "durable+degrade",
+                RunPolicy {
+                    durable: disk("durable+degrade"),
+                    degrade,
+                    ..policy()
+                },
+            ),
+        ];
+        for (row, policy) in rows {
+            let policy = RunPolicy { cache, ..policy };
+            let what = format!("{row} with a {column} cache");
+            let sup = execute::<f64>(&job, &HybridMultiple, &policy)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(identity(&sup.run), identity(&bare), "{what}: diverged");
+            assert_eq!(sup.recovery.attempts, 1, "{what}: a clean run retried");
+            assert_eq!(
+                sup.durable.epochs_spilled > 0,
+                policy.durable.is_some(),
+                "{what}: spilled iff durable"
+            );
+        }
+        let mut dirs: Vec<String> = std::fs::read_dir(root.join(column))
+            .expect("the durable rows made their directories")
+            .map(|e| {
+                e.expect("a dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        dirs.sort();
+        assert_eq!(
+            dirs,
+            ["durable", "durable+degrade"],
+            "{column}: stray directories"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    let stats = shared.stats();
+    assert_eq!((stats.misses, stats.hits), (1, 4), "{stats:?}");
 }

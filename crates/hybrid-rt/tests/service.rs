@@ -9,8 +9,8 @@
 use gpaw_fd::config::Approach;
 use gpaw_fd::plan::RankPlan;
 use gpaw_hybrid_rt::{
-    run_digest, run_native, strategy_for, AdmissionError, FaultPlan, JobService, NativeJob,
-    Priority, RetryPolicy, RunError, ServiceConfig, ServiceOutcome,
+    execute, run_digest, strategy_for, AdmissionError, FaultPlan, JobService, NativeJob, Priority,
+    RetryPolicy, RunError, RunPolicy, ServiceConfig, ServiceOutcome,
 };
 use std::collections::HashMap;
 use std::time::Duration;
@@ -29,8 +29,13 @@ fn solo_identity(job: &NativeJob, approach: Approach) -> SoloIdentity {
         fault: None,
         ..*job
     };
-    let run = run_native::<f64>(&clean, strategy_for::<f64>(approach).as_ref())
-        .expect("solo run completes");
+    let run = execute::<f64>(
+        &clean,
+        strategy_for::<f64>(approach).as_ref(),
+        &RunPolicy::bare(),
+    )
+    .expect("solo run completes")
+    .run;
     SoloIdentity {
         digest: run_digest(&run.sets),
         messages: run.report.messages,
@@ -45,8 +50,13 @@ fn neighbor_of_rank0(job: &NativeJob, approach: Approach) -> usize {
         fault: None,
         ..*job
     };
-    let run = run_native::<f64>(&clean, strategy_for::<f64>(approach).as_ref())
-        .expect("geometry probe run completes");
+    let run = execute::<f64>(
+        &clean,
+        strategy_for::<f64>(approach).as_ref(),
+        &RunPolicy::bare(),
+    )
+    .expect("geometry probe run completes")
+    .run;
     let cfg = job.config(approach);
     let plan = RankPlan::for_rank(&run.map, job.grid_ext, 0, 8, &cfg);
     plan.neighbors
@@ -233,6 +243,14 @@ fn admission_rejects_full_queues_and_impossible_jobs() {
         Err(AdmissionError::Rejected(RunError::NoGrids)) => {}
         other => panic!("expected Rejected(NoGrids), got {other:?}"),
     }
+    // 3 planes per axis over 8 virtual-node ranks leaves a subdomain one
+    // plane deep against an exchange depth of 2: bounced typed, before
+    // its programs are compiled (the cache sees only the admitted shape).
+    let too_fine = NativeJob::new([3, 3, 3], 2, 2).with_threads(1);
+    match service.submit("c", Priority::Normal, Approach::FlatOptimized, too_fine) {
+        Err(AdmissionError::Rejected(RunError::Decomposition { halo_depth: 2, .. })) => {}
+        other => panic!("expected Rejected(Decomposition), got {other:?}"),
+    }
 
     service.resume();
     let solo = solo_identity(&job, Approach::FlatOptimized);
@@ -241,6 +259,7 @@ fn admission_rejects_full_queues_and_impossible_jobs() {
     let stats = service.join();
     assert_eq!(stats.submitted, 2);
     assert_eq!(stats.completed, 2);
+    assert_eq!((stats.cache.misses, stats.cache.hits), (1, 1));
 }
 
 /// The scheduling rule, pinned end to end: priority lanes first, then
