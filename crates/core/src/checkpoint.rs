@@ -138,6 +138,18 @@ impl<T> Inner<T> {
     }
 }
 
+/// Flip one bit of the first stored data word of `grids`, the
+/// deterministic model of a memory fault. Returns whether a word existed.
+fn flip_first_word<T: Scalar>(grids: &mut [Grid3<T>]) -> bool {
+    let Some(w) = grids.iter_mut().find_map(|g| g.data_mut().first_mut()) else {
+        return false;
+    };
+    let mut words = w.bit_pattern();
+    words[0] ^= 1;
+    *w = T::from_bit_pattern(words);
+    true
+}
+
 fn same_shape<T: Scalar>(a: &[Grid3<T>], b: &[Grid3<T>]) -> bool {
     a.len() == b.len()
         && a.iter()
@@ -155,6 +167,11 @@ pub struct CheckpointStore<T> {
     inner: Mutex<Inner<T>>,
     /// Signalled whenever a deposit advances the consistent epoch.
     advanced: Condvar,
+    /// The `(rank, slot, epoch)` whose every [`deposit_from`] is poisoned
+    /// right after its digest is taken.
+    ///
+    /// [`deposit_from`]: CheckpointStore::deposit_from
+    poison: Option<(usize, usize, Epoch)>,
 }
 
 impl<T: Scalar> CheckpointStore<T> {
@@ -172,7 +189,19 @@ impl<T: Scalar> CheckpointStore<T> {
                 digest_failures: 0,
             }),
             advanced: Condvar::new(),
+            poison: None,
         }
+    }
+
+    /// Arm the seeded snapshot-poison fault: every
+    /// [`deposit_from`](CheckpointStore::deposit_from) of `key`'s
+    /// `(rank, slot, epoch)` flips one bit of its snapshot right after the
+    /// digest is taken — where a DMA or memory fault would strike a real
+    /// checkpoint buffer — so the digest convicts it on any later read.
+    /// `None` arms nothing.
+    pub fn with_poison(mut self, key: Option<(usize, usize, Epoch)>) -> CheckpointStore<T> {
+        self.poison = key;
+        self
     }
 
     /// Depositors never panic while holding the lock; recover from poison
@@ -199,7 +228,7 @@ impl<T: Scalar> CheckpointStore<T> {
             let fit = st.pool.iter().position(|buf| same_shape(buf, grids));
             fit.map(|i| st.pool.swap_remove(i))
         };
-        let snap = match recycled {
+        let mut snap = match recycled {
             Some(mut buf) => Snap {
                 digest: copy_grids_digest(&mut buf, grids),
                 grids: buf,
@@ -209,6 +238,9 @@ impl<T: Scalar> CheckpointStore<T> {
                 grids: grids.to_vec(),
             },
         };
+        if self.poison == Some((rank, slot, epoch)) {
+            flip_first_word(&mut snap.grids);
+        }
         self.insert(rank, slot, epoch, snap);
     }
 
@@ -342,27 +374,19 @@ impl<T: Scalar> CheckpointStore<T> {
     }
 
     /// Flip one bit of `(rank, slot, epoch)`'s stored snapshot *without*
-    /// updating its digest — the seeded `CorruptSnapshot` injector's
-    /// deterministic model of a memory fault striking a checkpoint
+    /// updating its digest — a memory fault striking a stored checkpoint
     /// buffer. Returns whether a stored data word existed to corrupt.
-    /// Fault-injection/test hook, same spirit as the durable store's
-    /// `epoch_path`; production code never calls it. (A reader already
-    /// holding the snapshot's handle keeps the bits it took: the fault
-    /// strikes the store's copy.)
+    /// Test hook, same spirit as the durable store's `epoch_path`; runs
+    /// arm the seeded injector with
+    /// [`with_poison`](CheckpointStore::with_poison) instead. (A reader
+    /// already holding the snapshot's handle keeps the bits it took: the
+    /// fault strikes the store's copy.)
     pub fn corrupt_snapshot(&self, rank: usize, slot: usize, epoch: Epoch) -> bool {
         let mut st = self.lock();
         let Some(snap) = st.snaps.get_mut(&(rank, slot, epoch)) else {
             return false;
         };
-        for g in Arc::make_mut(snap).grids.iter_mut() {
-            if let Some(w) = g.data_mut().first_mut() {
-                let mut words = w.bit_pattern();
-                words[0] ^= 1;
-                *w = T::from_bit_pattern(words);
-                return true;
-            }
-        }
-        false
+        flip_first_word(&mut Arc::make_mut(snap).grids)
     }
 
     /// Discard every snapshot past `epoch` and clamp each key's progress

@@ -11,7 +11,7 @@
 //!
 //! * **exact timelines** ([`ChromeTrace::add_thread_spans`]) from raw
 //!   [`Span`] lists — available wherever a tracer kept its log, e.g. the
-//!   native runtime's [`crate::trace::WallTracer::finish_with_spans`];
+//!   native runtime's [`crate::trace::WallTracer::finish`];
 //! * **aggregate summaries** ([`ChromeTrace::add_thread_summary`]) from
 //!   [`ThreadPhases`] — the per-kind totals laid back-to-back from the
 //!   thread's start. The timed machine and `RunReport` keep only these

@@ -1,33 +1,27 @@
-//! The functional executor: the compiled sweep programs on real data.
+//! The functional plane: the compiled sweep programs on real data.
 //!
-//! One OS thread per MPI process (plus four inner threads per process for
-//! the hybrid approaches, exactly the paper's thread-per-core layout),
-//! real packed faces through [`crate::transport::Transport`], and the real
-//! stencil kernel. The schedule itself is *not* decided here:
-//! `interpret_sweep` walks the [`SweepProgram`] op stream compiled by
-//! [`crate::program::compile_rank`] — the same stream the timed and
-//! native planes execute — and maps each op to real data movement.
-//! Everything is verified against [`sequential_reference`], the
-//! whole-grid single-rank computation.
+//! One OS thread per MPI process, real packed faces through the
+//! in-process [`Transport`], and the real stencil kernel — interpreted by
+//! [`interp::run_rank`], the same interpreter the native plane runs over
+//! its own fabric. For the hybrid approaches the interpreter gives each
+//! process its inner threads (four, the paper's thread-per-core layout):
+//! a fleet of communicating endpoints, or a master and its persistent
+//! slab pool. Everything is verified against [`sequential_reference`],
+//! the whole-grid single-rank computation.
 
 use crate::config::FdConfig;
-use crate::plan::{rank_assignment, recv_tag, send_tag, RankPlan};
-use crate::program::{compile_rank, SweepOp, SweepProgram, ThreadRole};
-use crate::trace::{SpanKind, ThreadPhases, TraceReport, WallTracer};
+use crate::interp::{self, RankCtx};
+use crate::plan::{rank_assignment, RankPlan};
+use crate::program::compile_rank;
 use crate::transport::Transport;
-use gpaw_bgp_hw::topology::{Dir, LinkDir};
 use gpaw_bgp_hw::CartMap;
 use gpaw_grid::decomp::{Decomposition, Subdomain};
 use gpaw_grid::generator;
 use gpaw_grid::grid3::Grid3;
 use gpaw_grid::gridset::GridSet;
-use gpaw_grid::halo::{pack_batch_region, unpack_batch_region, zero_face_region, Side};
 use gpaw_grid::scalar::{Scalar, C64};
-use gpaw_grid::stencil::{
-    apply, apply_region, apply_sequential, apply_slab, slab_bounds, BoundaryCond, StencilCoeffs,
-};
-use std::sync::Arc;
-use std::time::Instant;
+use gpaw_grid::stencil::{apply_sequential, BoundaryCond, StencilCoeffs};
+use std::time::{Duration, Instant};
 
 /// Scalars that can regenerate their synthetic wave-function slice locally.
 pub trait SyntheticFill: Scalar {
@@ -47,441 +41,10 @@ impl SyntheticFill for C64 {
     }
 }
 
-/// The side of our subdomain whose interior planes feed a send toward
-/// `dir`.
-fn send_side(dir: Dir) -> Side {
-    match dir {
-        Dir::Plus => Side::High,
-        Dir::Minus => Side::Low,
-    }
-}
-
-/// The ghost-plane side filled by data arriving from the neighbor in
-/// direction `dir`.
-fn recv_side(dir: Dir) -> Side {
-    match dir {
-        Dir::Plus => Side::High,
-        Dir::Minus => Side::Low,
-    }
-}
-
-/// Post the face sends of one batch along the given directions, `depth`
-/// ghost planes deep. A widened (fused-exchange) send packs the
-/// just-filled earlier-axis ghosts too ([`RankPlan::exchange_wide`]).
-#[allow(clippy::too_many_arguments)] // mirrors the schedule's parameter list
-fn send_batch<T: Scalar>(
-    tp: &Transport<T>,
-    plan: &RankPlan,
-    grids: &[Grid3<T>],
-    local_ids: &[usize],
-    first_global: usize,
-    sweep: usize,
-    dirs: &[LinkDir],
-    depth: usize,
-    tr: &mut WallTracer,
-) {
-    for &ld in dirs {
-        if let Some(nb) = plan.neighbors[ld.index()] {
-            let points = plan.face_points[ld.axis.index()] * local_ids.len();
-            let mut buf = Vec::with_capacity(points);
-            tr.open(SpanKind::HaloPack);
-            pack_batch_region(
-                grids,
-                local_ids,
-                ld.axis.index(),
-                send_side(ld.dir),
-                depth,
-                plan.exchange_wide(ld.axis),
-                &mut buf,
-            );
-            tr.close();
-            debug_assert_eq!(buf.len(), points);
-            tr.open(SpanKind::Post);
-            tp.send(plan.rank, nb, send_tag(sweep, first_global, ld), buf);
-            tr.close();
-        }
-    }
-}
-
-/// Receive and unpack the face data of one batch along the given
-/// directions (zero-filling ghost planes at non-periodic edges), `depth`
-/// ghost planes deep with the plan's cross-section widening.
-#[allow(clippy::too_many_arguments)] // mirrors the schedule's parameter list
-fn recv_batch<T: Scalar>(
-    tp: &Transport<T>,
-    plan: &RankPlan,
-    grids: &mut [Grid3<T>],
-    local_ids: &[usize],
-    first_global: usize,
-    sweep: usize,
-    dirs: &[LinkDir],
-    depth: usize,
-    tr: &mut WallTracer,
-) {
-    for &ld in dirs {
-        let wide = plan.exchange_wide(ld.axis);
-        match plan.neighbors[ld.index()] {
-            Some(nb) => {
-                tr.open(SpanKind::Wait);
-                let buf = tp.recv(plan.rank, nb, recv_tag(sweep, first_global, ld));
-                tr.close();
-                tr.open(SpanKind::HaloUnpack);
-                unpack_batch_region(
-                    grids,
-                    local_ids,
-                    ld.axis.index(),
-                    recv_side(ld.dir),
-                    depth,
-                    wide,
-                    &buf,
-                );
-                tr.close();
-            }
-            None => {
-                tr.open(SpanKind::HaloUnpack);
-                for &g in local_ids {
-                    zero_face_region(
-                        &mut grids[g],
-                        ld.axis.index(),
-                        recv_side(ld.dir),
-                        depth,
-                        wide,
-                    );
-                }
-                tr.close();
-            }
-        }
-    }
-}
-
-/// One replay of one thread's compiled program, interpreted on real
-/// data. `sweep` is the replay's base sweep (a multiple of the block).
-///
-/// The op semantics on this plane: `PostRecv` is a no-op (the in-process
-/// transport buffers sends internally, so a receive needs no pre-posting),
-/// `WaitAll` is the blocking receive+unpack, `ComputeWavefront` applies
-/// the stencil over the extended box of its step (even steps read
-/// `inputs`, odd steps read back what the previous step wrote),
-/// `ApplyBoundarySlab` runs one grid through an ephemeral slab-thread
-/// scope (the scope join *is* the barrier pair), and
-/// `ThreadBarrier`/`AdvanceBuffer` are no-ops (sibling endpoint threads
-/// share no data mid-replay, and [`run_sweeps`] swaps the buffers).
-fn interpret_sweep<T: Scalar>(
-    tp: &Transport<T>,
-    prog: &SweepProgram,
-    coef: &StencilCoeffs,
-    inputs: &mut [Grid3<T>],
-    outputs: &mut [Grid3<T>],
-    sweep: usize,
-    tr: &mut WallTracer,
-) {
-    let plan = &prog.plan;
-    let block = prog.block();
-    for op in &prog.ops {
-        match *op {
-            SweepOp::PostRecv { .. } => {}
-            SweepOp::SendFace { batch, dirs, depth } => {
-                let ids: Vec<usize> = prog.locals_of(batch).collect();
-                send_batch(
-                    tp,
-                    plan,
-                    inputs,
-                    &ids,
-                    prog.first_global(batch),
-                    sweep,
-                    dirs.dirs(),
-                    depth,
-                    tr,
-                );
-            }
-            SweepOp::WaitAll { batch, dirs, depth } => {
-                let ids: Vec<usize> = prog.locals_of(batch).collect();
-                recv_batch(
-                    tp,
-                    plan,
-                    inputs,
-                    &ids,
-                    prog.first_global(batch),
-                    sweep,
-                    dirs.dirs(),
-                    depth,
-                    tr,
-                );
-            }
-            SweepOp::ComputeInterior { batch } => {
-                tr.open(SpanKind::Compute);
-                for g in prog.locals_of(batch) {
-                    apply(coef, &inputs[g], &mut outputs[g]);
-                }
-                tr.close();
-            }
-            SweepOp::ComputeWavefront {
-                batch,
-                step,
-                shrink,
-            } => {
-                // Extension of this step's output box: shrinks by
-                // `shrink` per step toward the exact subdomain, and is
-                // clamped to zero at faces with no neighbor (zero-BC
-                // ghosts are zero at *every* intermediate sweep, so
-                // there is nothing beyond the boundary to compute).
-                let ext = shrink * (block - 1 - step);
-                let mut em = [0usize; 3];
-                let mut ep = [0usize; 3];
-                for ld in LinkDir::ALL {
-                    if plan.neighbors[ld.index()].is_some() {
-                        match ld.dir {
-                            Dir::Minus => em[ld.axis.index()] = ext,
-                            Dir::Plus => ep[ld.axis.index()] = ext,
-                        }
-                    }
-                }
-                tr.open(SpanKind::Compute);
-                for g in prog.locals_of(batch) {
-                    // Even steps read the freshly exchanged inputs; odd
-                    // steps read the box the previous step just wrote.
-                    if step % 2 == 0 {
-                        apply_region(coef, &inputs[g], &mut outputs[g], em, ep);
-                    } else {
-                        apply_region(coef, &outputs[g], &mut inputs[g], em, ep);
-                    }
-                }
-                tr.close();
-            }
-            SweepOp::ApplyBoundarySlab { batch, index } => {
-                let g = prog.locals_of(batch).start + index;
-                // The slab-parallel section (spawn + compute + join) is
-                // charged to the master: the ephemeral slab threads live
-                // exactly this long.
-                tr.open(SpanKind::Compute);
-                compute_grids_slabs(coef, inputs, outputs, &[g], prog.threads);
-                tr.close();
-            }
-            SweepOp::ThreadBarrier | SweepOp::AdvanceBuffer => {}
-        }
-    }
-}
-
-/// Compute grids with each grid split into x-slabs, one slab per thread —
-/// concurrent writes into each output grid through disjoint slices.
-fn compute_grids_slabs<T: Scalar>(
-    coef: &StencilCoeffs,
-    inputs: &[Grid3<T>],
-    outputs: &mut [Grid3<T>],
-    ids: &[usize],
-    threads: usize,
-) {
-    let nx = inputs[0].n()[0];
-    let bounds = slab_bounds(nx, threads);
-    let slabs_per_grid = bounds.len() - 1;
-    struct Task<'a, T> {
-        input: &'a Grid3<T>,
-        x0: usize,
-        x1: usize,
-        slab: &'a mut [T],
-    }
-    let mut per_thread: Vec<Vec<Task<'_, T>>> = (0..slabs_per_grid).map(|_| Vec::new()).collect();
-
-    // Walk `outputs`, splitting off each grid to get disjoint mutable
-    // slabs.
-    let mut rest: &mut [Grid3<T>] = outputs;
-    let mut offset = 0usize;
-    for &gid in ids {
-        debug_assert!(gid >= offset);
-        let (_skip, tail) = rest.split_at_mut(gid - offset);
-        let (grid, tail2) = match tail.split_first_mut() {
-            Some(pair) => pair,
-            None => unreachable!("batch id out of range"),
-        };
-        let cuts = &bounds[1..bounds.len() - 1];
-        for (t, slab) in grid.split_x_slabs(cuts).into_iter().enumerate() {
-            per_thread[t].push(Task {
-                input: &inputs[gid],
-                x0: bounds[t],
-                x1: bounds[t + 1],
-                slab,
-            });
-        }
-        rest = tail2;
-        offset = gid + 1;
-    }
-
-    std::thread::scope(|s| {
-        for tasks in per_thread {
-            s.spawn(move || {
-                for task in tasks {
-                    apply_slab(coef, task.input, task.x0, task.x1, task.slab);
-                }
-            });
-        }
-    });
-}
-
-/// Run `sweeps` sweeps as `sweeps / block` replays of
-/// `one_replay(inputs, outputs, base_sweep)`; returns the grids holding
-/// the final result. A replay advancing an odd number of sweeps leaves
-/// its result in `outputs` (so the roles swap); an even block's
-/// wavefront lands back in `inputs` and no swap happens.
-fn run_sweeps<T: Scalar>(
-    mut inputs: Vec<Grid3<T>>,
-    mut outputs: Vec<Grid3<T>>,
-    sweeps: usize,
-    block: usize,
-    mut one_replay: impl FnMut(&mut [Grid3<T>], &mut [Grid3<T>], usize),
-) -> Vec<Grid3<T>> {
-    for sweep in (0..sweeps).step_by(block) {
-        one_replay(&mut inputs, &mut outputs, sweep);
-        if block % 2 == 1 {
-            std::mem::swap(&mut inputs, &mut outputs);
-        }
-    }
-    inputs
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors the schedule's parameter list
-/// Execute one process (rank): compile the rank's programs, fill its
-/// owned grids, and interpret. Returns the final local grids plus the
-/// per-thread span traces (one entry for single-threaded approaches, one
-/// per inner thread for hybrid-multiple).
-fn process_body<T: SyntheticFill>(
-    tp: &Transport<T>,
-    map: &CartMap,
-    rank: usize,
-    grid_ext: [usize; 3],
-    n_grids: usize,
-    seed: u64,
-    coef: &StencilCoeffs,
-    cfg: &FdConfig,
-    epoch: Option<Instant>,
-) -> (Vec<Grid3<T>>, Vec<ThreadPhases>) {
-    let plan = RankPlan::for_rank(map, grid_ext, rank, T::BYTES, cfg);
-    let threads = map.partition.threads_per_process();
-    let programs = compile_rank(cfg, map, &plan, n_grids, threads);
-    // The grids this rank owns data for: all of them, except flat
-    // static's quarter (local index i ↔ global id rank_asg.id(i)).
-    let rank_asg = rank_assignment(cfg.approach, n_grids, map, rank);
-    // Ghost allocation follows the exchange depth: one stencil halo per
-    // fused sweep.
-    let halo = plan.halo;
-    let mut inputs: Vec<Grid3<T>> = Vec::with_capacity(rank_asg.count);
-    for i in 0..rank_asg.count {
-        let mut grid = Grid3::zeros(plan.sub.ext, halo);
-        T::fill(&mut grid, &plan.sub, grid_ext, seed, rank_asg.id(i));
-        inputs.push(grid);
-    }
-    let outputs: Vec<Grid3<T>> = (0..rank_asg.count)
-        .map(|_| Grid3::zeros(plan.sub.ext, halo))
-        .collect();
-    let mut tr = match epoch {
-        Some(e) => WallTracer::new(e),
-        None => WallTracer::disabled(),
-    };
-
-    let (result, phases) = match programs[0].role {
-        // Flat ranks interpret their one program on the calling thread.
-        // A master-only rank interprets only the master's program: its
-        // `ApplyBoundarySlab` ops materialize the pool threads as
-        // ephemeral slab scopes, so the worker programs have no separate
-        // functional existence.
-        ThreadRole::Single | ThreadRole::Master => {
-            let prog = &programs[0];
-            let r = run_sweeps(inputs, outputs, prog.sweeps, prog.block(), |i, o, s| {
-                interpret_sweep(tp, prog, coef, i, o, s, &mut tr)
-            });
-            (r, vec![tr.finish(rank, 0)])
-        }
-        ThreadRole::Endpoint => {
-            hybrid_multiple_process(tp, &programs, coef, inputs, outputs, rank, epoch)
-        }
-        ThreadRole::PoolWorker { .. } => unreachable!("slot 0 is never a pool worker"),
-    };
-    assert!(
-        tp.is_drained(rank),
-        "rank {rank}: transport not drained — schedule mismatch"
-    );
-    (result, phases)
-}
-
-/// The hybrid-multiple process: each endpoint program runs on its own
-/// inner thread with its own grids **and its own communication**
-/// concurrently; the only synchronization is the per-sweep join (§VI:
-/// "the synchronization penalty is therefore constant").
-fn hybrid_multiple_process<T: Scalar>(
-    tp: &Transport<T>,
-    programs: &[SweepProgram],
-    coef: &StencilCoeffs,
-    inputs: Vec<Grid3<T>>,
-    outputs: Vec<Grid3<T>>,
-    rank: usize,
-    epoch: Option<Instant>,
-) -> (Vec<Grid3<T>>, Vec<ThreadPhases>) {
-    let threads = programs.len();
-    let n_grids = inputs.len();
-    // Deal grids to the thread whose program's assignment owns them —
-    // derived from the compiled programs, not re-decided here.
-    let mut owner = vec![usize::MAX; n_grids];
-    for (t, p) in programs.iter().enumerate() {
-        for i in 0..p.asg.count {
-            owner[p.asg.id(i)] = t;
-        }
-    }
-    debug_assert!(owner.iter().all(|&t| t < threads));
-    let mut in_parts: Vec<Vec<Grid3<T>>> = (0..threads).map(|_| Vec::new()).collect();
-    let mut out_parts: Vec<Vec<Grid3<T>>> = (0..threads).map(|_| Vec::new()).collect();
-    for (g, grid) in inputs.into_iter().enumerate() {
-        in_parts[owner[g]].push(grid);
-    }
-    for (g, grid) in outputs.into_iter().enumerate() {
-        out_parts[owner[g]].push(grid);
-    }
-
-    let mut results: Vec<Option<(Vec<Grid3<T>>, ThreadPhases)>> =
-        (0..threads).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (t, (ins, outs)) in in_parts.drain(..).zip(out_parts.drain(..)).enumerate() {
-            let prog = &programs[t];
-            handles.push(s.spawn(move || {
-                let mut tr = match epoch {
-                    Some(e) => WallTracer::new(e),
-                    None => WallTracer::disabled(),
-                };
-                debug_assert_eq!(prog.asg.count, ins.len());
-                let r = run_sweeps(ins, outs, prog.sweeps, prog.block(), |i, o, sweep| {
-                    interpret_sweep(tp, prog, coef, i, o, sweep, &mut tr)
-                });
-                (r, tr.finish(rank, t))
-            }));
-        }
-        for (t, h) in handles.into_iter().enumerate() {
-            results[t] = Some(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
-
-    // Interleave back into global order.
-    let mut phases = Vec::with_capacity(threads);
-    let mut iters: Vec<_> = results
-        .into_iter()
-        .map(|r| {
-            let (grids, tp_) = match r {
-                Some(pair) => pair,
-                None => unreachable!("all threads joined"),
-            };
-            phases.push(tp_);
-            grids.into_iter()
-        })
-        .collect();
-    let grids = (0..n_grids)
-        .map(|g| match iters[owner[g]].next() {
-            Some(grid) => grid,
-            None => unreachable!("owner map exhausted"),
-        })
-        .collect();
-    (grids, phases)
-}
-
 /// Run a distributed FD job and return each rank's final local grids, in
-/// rank order.
+/// rank order: one OS thread per rank, each filling its owned grids and
+/// interpreting its compiled programs ([`interp::run_rank`]) over one
+/// shared [`Transport`], with no checkpoints and no throttle.
 pub fn run_distributed<T: SyntheticFill>(
     grid_ext: [usize; 3],
     n_grids: usize,
@@ -490,59 +53,53 @@ pub fn run_distributed<T: SyntheticFill>(
     cfg: &FdConfig,
     map: &CartMap,
 ) -> Vec<GridSet<T>> {
-    run_distributed_impl(grid_ext, n_grids, seed, coef, cfg, map, None).0
-}
-
-/// [`run_distributed`] with wall-clock span tracing: also returns where
-/// each (rank, thread)'s time went, in the same span vocabulary as the
-/// timed plane.
-pub fn run_distributed_traced<T: SyntheticFill>(
-    grid_ext: [usize; 3],
-    n_grids: usize,
-    seed: u64,
-    coef: &StencilCoeffs,
-    cfg: &FdConfig,
-    map: &CartMap,
-) -> (Vec<GridSet<T>>, TraceReport) {
-    let epoch = Instant::now();
-    let (sets, phases) = run_distributed_impl(grid_ext, n_grids, seed, coef, cfg, map, Some(epoch));
-    (sets, TraceReport::from_threads(epoch, phases))
-}
-
-fn run_distributed_impl<T: SyntheticFill>(
-    grid_ext: [usize; 3],
-    n_grids: usize,
-    seed: u64,
-    coef: &StencilCoeffs,
-    cfg: &FdConfig,
-    map: &CartMap,
-    epoch: Option<Instant>,
-) -> (Vec<GridSet<T>>, Vec<ThreadPhases>) {
     assert!(n_grids > 0);
     let ranks = map.ranks();
-    let tp: Arc<Transport<T>> = Arc::new(Transport::new(ranks));
+    let threads = map.partition.threads_per_process();
+    let tp: Transport<T> = Transport::new(ranks);
+    let epoch = Instant::now();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..ranks)
             .map(|rank| {
-                let tp = Arc::clone(&tp);
-                let map = &*map;
-                let coef = &*coef;
-                let cfg = &*cfg;
+                let tp = &tp;
                 s.spawn(move || {
-                    let (grids, phases) =
-                        process_body(&tp, map, rank, grid_ext, n_grids, seed, coef, cfg, epoch);
-                    (GridSet::from_grids(grids), phases)
+                    let plan = RankPlan::for_rank(map, grid_ext, rank, T::BYTES, cfg);
+                    let programs = compile_rank(cfg, map, &plan, n_grids, threads);
+                    // The grids this rank owns data for: all of them,
+                    // except flat static's quarter.
+                    let asg = rank_assignment(cfg.approach, n_grids, map, rank);
+                    let blank = || Grid3::zeros(plan.sub.ext, plan.halo);
+                    let inputs = (0..asg.count)
+                        .map(|i| {
+                            let mut grid = blank();
+                            T::fill(&mut grid, &plan.sub, grid_ext, seed, asg.id(i));
+                            grid
+                        })
+                        .collect();
+                    let outputs = (0..asg.count).map(|_| blank()).collect();
+                    let ctx = RankCtx {
+                        comm: tp,
+                        coef,
+                        programs: &programs,
+                        epoch,
+                        start_sweep: 0,
+                        ckpt: None,
+                        throttle: Duration::ZERO,
+                    };
+                    let (grids, _) = interp::run_rank(&ctx, inputs, outputs)
+                        .unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+                    assert!(
+                        tp.is_drained(rank),
+                        "rank {rank}: transport not drained — schedule mismatch"
+                    );
+                    GridSet::from_grids(grids)
                 })
             })
             .collect();
-        let mut sets = Vec::with_capacity(ranks);
-        let mut all_phases = Vec::new();
-        for h in handles {
-            let (set, phases) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            sets.push(set);
-            all_phases.extend(phases);
-        }
-        (sets, all_phases)
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     })
 }
 
@@ -825,43 +382,6 @@ mod tests {
         cfg.growing_first_batch = true;
         check::<f64>(&cfg, &map, grid, 10);
         let _ = c;
-    }
-
-    #[test]
-    fn traced_run_reports_spans_for_every_thread() {
-        let grid = [12, 12, 12];
-        let map = smp_map(2, grid); // 2 processes × 4 threads
-        let cfg = FdConfig::paper(Approach::HybridMultiple).with_batch(2);
-        let c = coef();
-        let (sets, trace) = run_distributed_traced::<f64>(grid, 8, 42, &c, &cfg, &map);
-        assert_eq!(sets.len(), 2);
-        assert_eq!(trace.thread_phases.len(), 8, "2 ranks × 4 inner threads");
-        for kind in [
-            SpanKind::Compute,
-            SpanKind::HaloPack,
-            SpanKind::HaloUnpack,
-            SpanKind::Post,
-            SpanKind::Wait,
-        ] {
-            assert!(
-                trace.phases.get(kind) > gpaw_des::SimDuration::ZERO,
-                "{kind:?} missing from functional trace"
-            );
-        }
-        // Spans never exceed the thread's lifetime, and every thread ends
-        // within the run.
-        for t in &trace.thread_phases {
-            assert!(
-                t.spans.total() <= t.finish,
-                "rank {} slot {}",
-                t.rank,
-                t.slot
-            );
-            assert!(t.finish <= trace.elapsed);
-        }
-        // The traced run still produces correct numerics.
-        let reference = sequential_reference::<f64>(grid, 8, 42, &c, cfg.bc, cfg.sweeps);
-        assert_eq!(max_error_vs_reference(&sets, &map, grid, &reference), 0.0);
     }
 
     #[test]

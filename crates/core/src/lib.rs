@@ -1,22 +1,22 @@
 //! # gpaw-fd — the distributed finite-difference engine
 //!
-//! The paper's primary contribution, implemented as **one program with
-//! three interpreters**: every approach's sweep schedule is compiled
-//! exactly once ([`program::compile_rank`]) into a declarative
+//! The paper's primary contribution, implemented as **one program, two
+//! interpreters, three planes**: every approach's sweep schedule is
+//! compiled exactly once ([`program::compile_rank`]) into a declarative
 //! [`program::SweepProgram`] — a per-rank, per-thread-role op list —
-//! and each execution plane interprets that op stream:
+//! and every execution plane walks that op stream with the same replay
+//! cursor ([`program::Cursor`]):
 //!
-//! * the **functional plane** ([`exec`]) walks it on real data — ranks
-//!   are OS threads, messages move through a tag-matching in-process
-//!   transport ([`transport`]), and the stencil kernel of `gpaw-grid`
-//!   does the arithmetic. Every approach is proven bit-identical to the
-//!   sequential reference;
+//! * the **real-data interpreter** ([`interp`]) executes it on real
+//!   grids and real threads, generic over a two-method [`interp::Comm`]
+//!   fabric. Two data planes run it: the **functional plane** ([`exec`]),
+//!   over a tag-matching in-process transport ([`transport`]), and the
+//!   **native plane** (`gpaw-hybrid-rt`, a separate crate), over a
+//!   fault-injecting fabric with retries, checkpoints and durability.
+//!   Every approach is proven bit-identical to the sequential reference;
 //! * the **timed plane** ([`timed`]) lowers the same ops to cost-model
 //!   instructions for the simulated Blue Gene/P (`gpaw-simmpi`), which
-//!   is what regenerates the paper's figures at up to 16 384 cores;
-//! * the **native plane** (`gpaw-hybrid-rt`, a separate crate) executes
-//!   the same ops on real `std::thread`s against a real shared-memory
-//!   fabric.
+//!   is what regenerates the paper's figures at up to 16 384 cores.
 //!
 //! The four approaches (§VI of the paper), selected by
 //! [`config::Approach`]:
@@ -46,6 +46,7 @@ pub mod config;
 pub mod durable;
 pub mod exec;
 pub mod integrity;
+pub mod interp;
 pub mod plan;
 pub mod progcache;
 pub mod program;
@@ -69,4 +70,4 @@ pub use program::{
 };
 pub use report::{ExperimentReport, Json, PointReport};
 pub use runner::FdExperiment;
-pub use trace::{SpanKind, ThreadSpans, TraceReport, WallTracer};
+pub use trace::{SpanKind, ThreadResult, ThreadSpans, WallTracer};

@@ -3,9 +3,9 @@
 //! A plan answers, for one rank (and thread): which subdomain do I own,
 //! who are my six neighbors (if any — zero-boundary edges have none),
 //! which grids do I handle, how are they batched, and how many bytes does
-//! one face message carry. The functional executor moves real data along
-//! this plan; the timed executor charges simulated time for exactly the
-//! same message/compute sequence.
+//! one face message carry. The real-data interpreter moves real data
+//! along this plan; the timed executor charges simulated time for exactly
+//! the same message/compute sequence.
 
 use crate::config::{Approach, FdConfig};
 use gpaw_bgp_hw::topology::{Axis, Dir, LinkDir};

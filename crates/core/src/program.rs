@@ -1,31 +1,32 @@
-//! The sweep-schedule IR: one program, three interpreters.
+//! The sweep-schedule IR: one program, two interpreters, three planes.
 //!
 //! The paper's four programming approaches differ only in *schedule* —
 //! who exchanges which halos when, and who synchronizes with whom — while
 //! the FD math is identical (§V–VI). This module makes that schedule a
 //! first-class value: [`compile_rank`] turns `(FdConfig, CartMap,
 //! RankPlan, n_grids, threads)` into one [`SweepProgram`] per thread
-//! slot, a flat op list describing a single sweep. The three execution
-//! planes are interpreters of that list:
+//! slot, a flat op list describing a single sweep. Two interpreters run
+//! that list:
 //!
-//! * `core::exec` walks it functionally, moving real grid data over the
-//!   in-process transport;
+//! * `core::interp` executes it on real data and real threads, generic
+//!   over the rank fabric — the functional plane runs it over the
+//!   in-process transport, the native plane (`gpaw-hybrid-rt`) over its
+//!   fault-injecting `NativeFabric`;
 //! * `core::timed` lowers each op to cost-model instructions for the
-//!   simulated Blue Gene/P;
-//! * `hybrid-rt::strategy` executes it on real OS threads against the
-//!   `NativeFabric`.
+//!   simulated Blue Gene/P.
 //!
-//! Cross-plane parity holds *by construction*: there is no per-plane
+//! All three planes step through a program with one [`Cursor`] and take
+//! a wavefront step's box from [`SweepProgram::wavefront_box`], so
+//! cross-plane parity holds *by construction*: there is no per-plane
 //! schedule code to drift. Adding an approach means adding one arm to
 //! the compiler — every plane picks it up for free.
 //!
 //! The ops deliberately say *what* must happen, not *how*: `PostRecv`
-//! is a real `Irecv` on the timed plane but a no-op on planes whose
-//! transport buffers internally; `ThreadBarrier` is a real
-//! `std::sync::Barrier` natively, a simulated barrier instruction on the
-//! timed plane, and nothing at all functionally (where the enclosing
-//! thread scope already joins). What every interpreter must preserve is
-//! the op *order* and the tag/epoch derivation (from [`crate::plan`]).
+//! is a real `Irecv` on the timed plane but a no-op on real data, whose
+//! fabrics buffer sends; `ThreadBarrier` is a real `std::sync::Barrier`
+//! on real data and a simulated barrier instruction on the timed plane.
+//! What every interpreter must preserve is the op *order* and the
+//! tag/epoch derivation (from [`crate::plan`]).
 //!
 //! Since the temporal-blocking refactor the exchange ops carry their
 //! ghost `depth` explicitly and one replay of `ops` advances
@@ -35,7 +36,7 @@
 
 use crate::config::{Approach, FdConfig};
 use crate::plan::{slab_share, Batches, GridAssignment, RankPlan};
-use gpaw_bgp_hw::topology::{Axis, LinkDir};
+use gpaw_bgp_hw::topology::{Axis, Dir, LinkDir};
 use gpaw_bgp_hw::CartMap;
 use gpaw_grid::stencil::StencilCoeffs;
 
@@ -402,6 +403,36 @@ impl SweepProgram {
         self.sweeps / self.block()
     }
 
+    /// Replay `ops` from `start_sweep` through the last sweep, one replay
+    /// per block: every op with its replay's base sweep. `start_sweep` is
+    /// 0 for a fresh run, or the epoch a resume rolls back to.
+    pub fn walk(&self, start_sweep: usize) -> impl Iterator<Item = (usize, SweepOp)> + '_ {
+        let mut cursor = Cursor::at(start_sweep);
+        std::iter::from_fn(move || cursor.step(self))
+    }
+
+    /// The box one `ComputeWavefront { step, shrink }` computes, as its
+    /// extension past the subdomain on each side: `[minus, plus]`, per
+    /// axis. The box reaches `shrink · (block − 1 − step)` planes into
+    /// the ghost zone on every side that has a neighbor, and not at all at
+    /// a face with none (zero-boundary ghosts are zero at every
+    /// intermediate sweep, so there is nothing beyond the edge to
+    /// compute). Every plane takes its wavefront box from here.
+    pub fn wavefront_box(&self, step: usize, shrink: usize) -> [[usize; 3]; 2] {
+        let ext = shrink * (self.block() - 1 - step);
+        let mut sides = [[0; 3]; 2];
+        for ld in LinkDir::ALL {
+            if self.plan.neighbors[ld.index()].is_some() {
+                let side = match ld.dir {
+                    Dir::Minus => 0,
+                    Dir::Plus => 1,
+                };
+                sides[side][ld.axis.index()] = ext;
+            }
+        }
+        sides
+    }
+
     /// Local grid positions (indices into the thread's grid list) of
     /// batch `b`.
     pub fn locals_of(&self, b: usize) -> std::ops::Range<usize> {
@@ -691,6 +722,40 @@ impl SweepProgram {
             }
         }
         Ok(())
+    }
+}
+
+/// A position in the replay of one program: the base sweep of the
+/// current replay and the next op. [`SweepProgram::walk`] and the timed
+/// plane's lazy lowering both step through a program with it, so the
+/// replay order is written once.
+#[derive(Debug, Clone, Copy)]
+pub struct Cursor {
+    sweep: usize,
+    op: usize,
+}
+
+impl Cursor {
+    /// A cursor at the first op of the replay whose base sweep is `sweep`
+    /// (a multiple of the program's block).
+    pub fn at(sweep: usize) -> Cursor {
+        Cursor { sweep, op: 0 }
+    }
+
+    /// The op under the cursor with its replay's base sweep, then step
+    /// past it — wrapping to the next replay, `block` sweeps on, at the
+    /// end of the op list. `None` once the program's sweeps are done.
+    pub fn step(&mut self, prog: &SweepProgram) -> Option<(usize, SweepOp)> {
+        if self.sweep >= prog.sweeps {
+            return None;
+        }
+        let at = (self.sweep, *prog.ops.get(self.op)?);
+        self.op += 1;
+        if self.op == prog.ops.len() {
+            self.op = 0;
+            self.sweep += prog.block();
+        }
+        Some(at)
     }
 }
 

@@ -13,9 +13,8 @@
 
 use crate::config::FdConfig;
 use crate::plan::{recv_tag, send_tag, RankPlan};
-use crate::program::{compile_rank, SweepOp, SweepProgram};
+use crate::program::{compile_rank, Cursor, SweepOp, SweepProgram};
 use gpaw_bgp_hw::spec::CostModel;
-use gpaw_bgp_hw::topology::{Axis, LinkDir};
 use gpaw_bgp_hw::{CartMap, Partition};
 use gpaw_simmpi::{Instr, Machine, Program, RunReport, Scope};
 use std::collections::VecDeque;
@@ -55,9 +54,7 @@ pub struct StreamProgram {
     unit_points: u64,
     unit_rows: u64,
     queue: VecDeque<Instr>,
-    sweep: usize,
-    op_idx: usize,
-    done: bool,
+    cursor: Cursor,
 }
 
 impl StreamProgram {
@@ -69,43 +66,24 @@ impl StreamProgram {
             unit_points,
             unit_rows,
             queue: VecDeque::new(),
-            sweep: 0,
-            op_idx: 0,
-            done: false,
-        }
-    }
-
-    /// Lower the op under the cursor into the instruction queue and
-    /// advance; wraps to the next replay at the end of the op list. One
-    /// replay of a fused program covers `block` sweeps, so the cursor
-    /// advances the sweep counter by the block size.
-    fn expand(&mut self) {
-        let op = self.prog.ops[self.op_idx];
-        self.lower(op);
-        self.op_idx += 1;
-        if self.op_idx == self.prog.ops.len() {
-            self.op_idx = 0;
-            self.sweep += self.prog.block();
-            if self.sweep >= self.prog.sweeps {
-                self.done = true;
-            }
+            cursor: Cursor::at(0),
         }
     }
 
     /// One [`SweepOp`] → its cost-model instruction(s).
-    fn lower(&mut self, op: SweepOp) {
+    fn lower(&mut self, sweep: usize, op: SweepOp) {
         let plan = &self.prog.plan;
         match op {
             SweepOp::PostRecv { batch, dirs, .. } => {
                 let size = self.prog.batches.size(batch);
                 let first = self.prog.first_global(batch);
-                let epoch = self.prog.epoch(self.sweep, batch);
+                let epoch = self.prog.epoch(sweep, batch);
                 for &ld in dirs.dirs() {
                     if let Some(nb) = plan.neighbors[ld.index()] {
                         self.queue.push_back(Instr::Irecv {
                             src: nb,
                             bytes: plan.msg_bytes(ld.axis, size),
-                            tag: recv_tag(self.sweep, first, ld),
+                            tag: recv_tag(sweep, first, ld),
                             epoch,
                         });
                     }
@@ -114,13 +92,13 @@ impl StreamProgram {
             SweepOp::SendFace { batch, dirs, .. } => {
                 let size = self.prog.batches.size(batch);
                 let first = self.prog.first_global(batch);
-                let epoch = self.prog.epoch(self.sweep, batch);
+                let epoch = self.prog.epoch(sweep, batch);
                 for &ld in dirs.dirs() {
                     if let Some(nb) = plan.neighbors[ld.index()] {
                         self.queue.push_back(Instr::Isend {
                             dst: nb,
                             bytes: plan.msg_bytes(ld.axis, size),
-                            tag: send_tag(self.sweep, first, ld),
+                            tag: send_tag(sweep, first, ld),
                             epoch,
                         });
                     }
@@ -128,7 +106,7 @@ impl StreamProgram {
             }
             SweepOp::WaitAll { batch, .. } => {
                 self.queue.push_back(Instr::WaitEpoch {
-                    epoch: self.prog.epoch(self.sweep, batch),
+                    epoch: self.prog.epoch(sweep, batch),
                 });
             }
             SweepOp::ComputeInterior { batch } => {
@@ -141,11 +119,9 @@ impl StreamProgram {
                     });
                 }
             }
-            // One wavefront step of a fused block: the subdomain extended
-            // by `shrink * (block - 1 - step)` ghost layers on every side
-            // that has a neighbor. Redundant ghost-zone compute is exactly
-            // what temporal blocking trades for fewer exchange epochs, so
-            // the cost model charges the full extended box.
+            // One wavefront step of a fused block. Redundant ghost-zone
+            // compute is exactly what temporal blocking trades for fewer
+            // exchange epochs, so the cost model charges the full box.
             SweepOp::ComputeWavefront {
                 batch,
                 step,
@@ -153,17 +129,9 @@ impl StreamProgram {
             } => {
                 let size = self.prog.batches.size(batch) as u64;
                 if size > 0 {
-                    let ext = shrink * (self.prog.block() - 1 - step);
-                    let mut dims = [0u64; 3];
-                    for axis in Axis::ALL {
-                        let mut d = plan.sub.ext[axis.index()];
-                        for ld in LinkDir::ALL {
-                            if ld.axis == axis && plan.neighbors[ld.index()].is_some() {
-                                d += ext;
-                            }
-                        }
-                        dims[axis.index()] = d as u64;
-                    }
+                    let [minus, plus] = self.prog.wavefront_box(step, shrink);
+                    let dims: [u64; 3] =
+                        std::array::from_fn(|a| (plan.sub.ext[a] + minus[a] + plus[a]) as u64);
                     self.queue.push_back(Instr::Compute {
                         points: dims[0] * dims[1] * dims[2] * size,
                         rows: dims[0] * dims[1] * size,
@@ -186,7 +154,7 @@ impl StreamProgram {
             }
             SweepOp::ThreadBarrier => self.queue.push_back(Instr::ThreadBarrier),
             // The simulator has no grid buffers to swap; the sweep
-            // transition is the cursor wrap in `expand`.
+            // transition is the cursor's wrap.
             SweepOp::AdvanceBuffer => {}
         }
     }
@@ -198,12 +166,9 @@ impl Program for StreamProgram {
             if let Some(i) = self.queue.pop_front() {
                 return i;
             }
-            if self.done {
-                return Instr::Done;
-            }
-            self.expand();
-            if self.done && self.queue.is_empty() {
-                return Instr::Done;
+            match self.cursor.step(&self.prog) {
+                Some((sweep, op)) => self.lower(sweep, op),
+                None => return Instr::Done,
             }
         }
     }

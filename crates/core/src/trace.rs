@@ -1,26 +1,25 @@
-//! Span instrumentation for the functional plane.
+//! Span instrumentation for the planes that run on real threads.
 //!
 //! The timed plane gets its spans for free: the machine model knows where
 //! every simulated picosecond goes ([`gpaw_simmpi::ThreadPhases`]). The
-//! functional plane runs on real OS threads, so this module provides the
-//! equivalent: a per-thread [`WallTracer`] that timestamps spans against a
-//! shared monotonic epoch and stores them in the *same* representation the
-//! timed plane uses — [`SpanKind`]/[`SpanAgg`] from `gpaw-des`, with
-//! nanoseconds mapped onto `SimTime` picoseconds — so one report format
-//! serves both planes.
+//! real-data interpreter ([`crate::interp`]) runs on OS threads, so this
+//! module provides the equivalent: a per-thread [`WallTracer`] that
+//! timestamps spans against a shared monotonic epoch and stores them in
+//! the *same* representation the timed plane uses —
+//! [`SpanKind`]/[`SpanAgg`] from `gpaw-des`, with nanoseconds mapped onto
+//! `SimTime` picoseconds — so one report format serves every plane.
 //!
-//! Span attribution on the functional plane:
+//! Span attribution on real threads:
 //!
 //! * [`SpanKind::HaloPack`] / [`SpanKind::HaloUnpack`] — face (un)packing;
 //! * [`SpanKind::Post`] — handing a packed buffer to the transport;
-//! * [`SpanKind::Wait`] — blocked in `Transport::recv`;
-//! * [`SpanKind::Compute`] — the stencil kernel (for master-only this
-//!   includes the slab-parallel section, charged to the master).
+//! * [`SpanKind::Wait`] — blocked in a receive;
+//! * [`SpanKind::Compute`] — the stencil kernel;
+//! * [`SpanKind::ThreadBarrier`] — waiting at a barrier.
 //!
 //! Tracing costs two `Instant::now()` calls per span; the traced
 //! operations (packing or computing whole faces/grids) are microseconds
-//! each, so the overhead is negligible, but [`WallTracer::disabled`] makes
-//! it exactly zero for callers that don't want a report.
+//! each, so the overhead is negligible.
 
 use std::time::Instant;
 
@@ -29,7 +28,7 @@ pub use gpaw_simmpi::ThreadPhases;
 
 use gpaw_des::{SimDuration, SimTime};
 
-/// Wall-clock span recorder for one functional-plane thread.
+/// Wall-clock span recorder for one thread.
 ///
 /// All tracers of one run share an epoch (`Instant`) so their spans live
 /// on a common time axis, mirroring the simulated clock of the timed
@@ -38,7 +37,6 @@ use gpaw_des::{SimDuration, SimTime};
 pub struct WallTracer {
     epoch: Instant,
     log: SpanLog,
-    enabled: bool,
 }
 
 impl WallTracer {
@@ -47,16 +45,6 @@ impl WallTracer {
         WallTracer {
             epoch,
             log: SpanLog::new(),
-            enabled: true,
-        }
-    }
-
-    /// A tracer that records nothing (zero overhead).
-    pub fn disabled() -> WallTracer {
-        WallTracer {
-            epoch: Instant::now(),
-            log: SpanLog::new(),
-            enabled: false,
         }
     }
 
@@ -69,19 +57,15 @@ impl WallTracer {
     /// Open a span; nested opens suspend the parent (exclusive self-time).
     #[inline]
     pub fn open(&mut self, kind: SpanKind) {
-        if self.enabled {
-            let t = self.now();
-            self.log.open(kind, t);
-        }
+        let t = self.now();
+        self.log.open(kind, t);
     }
 
     /// Close the innermost open span.
     #[inline]
     pub fn close(&mut self) {
-        if self.enabled {
-            let t = self.now();
-            self.log.close(t);
-        }
+        let t = self.now();
+        self.log.close(t);
     }
 
     /// Close every open span at the current time, innermost first.
@@ -90,23 +74,15 @@ impl WallTracer {
     /// can leave spans open mid-nest; closing them keeps the log balanced
     /// so the thread's timeline can still be finished and reported.
     pub fn close_all(&mut self) {
-        if self.enabled {
-            let t = self.now();
-            self.log.close_all(t);
-        }
+        let t = self.now();
+        self.log.close_all(t);
     }
 
-    /// Finish tracing: aggregate the recorded spans and report the
-    /// thread's lifetime on the shared axis.
-    pub fn finish(self, rank: usize, slot: usize) -> ThreadPhases {
-        self.finish_with_spans(rank, slot).0
-    }
-
-    /// Like [`WallTracer::finish`], but also hand back the raw span
-    /// timeline (exclusive self-time segments on the shared axis) — what a
-    /// timeline exporter such as [`crate::chrome`] needs, and what the
-    /// aggregate [`ThreadPhases`] deliberately discards.
-    pub fn finish_with_spans(self, rank: usize, slot: usize) -> (ThreadPhases, Vec<Span>) {
+    /// Finish tracing: aggregate the recorded spans, report the thread's
+    /// lifetime on the shared axis, and hand back the raw span timeline —
+    /// what a timeline exporter such as [`crate::chrome`] needs, and what
+    /// the aggregate [`ThreadPhases`] deliberately discards.
+    pub fn finish(self, rank: usize, slot: usize) -> ThreadResult {
         debug_assert!(self.log.is_balanced(), "unclosed span at finish");
         let finish = self.now().since(SimTime::ZERO);
         let phases = ThreadPhases {
@@ -115,8 +91,21 @@ impl WallTracer {
             finish,
             spans: self.log.aggregate(),
         };
-        (phases, self.log.spans().to_vec())
+        ThreadResult {
+            phases,
+            spans: self.log.spans().to_vec(),
+        }
     }
+}
+
+/// One traced thread's outcome: the aggregate phase breakdown plus the
+/// raw span timeline.
+#[derive(Debug, Clone)]
+pub struct ThreadResult {
+    /// Per-kind totals and the thread's lifetime.
+    pub phases: ThreadPhases,
+    /// Exclusive self-time segments on the run's shared axis.
+    pub spans: Vec<Span>,
 }
 
 /// One thread's raw span timeline: the per-segment counterpart of
@@ -131,49 +120,6 @@ pub struct ThreadSpans {
     pub spans: Vec<Span>,
 }
 
-/// Where one functional run's wall-clock time went, per thread and
-/// merged — the functional-plane counterpart of the span fields of
-/// [`gpaw_simmpi::RunReport`].
-#[derive(Debug, Clone, Default)]
-pub struct TraceReport {
-    /// Wall-clock duration of the whole run (epoch to last join).
-    pub elapsed: SimDuration,
-    /// Span totals merged across all traced threads.
-    pub phases: SpanAgg,
-    /// Per-thread breakdowns, ordered by (rank, slot).
-    pub thread_phases: Vec<ThreadPhases>,
-}
-
-impl TraceReport {
-    /// Assemble a report from finished tracers.
-    pub fn from_threads(epoch: Instant, mut threads: Vec<ThreadPhases>) -> TraceReport {
-        threads.sort_by_key(|t| (t.rank, t.slot));
-        let mut phases = SpanAgg::new();
-        for t in &threads {
-            phases.merge(&t.spans);
-        }
-        TraceReport {
-            elapsed: SimDuration::from_ns(epoch.elapsed().as_nanos() as u64),
-            phases,
-            thread_phases: threads,
-        }
-    }
-
-    /// Fraction of aggregate traced-thread time spent in `kind`.
-    pub fn fraction(&self, kind: SpanKind) -> f64 {
-        let total: f64 = self
-            .thread_phases
-            .iter()
-            .map(|t| t.finish.as_secs_f64())
-            .sum();
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.phases.get(kind).as_secs_f64() / total
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +132,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         tr.close();
         tr.close();
-        let t = tr.finish(3, 1);
+        let t = tr.finish(3, 1).phases;
         assert_eq!(t.rank, 3);
         assert_eq!(t.slot, 1);
         assert!(t.spans.get(SpanKind::Post) >= SimDuration::from_ms(2));
@@ -194,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_with_spans_keeps_the_raw_timeline() {
+    fn finish_keeps_the_raw_timeline() {
         let mut tr = WallTracer::new(Instant::now());
         tr.open(SpanKind::HaloPack);
         tr.close();
@@ -202,7 +148,7 @@ mod tests {
         tr.open(SpanKind::Post);
         tr.close();
         tr.close();
-        let (phases, spans) = tr.finish_with_spans(1, 2);
+        let ThreadResult { phases, spans } = tr.finish(1, 2);
         // Zero-length segments may be dropped, but the segments that exist
         // must aggregate to exactly the ThreadPhases totals.
         let mut agg = SpanAgg::new();
@@ -213,39 +159,5 @@ mod tests {
         assert!(spans
             .iter()
             .all(|s| s.end.since(SimTime::ZERO) <= phases.finish));
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut tr = WallTracer::disabled();
-        tr.open(SpanKind::Compute);
-        tr.close();
-        let t = tr.finish(0, 0);
-        assert_eq!(t.spans.total(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn report_merges_and_orders_threads() {
-        let epoch = Instant::now();
-        let mk = |rank: usize, slot: usize, ms: u64| {
-            let mut spans = SpanAgg::new();
-            spans.add(SpanKind::Compute, SimDuration::from_ms(ms));
-            ThreadPhases {
-                rank,
-                slot,
-                finish: SimDuration::from_ms(ms),
-                spans,
-            }
-        };
-        let r = TraceReport::from_threads(epoch, vec![mk(1, 0, 3), mk(0, 1, 1), mk(0, 0, 4)]);
-        assert_eq!(
-            r.thread_phases
-                .iter()
-                .map(|t| (t.rank, t.slot))
-                .collect::<Vec<_>>(),
-            vec![(0, 0), (0, 1), (1, 0)]
-        );
-        assert_eq!(r.phases.get(SpanKind::Compute), SimDuration::from_ms(8));
-        assert!((r.fraction(SpanKind::Compute) - 1.0).abs() < 1e-12);
     }
 }

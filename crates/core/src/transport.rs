@@ -10,7 +10,9 @@
 //! all four threads of a process send and receive concurrently — the
 //! functional analogue of `MPI_THREAD_MULTIPLE`.
 
+use crate::interp::Comm;
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Match key: (source rank, tag).
@@ -57,28 +59,6 @@ impl<T: Send> Transport<T> {
         self.boxes.len()
     }
 
-    /// Deliver `payload` to `dst`, stamped as coming from `src` with `tag`.
-    /// Never blocks.
-    pub fn send(&self, src: usize, dst: usize, tag: u64, payload: Vec<T>) {
-        let mbox = &self.boxes[dst];
-        let mut q = mbox.lock();
-        q.entry((src, tag)).or_default().push_back(payload);
-        mbox.arrived.notify_all();
-    }
-
-    /// Block until a message from `(src, tag)` is available for `me`, then
-    /// take it.
-    pub fn recv(&self, me: usize, src: usize, tag: u64) -> Vec<T> {
-        let mbox = &self.boxes[me];
-        let mut q = mbox.lock();
-        loop {
-            if let Some(payload) = q.get_mut(&(src, tag)).and_then(VecDeque::pop_front) {
-                return payload;
-            }
-            q = mbox.arrived.wait(q).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
     /// Non-blocking receive (tests and drain checks).
     pub fn try_recv(&self, me: usize, src: usize, tag: u64) -> Option<Vec<T>> {
         let mut q = self.boxes[me].lock();
@@ -93,6 +73,30 @@ impl<T: Send> Transport<T> {
     }
 }
 
+/// The functional plane's [`Comm`]: a receive waits as long as it takes
+/// and never fails.
+impl<T: Send> Comm<T> for Transport<T> {
+    type Error = Infallible;
+
+    fn send(&self, src: usize, dst: usize, tag: u64, payload: Vec<T>) {
+        let mbox = &self.boxes[dst];
+        let mut q = mbox.lock();
+        q.entry((src, tag)).or_default().push_back(payload);
+        mbox.arrived.notify_all();
+    }
+
+    fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Vec<T>, Infallible> {
+        let mbox = &self.boxes[me];
+        let mut q = mbox.lock();
+        loop {
+            if let Some(payload) = q.get_mut(&(src, tag)).and_then(VecDeque::pop_front) {
+                return Ok(payload);
+            }
+            q = mbox.arrived.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,7 +106,7 @@ mod tests {
     fn send_then_recv() {
         let t: Transport<f64> = Transport::new(2);
         t.send(0, 1, 7, vec![1.0, 2.0]);
-        assert_eq!(t.recv(1, 0, 7), vec![1.0, 2.0]);
+        assert_eq!(t.recv(1, 0, 7), Ok(vec![1.0, 2.0]));
         assert!(t.is_drained(1));
     }
 
@@ -111,8 +115,8 @@ mod tests {
         let t: Transport<u8> = Transport::new(1);
         t.send(0, 0, 1, vec![1]);
         t.send(0, 0, 1, vec![2]);
-        assert_eq!(t.recv(0, 0, 1), vec![1]);
-        assert_eq!(t.recv(0, 0, 1), vec![2]);
+        assert_eq!(t.recv(0, 0, 1), Ok(vec![1]));
+        assert_eq!(t.recv(0, 0, 1), Ok(vec![2]));
     }
 
     #[test]
@@ -120,8 +124,8 @@ mod tests {
         let t: Transport<u8> = Transport::new(1);
         t.send(0, 0, 1, vec![1]);
         t.send(0, 0, 2, vec![2]);
-        assert_eq!(t.recv(0, 0, 2), vec![2]);
-        assert_eq!(t.recv(0, 0, 1), vec![1]);
+        assert_eq!(t.recv(0, 0, 2), Ok(vec![2]));
+        assert_eq!(t.recv(0, 0, 1), Ok(vec![1]));
     }
 
     #[test]
@@ -139,7 +143,7 @@ mod tests {
         let h = std::thread::spawn(move || t2.recv(1, 0, 42));
         std::thread::sleep(std::time::Duration::from_millis(20));
         t.send(0, 1, 42, vec![99]);
-        assert_eq!(h.join().unwrap(), vec![99]);
+        assert_eq!(h.join().unwrap(), Ok(vec![99]));
     }
 
     #[test]
@@ -157,7 +161,7 @@ mod tests {
             t.send(0, 0, tag, vec![tag * 10]);
         }
         for (tag, h) in handles.into_iter().enumerate() {
-            assert_eq!(h.join().unwrap(), vec![tag as u64 * 10]);
+            assert_eq!(h.join().unwrap(), Ok(vec![tag as u64 * 10]));
         }
     }
 }

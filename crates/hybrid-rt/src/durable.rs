@@ -20,7 +20,7 @@
 //! checkpoint store, seeds the fabric's *logical* traffic counters with
 //! the statically-known messages of the already-completed sweeps, and
 //! resumes mid-program via
-//! [`RankCtx::start_sweep`](crate::strategy::RankCtx). Because every
+//! [`RankCtx::start_sweep`](gpaw_fd::interp::RankCtx). Because every
 //! sweep's traffic is a pure function of the compiled programs, a
 //! restored run finishes with the same `run_digest` *and* the same
 //! logical message/byte counts as a run that was never killed. A spill

@@ -12,7 +12,9 @@
 
 use crate::fault::{PayloadCorruption, RecvError, RecvTimeout};
 use gpaw_bgp_hw::MapError;
+use gpaw_fd::config::Approach;
 use gpaw_fd::durable::DurableError;
+use gpaw_fd::interp::InterpError;
 use std::fmt;
 
 /// Why one rank of a native run failed.
@@ -80,51 +82,22 @@ impl fmt::Display for RankFailure {
     }
 }
 
-/// How one rank's strategy schedule failed (before rank attribution).
-#[derive(Debug)]
-pub enum StrategyError {
-    /// A receive hit the deadlock watchdog.
-    Recv(Box<RecvTimeout>),
-    /// A receive rejected a corrupted payload.
-    Corrupt(Box<PayloadCorruption>),
-    /// A worker/endpoint thread of the schedule panicked.
-    ThreadPanic {
-        /// The thread slot within the rank.
-        slot: usize,
-        /// The panic payload, stringified.
-        message: String,
-    },
-}
+/// How one rank's schedule failed (before rank attribution): the shared
+/// interpreter's error at the native fabric's receive error.
+pub type StrategyError = InterpError<RecvError>;
 
-impl StrategyError {
-    /// Attribute this schedule failure to its rank.
-    pub fn into_rank_failure(self, rank: usize) -> RankFailure {
-        match self {
-            StrategyError::Recv(t) => RankFailure {
-                rank,
-                phase: "halo-wait",
-                kind: FailureKind::RecvTimeout(t),
-            },
-            StrategyError::Corrupt(c) => RankFailure {
-                rank,
-                phase: "halo-verify",
-                kind: FailureKind::Corrupt(c),
-            },
-            StrategyError::ThreadPanic { slot, message } => RankFailure {
-                rank,
-                phase: "thread-pool",
-                kind: FailureKind::Panic(format!("slot {slot}: {message}")),
-            },
-        }
-    }
-}
-
-impl From<RecvError> for StrategyError {
-    fn from(e: RecvError) -> StrategyError {
-        match e {
-            RecvError::Timeout(t) => StrategyError::Recv(t),
-            RecvError::Corrupt(c) => StrategyError::Corrupt(c),
-        }
+impl RankFailure {
+    /// Attribute a schedule failure to its rank.
+    pub fn of(rank: usize, e: StrategyError) -> RankFailure {
+        let (phase, kind) = match e {
+            InterpError::Comm(RecvError::Timeout(t)) => ("halo-wait", FailureKind::RecvTimeout(t)),
+            InterpError::Comm(RecvError::Corrupt(c)) => ("halo-verify", FailureKind::Corrupt(c)),
+            InterpError::ThreadPanic { slot, message } => (
+                "thread-pool",
+                FailureKind::Panic(format!("slot {slot}: {message}")),
+            ),
+        };
+        RankFailure { rank, phase, kind }
     }
 }
 
@@ -150,6 +123,17 @@ pub enum RunError {
         sub_extent: usize,
         /// `cfg.halo_depth()`: the stencil halo times the fused block.
         halo_depth: usize,
+    },
+    /// The approach deals the grids over the cores statically and some
+    /// cores would hold none — a rank with nothing to sweep (flat
+    /// static with fewer grids than cores per node).
+    IdleCores {
+        /// The approach that deals the grids.
+        approach: Approach,
+        /// The job's grid count.
+        n_grids: usize,
+        /// The cores whose ranks would hold no grid, ascending.
+        cores: Vec<usize>,
     },
     /// One or more ranks failed; every failure is listed, worst first
     /// (panics before timeouts, then by rank).
@@ -240,6 +224,15 @@ impl fmt::Display for RunError {
                 "decomposition too fine: axis {axis} has a sub-extent of {sub_extent}, \
                  below the exchange depth {halo_depth}"
             ),
+            RunError::IdleCores {
+                approach,
+                n_grids,
+                cores,
+            } => write!(
+                f,
+                "{} over {n_grids} grid(s) leaves core(s) {cores:?} with no grid to sweep",
+                approach.label()
+            ),
             RunError::Failed { strategy, failures } => {
                 write!(f, "{strategy}: {} rank(s) failed", failures.len())?;
                 for fail in failures {
@@ -284,18 +277,6 @@ impl From<MapError> for RunError {
     }
 }
 
-/// Stringify a `catch_unwind` payload the way the default panic hook
-/// would.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +307,10 @@ mod tests {
     fn run_error_display_names_rank_strategy_and_pending_recv() {
         let e = RunError::Failed {
             strategy: "Hybrid multiple",
-            failures: vec![StrategyError::Recv(timeout()).into_rank_failure(1)],
+            failures: vec![RankFailure::of(
+                1,
+                InterpError::Comm(RecvError::Timeout(timeout())),
+            )],
         };
         let text = e.to_string();
         assert!(text.contains("Hybrid multiple"), "{text}");
@@ -336,21 +320,16 @@ mod tests {
 
     #[test]
     fn thread_panic_keeps_slot_and_message() {
-        let f = StrategyError::ThreadPanic {
-            slot: 2,
-            message: "boom".into(),
-        }
-        .into_rank_failure(3);
+        let f = RankFailure::of(
+            3,
+            InterpError::ThreadPanic {
+                slot: 2,
+                message: "boom".into(),
+            },
+        );
         let text = f.to_string();
         assert!(text.contains("rank 3"), "{text}");
         assert!(text.contains("slot 2: boom"), "{text}");
-    }
-
-    #[test]
-    fn panic_messages_survive_both_payload_shapes() {
-        assert_eq!(panic_message(&"static"), "static");
-        assert_eq!(panic_message(&String::from("owned")), "owned");
-        assert_eq!(panic_message(&17_u64), "non-string panic payload");
     }
 
     #[test]
@@ -406,12 +385,18 @@ mod tests {
         assert_eq!(durable.exit_code(), 3);
         let integrity = RunError::Integrity {
             strategy: "Hybrid multiple",
-            failures: vec![StrategyError::Corrupt(corruption()).into_rank_failure(1)],
+            failures: vec![RankFailure::of(
+                1,
+                InterpError::Comm(RecvError::Corrupt(corruption())),
+            )],
         };
         assert_eq!(integrity.exit_code(), 4);
         let failed = RunError::Failed {
             strategy: "Hybrid multiple",
-            failures: vec![StrategyError::Recv(timeout()).into_rank_failure(1)],
+            failures: vec![RankFailure::of(
+                1,
+                InterpError::Comm(RecvError::Timeout(timeout())),
+            )],
         };
         assert_eq!(failed.exit_code(), 1);
         assert_eq!(RunError::NoGrids.exit_code(), 1);
@@ -422,7 +407,10 @@ mod tests {
     fn integrity_error_display_names_corruption_and_identity() {
         let e = RunError::Integrity {
             strategy: "Hybrid multiple",
-            failures: vec![StrategyError::Corrupt(corruption()).into_rank_failure(1)],
+            failures: vec![RankFailure::of(
+                1,
+                InterpError::Comm(RecvError::Corrupt(corruption())),
+            )],
         };
         let text = e.to_string();
         assert!(text.contains("silent data corruption detected"), "{text}");

@@ -6,7 +6,10 @@
 //! a simulated Blue Gene/P; this crate *runs* the approaches — real
 //! `std::thread` workers, real barriers, real comm/compute overlap over
 //! an in-process rank fabric — so the strategy ranking can be measured on
-//! genuine shared-memory hardware rather than only predicted.
+//! genuine shared-memory hardware rather than only predicted. The
+//! interpreter itself is not here: it is `gpaw_fd::interp`, shared with
+//! the functional plane; this crate supplies the fabric, the faults, and
+//! the supervision around it.
 //!
 //! Structure:
 //!
@@ -22,17 +25,15 @@
 //! * [`error`] — the failure channel: [`RunError`] / [`RankFailure`] /
 //!   [`StrategyError`], so no failure mode panics the process or hangs a
 //!   condvar;
-//! * [`strategy`] — the native interpreter of the sweep programs
-//!   compiled by `gpaw_fd::program::compile_rank`. A [`Strategy`] is a
-//!   marker naming an approach ([`FlatOriginal`], [`FlatOptimized`],
-//!   [`HybridMultiple`], [`HybridMasterOnly`], [`FlatStatic`]); every one
-//!   executes through the same op-stream walk — single thread, endpoint
-//!   fleet, or master + worker pool, chosen by the compiled thread roles
-//!   — with barrier draining on failure so a dead thread never strands
-//!   its siblings;
+//! * [`strategy`] — a [`Strategy`] is a marker naming an approach
+//!   ([`FlatOriginal`], [`FlatOptimized`], [`HybridMultiple`],
+//!   [`HybridMasterOnly`], [`FlatStatic`], [`TemporalBlocked`]), and the
+//!   fabric's `Comm` impl: every approach runs through the one real-data
+//!   interpreter, `gpaw_fd::interp` — the functional plane's — over the
+//!   [`NativeFabric`];
 //! * [`runtime`] — [`NativeJob`] and one attempt: geometry resolution
 //!   (every check, every rank's compiled programs), synthetic fill, and
-//!   per-rank threads under `catch_unwind`, returning grids, a
+//!   per-rank interpreter threads under `catch_unwind`, returning grids, a
 //!   [`gpaw_simmpi::RunReport`], and raw span timelines;
 //! * [`supervisor`] — [`execute`]: the one run driver. A [`RunPolicy`]
 //!   names the retries, the geometry shrinks, the disk and the program
@@ -82,24 +83,17 @@ pub mod supervisor;
 
 pub use durable::{DurabilityConfig, DurableReport};
 pub use error::{FailureKind, RankFailure, RunError, StrategyError};
-pub use fabric::{FabricStats, NativeFabric};
-pub use fault::{
-    BadPayload, BlackHole, CorruptPayload, CorruptSnapshot, EscalationStat, FabricConfig,
-    FabricDiagnostic, FaultAction, FaultPlan, IntegrityStat, PanicInjection, PayloadCorruption,
-    RecvError, RecvTimeout,
-};
-pub use report::native_run_report;
+pub use fabric::NativeFabric;
+pub use fault::{FabricDiagnostic, FaultPlan, RecvError, RecvTimeout};
 pub use runtime::{NativeJob, NativeRun};
 pub use service::{
-    run_digest, AdmissionError, JobHandle, JobResult, JobService, Priority, ServiceConfig,
-    ServiceOutcome, ServiceStats,
+    run_digest, AdmissionError, JobHandle, JobService, Priority, ServiceConfig, ServiceOutcome,
 };
 pub use strategy::{
     all_strategies, strategy_for, FlatOptimized, FlatOriginal, FlatStatic, HybridMasterOnly,
-    HybridMultiple, RankCtx, Strategy, TemporalBlocked, ThreadResult,
+    HybridMultiple, Strategy, TemporalBlocked,
 };
 pub use supervisor::{
-    execute, run_native, supervise, supervise_durable, DegradationReport, DegradePolicy,
-    FailureClass, FailureSummary, GeometrySegment, RecoveryReport, RetryPolicy, RunPolicy,
-    SupervisedRun,
+    execute, run_native, supervise, supervise_durable, DegradePolicy, FailureClass, RecoveryReport,
+    RetryPolicy, RunPolicy, SupervisedRun,
 };

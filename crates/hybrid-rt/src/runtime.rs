@@ -1,10 +1,11 @@
-//! Launching a native run: one OS thread per rank, a strategy per rank.
+//! Launching a native run: one OS thread per rank, each running the
+//! shared interpreter.
 //!
-//! A native run is the counterpart of
-//! `gpaw_fd::exec::run_distributed_traced`: it builds the same
-//! [`CartMap`]/`RankPlan` geometry, fills the
-//! same synthetic grids, then hands each rank to a [`Strategy`] instead of
-//! the functional executor. The outcome carries the final grids (for
+//! A native run is the counterpart of `gpaw_fd::exec::run_distributed`:
+//! it builds the same [`CartMap`]/`RankPlan` geometry, fills the same
+//! synthetic grids, and runs each rank through the same interpreter
+//! (`gpaw_fd::interp::run_rank`) — over the [`NativeFabric`], with
+//! checkpoints and faults. The outcome carries the final grids (for
 //! bitwise validation), a [`RunReport`] in the timed plane's shape, and
 //! the raw per-thread span timelines (for the Chrome exporter).
 //!
@@ -21,21 +22,22 @@
 //! ([`crate::supervisor::execute`]) resolves each geometry once and
 //! replays attempts on it from checkpointed epochs.
 
-use crate::error::{panic_message, FailureKind, RankFailure, RunError};
+use crate::error::{FailureKind, RankFailure, RunError};
 use crate::fabric::NativeFabric;
 use crate::fault::FaultPlan;
 use crate::report::native_run_report;
-use crate::strategy::{RankCtx, Strategy, ThreadResult};
+use crate::strategy::Strategy;
 use gpaw_bgp_hw::spec::STENCIL_FLOPS_PER_POINT;
 use gpaw_bgp_hw::{CartMap, Partition};
 use gpaw_des::SimDuration;
 use gpaw_fd::checkpoint::{shard_layout, CheckpointStore, ShardSpec};
 use gpaw_fd::config::{Approach, FdConfig};
 use gpaw_fd::exec::SyntheticFill;
+use gpaw_fd::interp::{panic_message, run_rank, RankCtx};
 use gpaw_fd::plan::{decomposition_shortfall, rank_assignment, GridAssignment};
 use gpaw_fd::progcache::{JobPrograms, ProgramCache};
 use gpaw_fd::program::{SweepProgram, ThreadRole};
-use gpaw_fd::trace::ThreadSpans;
+use gpaw_fd::trace::{ThreadResult, ThreadSpans};
 use gpaw_grid::grid3::Grid3;
 use gpaw_grid::gridset::GridSet;
 use gpaw_grid::scalar::Scalar;
@@ -182,9 +184,10 @@ pub(crate) struct JobGeometry {
 
 /// Every check a run makes before anything is compiled or spawned: grids
 /// to sweep, a standard partition, a thread count that divides the
-/// cores, and subdomains no shallower than the exchange depth. Returns
-/// the rank map, the threads per rank and the engine config. Admission
-/// calls this alone, so a rejected job never reaches the program cache.
+/// cores, subdomains no shallower than the exchange depth, and a grid on
+/// every rank. Returns the rank map, the threads per rank and the engine
+/// config. Admission calls this alone, so a rejected job never reaches
+/// the program cache.
 pub(crate) fn check_geometry(
     job: &NativeJob,
     approach: Approach,
@@ -208,6 +211,19 @@ pub(crate) fn check_geometry(
             axis,
             sub_extent,
             halo_depth: cfg.halo_depth(),
+        });
+    }
+    let mut cores: Vec<usize> = (0..map.ranks())
+        .filter(|&rank| rank_assignment(approach, job.n_grids, &map, rank).count == 0)
+        .map(|rank| map.core_of(rank))
+        .collect();
+    cores.sort_unstable();
+    cores.dedup();
+    if !cores.is_empty() {
+        return Err(RunError::IdleCores {
+            approach,
+            n_grids: job.n_grids,
+            cores,
         });
     }
     Ok((map, threads, cfg))
@@ -350,8 +366,8 @@ pub(crate) fn run_attempt<T: SyntheticFill>(
                 s.spawn(move || -> RankOutcome<T> {
                     let run = catch_unwind(AssertUnwindSafe(|| {
                         // The geometry carries the rank's compiled
-                        // programs (which embed its plan); the strategy
-                        // only interprets them. The rank holds (and fills)
+                        // programs (which embed its plan); the shared
+                        // interpreter runs them. The rank holds (and fills)
                         // only the grids its assignment names — all of
                         // them except under FlatStatic's static quarters.
                         let programs: &[SweepProgram] = &geo.programs[rank];
@@ -376,17 +392,15 @@ pub(crate) fn run_attempt<T: SyntheticFill>(
                         };
                         let outputs = blank_grids();
                         let ctx = RankCtx {
-                            fabric,
-                            plan,
+                            comm: fabric,
                             coef,
                             programs,
-                            threads,
                             epoch,
                             start_sweep: start_epoch,
                             ckpt,
                             throttle: Duration::from_millis(job.sweep_throttle_ms),
                         };
-                        strategy.run_rank(&ctx, inputs, outputs)
+                        run_rank(&ctx, inputs, outputs)
                     }));
                     match run {
                         Ok(Ok((grids, results))) => {
@@ -400,7 +414,7 @@ pub(crate) fn run_attempt<T: SyntheticFill>(
                                 })
                             }
                         }
-                        Ok(Err(e)) => Err(e.into_rank_failure(rank)),
+                        Ok(Err(e)) => Err(RankFailure::of(rank, e)),
                         Err(p) => Err(RankFailure {
                             rank,
                             phase: "run",

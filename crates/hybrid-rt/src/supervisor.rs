@@ -367,8 +367,11 @@ pub fn execute<T: SyntheticFill>(
             ..FabricConfig::default()
         };
         let fabric: NativeFabric<T> = NativeFabric::with_config(&geo.map, config);
-        let store: Option<CheckpointStore<T>> = rolls_back
-            .then(|| CheckpointStore::new(geo.layout().into_iter().map(|s| (s.rank, s.slot))));
+        let poison = job.fault.and_then(|p| p.corrupt_snapshot);
+        let store: Option<CheckpointStore<T>> = rolls_back.then(|| {
+            CheckpointStore::new(geo.layout().into_iter().map(|s| (s.rank, s.slot)))
+                .with_poison(poison.map(|c| (c.rank, c.slot, c.epoch)))
+        });
         let start_epoch = resume.as_ref().map_or(0, |(epoch, _)| *epoch);
         if let (Some((epoch, records)), Some(store)) = (resume.take(), &store) {
             for rec in records {

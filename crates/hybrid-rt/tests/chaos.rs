@@ -20,8 +20,8 @@ use gpaw_fd::exec::{max_error_vs_reference_planned, sequential_reference};
 use gpaw_fd::plan::{decomposition_supports, RankPlan};
 use gpaw_fd::Approach;
 use gpaw_hybrid_rt::{
-    all_strategies, execute, FailureKind, FaultPlan, FlatOptimized, HybridMultiple, NativeJob,
-    RetryPolicy, RunError, RunPolicy, Strategy,
+    all_strategies, execute, FailureKind, FaultPlan, FlatOptimized, FlatStatic, HybridMultiple,
+    NativeJob, RetryPolicy, RunError, RunPolicy, Strategy,
 };
 use std::time::{Duration, Instant};
 
@@ -219,7 +219,7 @@ fn a_too_fine_decomposition_is_rejected_not_run() {
 /// sweeps, so temporal blocking fuses at block 2): a run starts exactly
 /// when `decomposition_supports` says its geometry admits the exchange
 /// depth, every rank's plan then builds, and every other run is the typed
-/// rejection.
+/// rejection — as is a flat-static job that leaves a core without grids.
 #[test]
 fn runs_start_exactly_when_the_decomposition_supports_them() {
     for nodes in [1, 2] {
@@ -250,6 +250,17 @@ fn runs_start_exactly_when_the_decomposition_supports_them() {
                     Err(e) => panic!("{what}: {e}"),
                 }
             }
+        }
+        // Flat static deals the grids over the 4 cores statically: with 3
+        // grids, core 3's ranks would hold nothing. Typed, not a panic.
+        let job = NativeJob::new([12, 10, 8], 3, nodes);
+        match execute::<f64>(&job, &FlatStatic, &RunPolicy::bare()).err() {
+            Some(RunError::IdleCores {
+                approach: Approach::FlatStatic,
+                n_grids: 3,
+                cores,
+            }) => assert_eq!(cores, [3]),
+            other => panic!("flat static over 3 grids: expected IdleCores, got {other:?}"),
         }
     }
 }

@@ -209,8 +209,22 @@ fn hybrid_ledgers_record_barrier_time() {
             "{}: no barrier spans",
             s.name()
         );
-        // 2 ranks × 4 threads.
+        // 2 ranks × 4 threads, one phase set each, and every span kind
+        // of the interpreter's ledger present.
         assert_eq!(run.report.thread_phases.len(), 8);
         assert_eq!(run.timelines.len(), 8);
+        for kind in [
+            SpanKind::Compute,
+            SpanKind::HaloPack,
+            SpanKind::HaloUnpack,
+            SpanKind::Post,
+            SpanKind::Wait,
+        ] {
+            assert!(
+                run.report.phases.get(kind) > SimDuration::ZERO,
+                "{}: {kind:?} missing from the ledger",
+                s.name()
+            );
+        }
     }
 }

@@ -251,6 +251,12 @@ fn admission_rejects_full_queues_and_impossible_jobs() {
         Err(AdmissionError::Rejected(RunError::Decomposition { halo_depth: 2, .. })) => {}
         other => panic!("expected Rejected(Decomposition), got {other:?}"),
     }
+    // Flat static over 3 grids leaves core 3's ranks nothing to sweep.
+    let idle_core = NativeJob::new([12, 10, 8], 3, 1);
+    match service.submit("c", Priority::Normal, Approach::FlatStatic, idle_core) {
+        Err(AdmissionError::Rejected(RunError::IdleCores { .. })) => {}
+        other => panic!("expected Rejected(IdleCores), got {other:?}"),
+    }
 
     service.resume();
     let solo = solo_identity(&job, Approach::FlatOptimized);
