@@ -9,7 +9,6 @@
 //! diagnostic naming the pending receive — never hang.
 
 use super::*;
-use gpaw_hybrid_rt::HybridMultiple;
 
 const SEEDS: u64 = 10;
 const WATCHDOG_MS: u64 = 500;
@@ -23,7 +22,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
         for seed in 0..SEEDS {
             let what = format!("{} seed {seed}", g.name);
             let chaotic = g.job.with_fault(FaultPlan::benign(seed));
-            let run = execute::<f64>(&chaotic, g.s.as_ref(), &RunPolicy::bare())
+            let run = execute::<f64>(&chaotic, g.approach, &RunPolicy::bare())
                 .context(&what)?
                 .run;
             g.identity
@@ -32,7 +31,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
             let plan = FaultPlan::quiet(seed).with_corrupt_payload(0, g.dst, 1 + seed % 2);
             let corrupt = g.job.with_recv_timeout_ms(300).with_fault(plan);
             expect_typed_corruption(&what, &corrupt, &g)?;
-            let sup = execute::<f64>(&corrupt, g.s.as_ref(), &retry(4)).context(&what)?;
+            let sup = execute::<f64>(&corrupt, g.approach, &retry(4)).context(&what)?;
             g.identity
                 .check(&format!("{what}, corrupt recovery"), Identity::of(&sup.run))?;
             let detected = sup.recovery.corruptions_detected;
@@ -46,7 +45,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
         .with_threads(THREADS[0])
         .with_recv_timeout_ms(WATCHDOG_MS);
     let lethal = lethal.with_fault(FaultPlan::quiet(1).with_black_hole(0, 1, 1));
-    match execute::<f64>(&lethal, &HybridMultiple, &RunPolicy::bare()) {
+    match execute::<f64>(&lethal, Approach::HybridMultiple, &RunPolicy::bare()) {
         Ok(_) => {
             return Err(SoakFailure::divergence(
                 "black-holed run completed: fault lost",

@@ -72,7 +72,7 @@ fn check_span(
 pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
     let (mut runs, mut degrades, mut segments, mut retries) = (0u64, 0u64, 0u64, 0u64);
     per_strategy(ledger, job(2, 0), |g| {
-        let a = g.s.approach();
+        let a = g.approach;
         let geometries = [programs(&g.job, a, 2), programs(&g.job, a, 1)];
         let mut last = None;
         for seed in 0..SEEDS {
@@ -81,7 +81,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
             let degrade = DegradePolicy::default();
             let sup = execute::<f64>(
                 &faulted,
-                g.s.as_ref(),
+                g.approach,
                 &RunPolicy {
                     degrade,
                     ..retry(2)
@@ -135,7 +135,6 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
 fn kill_rounds(root: &Path) -> Result<(u64, u64), SoakFailure> {
     let (mut kills, mut cross_geometry) = (0u64, 0u64);
     for a in [FlatOptimized, HybridMultiple, TemporalBlocked] {
-        let s = strategy_for::<f64>(a);
         let mut one_node = job(2, 0);
         one_node.nodes = 1;
         let survivor = programs(&one_node, a, 1);
@@ -148,11 +147,11 @@ fn kill_rounds(root: &Path) -> Result<(u64, u64), SoakFailure> {
             kills += 1;
             // A very early kill can beat the victim to creating the
             // directory; the restart then starts fresh on 1 node.
-            let what = format!("{} kill seed {seed} (killed at {delay:?})", s.name());
+            let what = format!("{} kill seed {seed} (killed at {delay:?})", a.label());
             let durability = DurabilityConfig::new(&dir).with_restore(dir.is_dir());
             let dr = execute::<f64>(
                 &one_node,
-                s.as_ref(),
+                a,
                 &RunPolicy {
                     durable: Some(durability),
                     ..retry(2)

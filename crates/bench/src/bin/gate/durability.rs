@@ -46,7 +46,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
 fn soak(ledger: &mut Ledger, root: &Path) -> Result<(), SoakFailure> {
     let (mut runs, mut kills, mut midrun, mut resumed, mut degraded) = (0u64, 0u64, 0, 0, 0);
     per_strategy(ledger, job(2, 0), |g| {
-        let (a, threads) = (g.s.approach(), g.job.threads);
+        let (a, threads) = (g.approach, g.job.threads);
         for seed in 0..SEEDS {
             let dir = root.join(format!("{}_{threads}t_seed{seed}", a.slug()));
             // Kill anywhere from before the first sweep to past the
@@ -60,7 +60,7 @@ fn soak(ledger: &mut Ledger, root: &Path) -> Result<(), SoakFailure> {
                 durable: Some(DurabilityConfig::new(&dir).with_restore(dir.is_dir())),
                 ..retry(4)
             };
-            let dr = execute::<f64>(&g.job, g.s.as_ref(), &restore).context(&what)?;
+            let dr = execute::<f64>(&g.job, g.approach, &restore).context(&what)?;
             let (resumed_from, skipped) = (dr.durable.resumed_from, dr.durable.degraded.len());
             let what = format!("{what}, resumed from epoch {resumed_from}");
             g.identity.check(&what, Identity::of(&dr.run))?;
@@ -97,8 +97,7 @@ fn corruption_cases(root: &Path) -> Result<u64, SoakFailure> {
         durable: Some(config),
         ..retry(4)
     };
-    let s = strategy_for::<f64>(a);
-    let (_, identity) = clean(&job, s.as_ref())?;
+    let (_, identity) = clean(&job, a)?;
     let newest_epoch = |dir: &Path, damage: fn(&mut Vec<u8>)| {
         let store = DurableStore::open(dir).expect("open the spill dir");
         let epochs = store.epochs_on_disk().expect("list the epochs");
@@ -129,11 +128,11 @@ fn corruption_cases(root: &Path) -> Result<u64, SoakFailure> {
     for (case, damage, max_resume) in cases {
         let dir = root.join(format!("corrupt_{case}"));
         let spill = DurabilityConfig::new(&dir);
-        execute::<f64>(&job, s.as_ref(), &durable(spill.clone())).context(case)?;
+        execute::<f64>(&job, a, &durable(spill.clone())).context(case)?;
         damage(&dir);
         let what = format!("{case}: restore (it must degrade, not fail)");
         let restore = durable(spill.with_restore(true));
-        let dr = execute::<f64>(&job, s.as_ref(), &restore).context(&what)?;
+        let dr = execute::<f64>(&job, a, &restore).context(&what)?;
         let (digest, resumed_from) = (run_digest(&dr.run.sets), dr.durable.resumed_from);
         ensure!(
             digest == identity.digest,

@@ -31,7 +31,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
             let what = format!("{} seed {seed}, payload flip", g.name);
             let plan = FaultPlan::benign(seed).with_corrupt_payload(0, g.dst, 1 + seed % 2);
             let faulted = g.job.with_fault(plan);
-            let sup = execute::<f64>(&faulted, g.s.as_ref(), &retry(4)).context(&what)?;
+            let sup = execute::<f64>(&faulted, g.approach, &retry(4)).context(&what)?;
             g.identity.check(&what, Identity::of(&sup.run))?;
             let r = sup.recovery;
             ensure!(
@@ -48,13 +48,13 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
         // The panic ordinal climbs until a rollback reaches the poisoned
         // epoch-1 snapshot.
         let snap_job = g.job.with_sweeps(3);
-        let (_, snap_identity) = clean(&snap_job, g.s.as_ref())?;
+        let (_, snap_identity) = clean(&snap_job, g.approach)?;
         let mut convicted = 0;
         for after_sends in [4u64, 6, 8, 12, 16, 24, 32, 48] {
             let what = format!("{} after {after_sends} sends, snapshot poison", g.name);
             let plan = FaultPlan::quiet(9).with_panic_on_send(0, after_sends);
             let poisoned = snap_job.with_fault(plan.with_corrupt_snapshot(0, 0, 1));
-            let sup = execute::<f64>(&poisoned, g.s.as_ref(), &retry(4)).context(&what)?;
+            let sup = execute::<f64>(&poisoned, g.approach, &retry(4)).context(&what)?;
             if sup.recovery.attempts == 1 {
                 // The ordinal outran the run's sends: the panic never
                 // fired and the poison was never on a rollback path.

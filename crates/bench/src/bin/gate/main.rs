@@ -47,8 +47,8 @@ use gpaw_fd::plan::RankPlan;
 use gpaw_fd::Approach;
 use gpaw_grid::stencil::StencilCoeffs;
 use gpaw_hybrid_rt::{
-    execute, run_digest, strategy_for, DurabilityConfig, FaultPlan, NativeJob, NativeRun,
-    RetryPolicy, RunError, RunPolicy, Strategy,
+    execute, run_digest, DurabilityConfig, FaultPlan, NativeJob, NativeRun, RetryPolicy, RunError,
+    RunPolicy,
 };
 use gpaw_simmpi::RunReport;
 use std::path::Path;
@@ -161,15 +161,12 @@ impl Identity {
 
 /// A fault-free run of `job`, verified bitwise against the sequential
 /// reference, and its identity.
-fn clean(
-    job: &NativeJob,
-    s: &dyn Strategy<f64>,
-) -> Result<(NativeRun<f64>, Identity), SoakFailure> {
-    let what = format!("{} clean run ({} threads)", s.name(), job.threads);
-    let run = execute::<f64>(job, s, &RunPolicy::bare())
+fn clean(job: &NativeJob, approach: Approach) -> Result<(NativeRun<f64>, Identity), SoakFailure> {
+    let what = format!("{} clean run ({} threads)", approach.label(), job.threads);
+    let run = execute::<f64>(job, approach, &RunPolicy::bare())
         .context(&what)?
         .run;
-    verify_reference(&what, job, s.approach(), &run)?;
+    verify_reference(&what, job, approach, &run)?;
     let identity = Identity::of(&run);
     Ok((run, identity))
 }
@@ -196,7 +193,7 @@ fn verify_reference(
 /// An unsupervised corrupted run must fail with the typed
 /// [`RunError::Integrity`]: never complete, never surface as a stall.
 fn expect_typed_corruption(what: &str, job: &NativeJob, g: &Group) -> Result<(), SoakFailure> {
-    match execute::<f64>(job, g.s.as_ref(), &RunPolicy::bare()) {
+    match execute::<f64>(job, g.approach, &RunPolicy::bare()) {
         Err(RunError::Integrity { .. }) => Ok(()),
         other => {
             let got = other
@@ -212,7 +209,7 @@ fn expect_typed_corruption(what: &str, job: &NativeJob, g: &Group) -> Result<(),
 struct Group {
     /// `"<strategy> (<threads> threads)"`, for messages.
     name: String,
-    s: Box<dyn Strategy<f64>>,
+    approach: Approach,
     job: NativeJob,
     clean: NativeRun<f64>,
     identity: Identity,
@@ -231,13 +228,13 @@ fn per_strategy(
 ) -> Result<(), SoakFailure> {
     for threads in THREADS {
         for a in Approach::ALL {
-            let (s, job) = (strategy_for::<f64>(a), base.with_threads(threads));
-            let (clean, identity) = clean(&job, s.as_ref())?;
+            let job = base.with_threads(threads);
+            let (clean, identity) = clean(&job, a)?;
             let dst = neighbor_of_rank0(&job, a, &clean.map);
             let name = format!("{} ({threads} threads)", a.label());
             let r = soak(Group {
                 name,
-                s,
+                approach: a,
                 job,
                 clean,
                 identity,
@@ -287,10 +284,9 @@ fn child_main(scenario: &str, args: &[String]) -> u8 {
     let (job, policy) = victim(threads);
     let durability = DurabilityConfig::new(dir).with_spill_every(1);
     let durability = durability.with_restore(mode == "restore");
-    let s = strategy_for(approach);
     match execute::<f64>(
         &job,
-        s.as_ref(),
+        approach,
         &RunPolicy {
             durable: Some(durability),
             ..policy

@@ -34,7 +34,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
             for (injector, plan) in injectors {
                 let what = format!("{} seed {seed}, {injector}", g.name);
                 let faulted = g.job.with_fault(plan);
-                let sup = execute::<f64>(&faulted, g.s.as_ref(), &retry(4)).context(&what)?;
+                let sup = execute::<f64>(&faulted, g.approach, &retry(4)).context(&what)?;
                 g.identity.check(&what, Identity::of(&sup.run))?;
                 let r = sup.recovery;
                 ensure!(

@@ -124,7 +124,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
                 fault: None,
                 ..m.job
             };
-            let (run, identity) = clean(&job, strategy_for::<f64>(m.approach).as_ref())?;
+            let (run, identity) = clean(&job, m.approach)?;
             slot.insert((identity, run.map));
         }
     }

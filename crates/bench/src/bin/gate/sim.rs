@@ -113,7 +113,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
         let job = NativeJob::new([16, 16, 16], 4, 1)
             .with_threads(2)
             .with_sweeps(sweeps);
-        let (run, _) = clean(&job, strategy_for::<f64>(a).as_ref())?;
+        let (run, _) = clean(&job, a)?;
         let name = format!("native/2/{}", a.label());
         ledger.point(&name, a.label(), 2, job.batch, run.report);
     }

@@ -37,9 +37,7 @@ use gpaw_fd::config::Approach;
 use gpaw_fd::exec::{max_error_vs_reference_planned, sequential_reference};
 use gpaw_fd::{ChromeTrace, ExperimentReport};
 use gpaw_grid::stencil::StencilCoeffs;
-use gpaw_hybrid_rt::{
-    execute, strategy_for, DurabilityConfig, NativeJob, NativeRun, RetryPolicy, RunPolicy, Strategy,
-};
+use gpaw_hybrid_rt::{execute, DurabilityConfig, NativeJob, NativeRun, RetryPolicy, RunPolicy};
 use std::path::PathBuf;
 
 fn main() {
@@ -116,9 +114,9 @@ fn main() {
         println!("[durable] --checkpoint-dir set: forcing --repeats 1\n");
         repeats = 1;
     }
-    let suite: Vec<Box<dyn Strategy<f64>>> = match approach {
-        Some(a) => vec![strategy_for(a)],
-        None => Approach::GRAPHED.iter().map(|&a| strategy_for(a)).collect(),
+    let suite: Vec<Approach> = match approach {
+        Some(a) => vec![a],
+        None => Approach::GRAPHED.to_vec(),
     };
 
     // Compute-heavy enough that the schedule differences (message count,
@@ -150,8 +148,8 @@ fn main() {
 
     let mut json = ExperimentReport::new("native_headline");
     let mut results: Vec<(String, NativeRun<f64>)> = Vec::new();
-    for s in &suite {
-        let cfg = job.config(s.approach());
+    for &a in &suite {
+        let cfg = job.config(a);
         let mut best: Option<NativeRun<f64>> = None;
         for _ in 0..repeats {
             let policy = match &checkpoint_dir {
@@ -159,7 +157,7 @@ fn main() {
                 // this approach from its newest durable epoch first.
                 Some(dir) => RunPolicy {
                     durable: Some(
-                        DurabilityConfig::new(dir.join(s.approach().slug()))
+                        DurabilityConfig::new(dir.join(a.slug()))
                             .with_spill_every(spill_every)
                             .with_restore(restore),
                     ),
@@ -169,16 +167,16 @@ fn main() {
             };
             // One shared exit taxonomy: Durable → 3, Integrity → 4, other
             // failures → 1.
-            let sup = execute::<f64>(&job, s.as_ref(), &policy).unwrap_or_else(|e| {
-                eprintln!("{}: {e}", s.name());
+            let sup = execute::<f64>(&job, a, &policy).unwrap_or_else(|e| {
+                eprintln!("{}: {e}", a.label());
                 std::process::exit(e.exit_code());
             });
             if sup.durable.resumed_from > 0 {
                 let epoch = sup.durable.resumed_from;
-                println!("[durable] {}: resumed from epoch {epoch}", s.name());
+                println!("[durable] {}: resumed from epoch {epoch}", a.label());
             }
             for note in &sup.durable.degraded {
-                println!("[durable] {}: degraded: {note}", s.name());
+                println!("[durable] {}: degraded: {note}", a.label());
             }
             let run = sup.run;
             let err =
@@ -187,7 +185,7 @@ fn main() {
                 err,
                 0.0,
                 "{}: native result diverged from the sequential reference",
-                s.name()
+                a.label()
             );
             if best
                 .as_ref()
@@ -198,13 +196,13 @@ fn main() {
         }
         let best = best.expect("at least one repeat ran");
         json.push(
-            format!("native/{threads}/{}", s.name()),
-            s.name(),
+            format!("native/{threads}/{}", a.label()),
+            a.label(),
             best.report.threads,
             job.batch,
             best.report.clone(),
         );
-        results.push((s.name().to_string(), best));
+        results.push((a.label().to_string(), best));
     }
 
     let mut t = Table::new(vec![

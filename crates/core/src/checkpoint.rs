@@ -486,21 +486,30 @@ pub struct ShardSpec {
     pub grid_ids: Vec<usize>,
 }
 
+/// The programs of one rank that deposit, one per checkpoint slot: every
+/// thread of a fleet of peer endpoints (hybrid multiple, temporal
+/// blocked), each snapshotting its own round-robin grid share; otherwise
+/// the first program alone, under slot 0, holding the rank's whole grid
+/// assignment (which for flat static is the core's quarter of the set).
+/// Mirrors what the interpreter deposits, for [`shard_layout`] and
+/// [`restore_inputs`] alike.
+fn deposit_slots(progs: &[SweepProgram]) -> &[SweepProgram] {
+    if progs.len() > 1 && matches!(progs[0].role, ThreadRole::Endpoint) {
+        progs
+    } else {
+        &progs[..1]
+    }
+}
+
 /// The checkpoint layout of one geometry's compiled programs: one
-/// [`ShardSpec`] per `(rank, slot)` checkpoint key, in key order.
-///
-/// Mirrors the runtime's deposit/restore convention: ranks whose slot
-/// programs are peer endpoints (hybrid multiple, temporal blocked)
-/// deposit one snapshot per thread slot holding that slot's round-robin
-/// grid share; every other role deposits a single slot-0 snapshot
-/// holding the rank's whole grid assignment (which for flat static is
-/// the core's quarter of the set).
+/// [`ShardSpec`] per `(rank, slot)` checkpoint key, in key order. Ranks
+/// whose threads are peer endpoints deposit one snapshot per thread slot,
+/// holding that slot's round-robin grid share; every other rank deposits
+/// a single slot-0 snapshot of its whole grid assignment.
 pub fn shard_layout(programs: &[Vec<SweepProgram>]) -> Vec<ShardSpec> {
     let mut layout = Vec::new();
     for (rank, progs) in programs.iter().enumerate() {
-        let multi = progs.len() > 1 && matches!(progs[0].role, ThreadRole::Endpoint);
-        let slots: &[SweepProgram] = if multi { progs } else { &progs[..1] };
-        for (slot, prog) in slots.iter().enumerate() {
+        for (slot, prog) in deposit_slots(progs).iter().enumerate() {
             layout.push(ShardSpec {
                 rank,
                 slot,
@@ -510,6 +519,49 @@ pub fn shard_layout(programs: &[Vec<SweepProgram>]) -> Vec<ShardSpec> {
         }
     }
     layout
+}
+
+/// Rebuild one rank's input grids, in the rank's local order, from its
+/// snapshots of `epoch` — the resume half of [`shard_layout`]'s layout.
+/// A fleet of endpoints holds every grid of the job and deposits per slot
+/// in thread-local order, so each slot's grids go back to the global ids
+/// its assignment names; every other rank restores its slot-0 snapshot.
+///
+/// # Panics
+/// Panics when there is no store or a snapshot is missing — a driver bug,
+/// not a recoverable condition; the rank's `catch_unwind` contains it.
+pub(crate) fn restore_inputs<T: Scalar>(
+    store: Option<&CheckpointStore<T>>,
+    rank: usize,
+    programs: &[SweepProgram],
+    epoch: Epoch,
+) -> Vec<Grid3<T>> {
+    let Some(store) = store else {
+        panic!("rank {rank}: resume from epoch {epoch} without a checkpoint store");
+    };
+    let snapshot = |slot: usize| {
+        store
+            .restore(rank, slot, epoch)
+            .unwrap_or_else(|| panic!("rank {rank} slot {slot}: no checkpoint for epoch {epoch}"))
+    };
+    let slots = deposit_slots(programs);
+    if slots.len() == 1 {
+        return snapshot(0);
+    }
+    let held = slots.iter().map(|p| p.asg.count).sum();
+    let mut by_id: Vec<Option<Grid3<T>>> = (0..held).map(|_| None).collect();
+    for (slot, prog) in slots.iter().enumerate() {
+        for (j, g) in snapshot(slot).into_iter().enumerate() {
+            by_id[prog.asg.id(j)] = Some(g);
+        }
+    }
+    by_id
+        .into_iter()
+        .enumerate()
+        .map(|(id, g)| {
+            g.unwrap_or_else(|| panic!("rank {rank}: grid {id} missing at epoch {epoch}"))
+        })
+        .collect()
 }
 
 /// Why a cross-geometry gather failed. Every mismatch between the

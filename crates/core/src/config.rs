@@ -48,8 +48,8 @@ impl Approach {
     ];
 
     /// Every approach the compiler can emit, in canonical order. This is
-    /// THE strategy list: soaks, suites, and `all_strategies()` all derive
-    /// from it, so a new approach registers everywhere at once.
+    /// THE strategy list: soaks and suites all iterate it, so a new
+    /// approach registers everywhere at once.
     pub const ALL: [Approach; 6] = [
         Approach::FlatOriginal,
         Approach::FlatOptimized,

@@ -77,6 +77,8 @@ const TMP_SUFFIX: &str = ".tmp";
 /// Bytes converted, checksummed and written per step of the streaming
 /// writer: L2-resident, and a whole number of both scalar widths.
 const CHUNK_BYTES: usize = 64 << 10;
+/// A record's frame header: payload_len u64 · payload_crc u32.
+const FRAME_LEN: usize = 8 + 4;
 /// A record payload's leading fields: rank · slot · n_grids.
 const RECORD_FIELDS_LEN: usize = 3 * 8;
 /// A grid's leading fields: n0 n1 n2 · halo · words · data_words.
@@ -432,25 +434,31 @@ impl DurableStore {
                 "file claims epoch {file_epoch}, name says {epoch}"
             )));
         }
+        // Every size read from the file is checked against the bytes that
+        // remain before anything is allocated by it: a frame with valid
+        // checksums can still claim anything.
         let count = read_u32(&bytes, 16) as usize;
+        let mut rest = Reader(&bytes[HEADER_LEN..]);
+        let room = rest.0.len() / (FRAME_LEN + RECORD_FIELDS_LEN);
+        if count > room {
+            return Err(corrupt(format!(
+                "header claims {count} records, the file has room for {room}"
+            )));
+        }
         let words = T::BYTES / 8;
         let mut records = Vec::with_capacity(count);
-        let mut at = HEADER_LEN;
         for i in 0..count {
-            if bytes.len() < at + 12 {
-                return Err(corrupt(format!("truncated frame header for record {i}")));
-            }
-            let len = read_u64(&bytes, at) as usize;
-            let stored_crc = read_u32(&bytes, at + 8);
-            at += 12;
-            if bytes.len() < at + len {
-                return Err(corrupt(format!(
-                    "truncated payload for record {i}: need {len} bytes, have {}",
-                    bytes.len() - at
-                )));
-            }
-            let payload = &bytes[at..at + len];
-            at += len;
+            let frame = rest
+                .take(FRAME_LEN)
+                .ok_or_else(|| corrupt(format!("truncated frame header for record {i}")))?;
+            let len = read_u64(frame, 0);
+            let stored_crc = read_u32(frame, 8);
+            let have = rest.0.len();
+            let payload = rest.take_u64(len).ok_or_else(|| {
+                corrupt(format!(
+                    "truncated payload for record {i}: need {len} bytes, have {have}"
+                ))
+            })?;
             if crc32(payload) != stored_crc {
                 return Err(corrupt(format!("checksum mismatch on record {i}")));
             }
@@ -616,7 +624,7 @@ fn stream_epoch<T: Scalar>(
             }
         }
         patches.push((at + 8, crc.finish()));
-        at += 12 + payload_len as u64;
+        at += (FRAME_LEN + payload_len) as u64;
     }
     out.flush()?;
     drop(out);
@@ -627,35 +635,50 @@ fn stream_epoch<T: Scalar>(
     Ok(())
 }
 
+/// A bounds-checked cursor over a frame: every read either fits in the
+/// bytes that remain or fails, whatever size the file claims.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// The next `n` bytes, if that many remain.
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, tail) = self.0.split_at_checked(n)?;
+        self.0 = tail;
+        Some(head)
+    }
+
+    /// [`take`](Reader::take) of a length read from the file.
+    fn take_u64(&mut self, n: u64) -> Option<&'a [u8]> {
+        self.take(usize::try_from(n).ok()?)
+    }
+}
+
 fn parse_record<T: Scalar>(
     payload: &[u8],
     words: usize,
     index: usize,
     corrupt: &dyn Fn(String) -> DurableError,
 ) -> Result<SnapshotRecord<T>, DurableError> {
-    let mut at = 0usize;
-    let next_u64 = |at: &mut usize| -> Result<u64, DurableError> {
-        if payload.len() < *at + 8 {
-            return Err(corrupt(format!("record {index} payload ends mid-field")));
-        }
-        let v = read_u64(payload, *at);
-        *at += 8;
-        Ok(v)
-    };
-    let rank = next_u64(&mut at)? as usize;
-    let slot = next_u64(&mut at)? as usize;
-    let n_grids = next_u64(&mut at)? as usize;
-    let mut grids = Vec::with_capacity(n_grids);
+    let mut rest = Reader(payload);
+    let fields = rest
+        .take(RECORD_FIELDS_LEN)
+        .ok_or_else(|| corrupt(format!("record {index} payload ends mid-field")))?;
+    let [rank, slot, n_grids] = std::array::from_fn(|k| read_u64(fields, 8 * k));
+    let room = (rest.0.len() / GRID_FIELDS_LEN) as u64;
+    if n_grids > room {
+        return Err(corrupt(format!(
+            "record {index} claims {n_grids} grids, its payload has room for {room}"
+        )));
+    }
+    let mut grids = Vec::with_capacity(n_grids as usize);
     for gi in 0..n_grids {
-        let n = [
-            next_u64(&mut at)? as usize,
-            next_u64(&mut at)? as usize,
-            next_u64(&mut at)? as usize,
-        ];
-        let halo = next_u64(&mut at)? as usize;
-        let file_words = next_u64(&mut at)? as usize;
-        let data_words = next_u64(&mut at)? as usize;
-        if file_words != words {
+        let fields = rest
+            .take(GRID_FIELDS_LEN)
+            .ok_or_else(|| corrupt(format!("record {index} payload ends mid-field")))?;
+        let [n0, n1, n2, halo, file_words, data_words] =
+            std::array::from_fn(|k| read_u64(fields, 8 * k));
+        let n = [n0, n1, n2];
+        if file_words != words as u64 {
             return Err(corrupt(format!(
                 "record {index} grid {gi}: {file_words} words per point on disk, this scalar \
                  type has {words}"
@@ -666,21 +689,27 @@ fn parse_record<T: Scalar>(
                 "record {index} grid {gi}: implausible geometry {n:?} halo {halo}"
             )));
         }
-        let mut g = Grid3::<T>::zeros(n, halo);
-        if data_words != g.data().len() * words {
+        // The padded storage size, from the header alone: no grid is
+        // allocated until its data is known to be in the payload.
+        let expected = n
+            .iter()
+            .try_fold(words as u64, |acc, &d| acc.checked_mul(d + 2 * halo));
+        if expected != Some(data_words) {
             return Err(corrupt(format!(
                 "record {index} grid {gi}: {data_words} data words for geometry {n:?} halo \
                  {halo}, expected {}",
-                g.data().len() * words
+                expected.map_or("more than 2^64".into(), |e| e.to_string())
             )));
         }
-        if payload.len() < at + data_words * 8 {
-            return Err(corrupt(format!(
-                "record {index} grid {gi}: payload truncated inside grid data"
-            )));
-        }
-        let stored = &payload[at..at + data_words * 8];
-        at += data_words * 8;
+        let stored = data_words
+            .checked_mul(8)
+            .and_then(|bytes| rest.take_u64(bytes))
+            .ok_or_else(|| {
+                corrupt(format!(
+                    "record {index} grid {gi}: payload truncated inside grid data"
+                ))
+            })?;
+        let mut g = Grid3::<T>::zeros(n.map(|d| d as usize), halo as usize);
         for (v, cell) in g.data_mut().iter_mut().zip(stored.chunks_exact(T::BYTES)) {
             let mut w = [0u64; 2];
             for (word, le) in w.iter_mut().zip(cell.chunks_exact(8)) {
@@ -690,12 +719,13 @@ fn parse_record<T: Scalar>(
         }
         grids.push(g);
     }
-    if at != payload.len() {
+    if !rest.0.is_empty() {
         return Err(corrupt(format!(
             "record {index}: {} trailing bytes after the last grid",
-            payload.len() - at
+            rest.0.len()
         )));
     }
+    let (rank, slot) = (rank as usize, slot as usize);
     Ok(SnapshotRecord { rank, slot, grids })
 }
 
@@ -1166,6 +1196,172 @@ mod tests {
         fs::write(store.epoch_path(2), b"zzzz").unwrap();
         store.retain_newest(1).unwrap();
         assert_eq!(store.epochs_on_disk().unwrap(), vec![2, 3, 5]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An epoch file whose every checksum is valid but whose one record
+    /// claims `n_grids = u64::MAX` (rank 0, slot 0).
+    fn endless_record_frame() -> Vec<u8> {
+        let mut payload = Vec::new();
+        for field in [0, 0, u64::MAX] {
+            push_u64(&mut payload, field);
+        }
+        let mut file = Vec::new();
+        file.extend_from_slice(&MAGIC);
+        push_u32(&mut file, SCHEMA_VERSION);
+        push_u64(&mut file, 1);
+        push_u32(&mut file, 1);
+        let hcrc = crc32(&file);
+        push_u32(&mut file, hcrc);
+        push_u64(&mut file, payload.len() as u64);
+        push_u32(&mut file, crc32(&payload));
+        file.extend_from_slice(&payload);
+        file
+    }
+
+    #[test]
+    fn a_hostile_grid_count_with_valid_checksums_is_corrupt_not_a_panic() {
+        let dir = tmpdir("hostile");
+        let store = DurableStore::create(&dir).unwrap();
+        fs::write(store.epoch_path(1), endless_record_frame()).unwrap();
+        let err = store.load_epoch::<f64>(1).unwrap_err();
+        assert!(matches!(err, DurableError::Corrupt { .. }), "got {err}");
+        let rec = store.recover::<f64>().unwrap();
+        assert_eq!(rec.epoch, 0);
+        assert!(rec
+            .skipped
+            .iter()
+            .any(|e| matches!(e, DurableError::Corrupt { .. })));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Re-stamp the header checksum and every record checksum the frame
+    /// structure still reaches, so a mutation is judged by the parser
+    /// rather than stopped at a checksum.
+    fn restamp(bytes: &mut [u8]) {
+        if bytes.len() < HEADER_LEN {
+            return;
+        }
+        let hcrc = crc32(&bytes[..20]);
+        bytes[20..24].copy_from_slice(&hcrc.to_le_bytes());
+        let mut at = HEADER_LEN;
+        for _ in 0..read_u32(bytes, 16) {
+            let Some(start) = at.checked_add(FRAME_LEN).filter(|&e| e <= bytes.len()) else {
+                return;
+            };
+            let end = usize::try_from(read_u64(bytes, at))
+                .ok()
+                .and_then(|len| start.checked_add(len))
+                .filter(|&e| e <= bytes.len());
+            let Some(end) = end else {
+                return;
+            };
+            let crc = crc32(&bytes[start..end]);
+            bytes[at + 8..start].copy_from_slice(&crc.to_le_bytes());
+            at = end;
+        }
+    }
+
+    /// One seeded mutation: flip a bit, overwrite a word with a hostile
+    /// size, overwrite a run of bytes, truncate, or extend.
+    fn mutate(bytes: &mut Vec<u8>, rng: &mut gpaw_des::SplitMix64) {
+        const HOSTILE: [u64; 7] = [
+            0,
+            1,
+            u64::MAX,
+            1 << 20,
+            (1 << 20) + 1,
+            1 << 40,
+            u32::MAX as u64,
+        ];
+        let at =
+            |rng: &mut gpaw_des::SplitMix64, len: usize| rng.next_below(len.max(1) as u64) as usize;
+        match rng.next_below(5) {
+            0 if !bytes.is_empty() => {
+                let i = at(rng, bytes.len());
+                bytes[i] ^= 1 << rng.next_below(8);
+            }
+            1 if bytes.len() >= 8 => {
+                let i = at(rng, bytes.len() - 7);
+                let v = match rng.next_below(HOSTILE.len() as u64 + 1) as usize {
+                    k if k < HOSTILE.len() => HOSTILE[k],
+                    _ => rng.next_u64(),
+                };
+                bytes[i..i + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            2 => {
+                let i = at(rng, bytes.len());
+                let end = (i + 1 + at(rng, 16)).min(bytes.len());
+                for b in &mut bytes[i..end] {
+                    *b = rng.next_u64() as u8;
+                }
+            }
+            3 => bytes.truncate(at(rng, bytes.len() + 1)),
+            _ => {
+                for _ in 0..1 + at(rng, 64) {
+                    bytes.push(rng.next_u64() as u8);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_epoch_files_recover_typed_and_never_panic() {
+        let dir = tmpdir("fuzz");
+        let store = DurableStore::create(&dir).unwrap();
+        let real = vec![
+            SnapshotRecord {
+                rank: 0,
+                slot: 0,
+                grids: vec![filled_grid([2, 3, 2], 1, 5), filled_grid([2, 3, 2], 1, 6)],
+            },
+            SnapshotRecord {
+                rank: 1,
+                slot: 0,
+                grids: vec![filled_grid([1, 2, 2], 2, 7)],
+            },
+        ];
+        let complex = vec![SnapshotRecord {
+            rank: 0,
+            slot: 1,
+            grids: vec![complex_grid([2, 2, 1], 1)],
+        }];
+        let bases = [
+            (store.spill_epoch(1, &real).unwrap(), 1),
+            (store.spill_epoch(2, &complex).unwrap(), 2),
+        ]
+        .map(|(path, epoch)| (fs::read(&path).unwrap(), epoch));
+        for (_, epoch) in &bases {
+            fs::remove_file(store.epoch_path(*epoch)).unwrap();
+        }
+        let mut rng = gpaw_des::SplitMix64::new(0xD0_5EED);
+        let mut loaded = 0;
+        for case in 0..10_000u64 {
+            let (base, epoch) = &bases[(case % 2) as usize];
+            let mut bytes = base.clone();
+            for _ in 0..1 + rng.next_below(3) {
+                mutate(&mut bytes, &mut rng);
+            }
+            restamp(&mut bytes);
+            let path = store.epoch_path(*epoch);
+            fs::write(&path, &bytes).unwrap();
+            // Read as the spilled scalar and as the other one.
+            let outcome =
+                std::panic::catch_unwind(|| (store.recover::<f64>(), store.recover::<C64>()));
+            let Ok((real, complex)) = outcome else {
+                panic!(
+                    "case {case}: recover panicked on {} mutated bytes",
+                    bytes.len()
+                );
+            };
+            for rec in [real.map(|r| r.epoch), complex.map(|r| r.epoch)] {
+                loaded += usize::from(rec.unwrap_or_else(|e| panic!("case {case}: {e}")) > 0);
+            }
+            fs::remove_file(&path).unwrap();
+        }
+        // Some mutations (a flipped data bit, extended trailing bytes) leave
+        // a file that still parses: the fuzz reached past the checksums.
+        assert!(loaded > 0, "no mutated file ever parsed");
         fs::remove_dir_all(&dir).ok();
     }
 }

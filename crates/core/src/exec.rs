@@ -1,19 +1,19 @@
 //! The functional plane: the compiled sweep programs on real data.
 //!
-//! One OS thread per MPI process, real packed faces through the
-//! in-process [`Transport`], and the real stencil kernel — interpreted by
-//! [`interp::run_rank`], the same interpreter the native plane runs over
-//! its own fabric. For the hybrid approaches the interpreter gives each
-//! process its inner threads (four, the paper's thread-per-core layout):
-//! a fleet of communicating endpoints, or a master and its persistent
-//! slab pool. Everything is verified against [`sequential_reference`],
-//! the whole-grid single-rank computation.
+//! One OS thread per MPI process, real packed faces through a clean
+//! [`NativeFabric`] (no fault plan, no send history), and the real
+//! stencil kernel — launched by [`interp::launch`], the same launcher and
+//! interpreter the native plane runs. For the hybrid approaches the
+//! interpreter gives each process its inner threads (four, the paper's
+//! thread-per-core layout): a fleet of communicating endpoints, or a
+//! master and its persistent slab pool. Everything is verified against
+//! [`sequential_reference`], the whole-grid single-rank computation.
 
 use crate::config::FdConfig;
-use crate::interp::{self, RankCtx};
+use crate::fabric::NativeFabric;
+use crate::interp::{self, Launch};
 use crate::plan::{rank_assignment, RankPlan};
-use crate::program::compile_rank;
-use crate::transport::Transport;
+use crate::progcache::ProgramCache;
 use gpaw_bgp_hw::CartMap;
 use gpaw_grid::decomp::{Decomposition, Subdomain};
 use gpaw_grid::generator;
@@ -42,9 +42,14 @@ impl SyntheticFill for C64 {
 }
 
 /// Run a distributed FD job and return each rank's final local grids, in
-/// rank order: one OS thread per rank, each filling its owned grids and
-/// interpreting its compiled programs ([`interp::run_rank`]) over one
-/// shared [`Transport`], with no checkpoints and no throttle.
+/// rank order: compile every rank's programs, then [`interp::launch`] one
+/// OS thread per rank over a clean fabric, with no checkpoints and no
+/// throttle.
+///
+/// # Panics
+/// Panics with the failure's description when a rank fails — a schedule
+/// bug this plane exists to catch. A receive that never matches ends at
+/// the fabric's 30 s watchdog instead of hanging.
 pub fn run_distributed<T: SyntheticFill>(
     grid_ext: [usize; 3],
     n_grids: usize,
@@ -54,53 +59,27 @@ pub fn run_distributed<T: SyntheticFill>(
     map: &CartMap,
 ) -> Vec<GridSet<T>> {
     assert!(n_grids > 0);
-    let ranks = map.ranks();
     let threads = map.partition.threads_per_process();
-    let tp: Transport<T> = Transport::new(ranks);
-    let epoch = Instant::now();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..ranks)
-            .map(|rank| {
-                let tp = &tp;
-                s.spawn(move || {
-                    let plan = RankPlan::for_rank(map, grid_ext, rank, T::BYTES, cfg);
-                    let programs = compile_rank(cfg, map, &plan, n_grids, threads);
-                    // The grids this rank owns data for: all of them,
-                    // except flat static's quarter.
-                    let asg = rank_assignment(cfg.approach, n_grids, map, rank);
-                    let blank = || Grid3::zeros(plan.sub.ext, plan.halo);
-                    let inputs = (0..asg.count)
-                        .map(|i| {
-                            let mut grid = blank();
-                            T::fill(&mut grid, &plan.sub, grid_ext, seed, asg.id(i));
-                            grid
-                        })
-                        .collect();
-                    let outputs = (0..asg.count).map(|_| blank()).collect();
-                    let ctx = RankCtx {
-                        comm: tp,
-                        coef,
-                        programs: &programs,
-                        epoch,
-                        start_sweep: 0,
-                        ckpt: None,
-                        throttle: Duration::ZERO,
-                    };
-                    let (grids, _) = interp::run_rank(&ctx, inputs, outputs)
-                        .unwrap_or_else(|e| panic!("rank {rank}: {e}"));
-                    assert!(
-                        tp.is_drained(rank),
-                        "rank {rank}: transport not drained — schedule mismatch"
-                    );
-                    GridSet::from_grids(grids)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
+    let programs =
+        ProgramCache::new(1).get_or_compile(cfg, map, grid_ext, n_grids, threads, T::BYTES);
+    let outcomes = interp::launch(&Launch {
+        fabric: &NativeFabric::new(map),
+        coef,
+        programs: &programs,
+        grid_ext,
+        seed,
+        start_sweep: 0,
+        ckpt: None,
+        throttle: Duration::ZERO,
+        epoch: Instant::now(),
+    });
+    outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            Ok((set, _)) => set,
+            Err(failure) => panic!("{failure}"),
+        })
+        .collect()
 }
 
 /// The single-rank, whole-grid ground truth.

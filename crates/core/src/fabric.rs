@@ -1,19 +1,20 @@
-//! The native rank fabric: an in-process stand-in for MPI.
+//! The rank fabric: an in-process stand-in for MPI, shared by both data
+//! planes.
 //!
-//! Every rank of a native run is an OS thread inside one process; a
-//! message is a `Vec<T>` of packed face data matched on `(source, tag)`
-//! with FIFO ordering per pair, exactly like the functional plane's
-//! `gpaw_fd::transport::Transport`. The fabric differs in three ways that
-//! matter for a *measured*, *survivable* runtime:
+//! Every rank of a run is an OS thread inside one process; a message is a
+//! `Vec<T>` of packed face data matched on `(source, tag)` with FIFO
+//! ordering per pair. Sends never block (buffered, like eager-protocol
+//! MPI); receives block until a match arrives. The functional plane runs
+//! it clean — no fault plan, no send history — and the native plane adds
+//! both. What makes it a *measured*, *survivable* transport:
 //!
-//! * **sharded mailboxes** — one mutex per `(destination, source)` pair
-//!   instead of one per destination, so the four concurrent endpoints of
-//!   *hybrid multiple* never contend on senders from different ranks
-//!   (lock-free between distinct pairs; a mutex only orders one pair's
-//!   FIFO);
+//! * **sharded mailboxes** — one mutex per `(destination, source)` pair,
+//!   so the four concurrent endpoints of *hybrid multiple* never contend
+//!   on senders from different ranks (lock-free between distinct pairs; a
+//!   mutex only orders one pair's FIFO);
 //! * **traffic accounting** — atomic per-node counters classify every
 //!   message as intra-node (shared-memory on a real Blue Gene/P) or
-//!   inter-node (torus traffic), giving native runs the same
+//!   inter-node (torus traffic), giving real-data runs the same
 //!   `bytes_per_node` / `network_bytes_per_node` split the timed machine
 //!   reports. Counters are charged once per *logical* message, so fault
 //!   injection (duplicates, redelivery) never changes the counts;
@@ -28,7 +29,7 @@
 //!   [`RecvError::Timeout`] carrying a [`FabricDiagnostic`] snapshot of
 //!   every blocked receive and undelivered queue;
 //! * **the integrity plane** — every envelope carries an FNV-1a checksum
-//!   of its payload ([`gpaw_fd::integrity::payload_digest`]), computed
+//!   of its payload ([`crate::integrity::payload_digest`]), computed
 //!   at send over the intact bits and verified at recv *before* the
 //!   per-tag sequence cursor advances. A flipped bit — injected by the
 //!   fault plane or otherwise — surfaces as [`RecvError::Corrupt`]
@@ -43,9 +44,9 @@ use crate::fault::{
     BadPayload, BlockedRecv, EscalationStat, FabricConfig, FabricDiagnostic, FaultAction,
     IntegrityStat, PayloadCorruption, QueueStat, RecvError, RecvTimeout,
 };
+use crate::integrity::{flip_bit, payload_digest};
+use crate::plan::sweep_of_tag;
 use gpaw_bgp_hw::CartMap;
-use gpaw_fd::integrity::{flip_bit, payload_digest};
-use gpaw_fd::plan::sweep_of_tag;
 use gpaw_grid::scalar::Scalar;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -338,7 +339,7 @@ impl FabricStats {
     }
 }
 
-/// A cluster-wide native transport: sharded mailboxes plus traffic
+/// A cluster-wide rank fabric: sharded mailboxes plus traffic
 /// counters, laid out for the rank/node geometry of one [`CartMap`],
 /// with an optional fault plane and a deadlock watchdog.
 pub struct NativeFabric<T> {
@@ -907,12 +908,13 @@ mod tests {
     #[test]
     fn send_then_recv_fifo_per_tag() {
         let f: NativeFabric<f64> = NativeFabric::new(&map(2, ExecMode::Smp));
+        assert_eq!(f.try_recv(1, 0, 7), None, "nothing sent yet");
         f.send(0, 1, 7, vec![1.0, 2.0]);
         f.send(0, 1, 7, vec![3.0]);
         f.send(0, 1, 9, vec![4.0]);
         assert_eq!(recv_ok(&f, 1, 0, 9), vec![4.0]);
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0, 2.0]);
-        assert_eq!(recv_ok(&f, 1, 0, 7), vec![3.0]);
+        assert_eq!(f.try_recv(1, 0, 7), Some(vec![3.0]));
         assert!(f.is_drained(1));
     }
 

@@ -300,7 +300,7 @@ impl FaultPlan {
     }
 }
 
-/// Runtime knobs of one [`crate::NativeFabric`]: the recv watchdog, the
+/// Runtime knobs of one [`NativeFabric`](crate::fabric::NativeFabric): the recv watchdog, the
 /// redelivery tick, the optional fault plan, and (for supervised runs)
 /// send-side history retention.
 #[derive(Debug, Clone, Copy, PartialEq)]

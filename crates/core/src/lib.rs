@@ -8,12 +8,14 @@
 //! cursor ([`program::Cursor`]):
 //!
 //! * the **real-data interpreter** ([`interp`]) executes it on real
-//!   grids and real threads, generic over a two-method [`interp::Comm`]
-//!   fabric. Two data planes run it: the **functional plane** ([`exec`]),
-//!   over a tag-matching in-process transport ([`transport`]), and the
-//!   **native plane** (`gpaw-hybrid-rt`, a separate crate), over a
-//!   fault-injecting fabric with retries, checkpoints and durability.
-//!   Every approach is proven bit-identical to the sequential reference;
+//!   grids and real threads over one in-process rank fabric
+//!   ([`fabric`], with its seeded fault plane and watchdog diagnostics in
+//!   [`fault`]), and one launcher ([`interp::launch`]) starts every rank.
+//!   Two data planes call it: the **functional plane** ([`exec`]), on a
+//!   clean fabric, and the **native plane** (`gpaw-hybrid-rt`, a
+//!   separate crate), which adds faults, retries, checkpoints and
+//!   durability. Every approach is proven bit-identical to the sequential
+//!   reference;
 //! * the **timed plane** ([`timed`]) lowers the same ops to cost-model
 //!   instructions for the simulated Blue Gene/P (`gpaw-simmpi`), which
 //!   is what regenerates the paper's figures at up to 16 384 cores.
@@ -45,6 +47,8 @@ pub mod chrome;
 pub mod config;
 pub mod durable;
 pub mod exec;
+pub mod fabric;
+pub mod fault;
 pub mod integrity;
 pub mod interp;
 pub mod plan;
@@ -54,7 +58,6 @@ pub mod report;
 pub mod runner;
 pub mod timed;
 pub mod trace;
-pub mod transport;
 
 pub use checkpoint::{
     gather_epoch, reshard_epoch, shard_layout, CheckpointStore, RegridError, ShardSpec,

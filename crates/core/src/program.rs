@@ -8,10 +8,9 @@
 //! slot, a flat op list describing a single sweep. Two interpreters run
 //! that list:
 //!
-//! * `core::interp` executes it on real data and real threads, generic
-//!   over the rank fabric — the functional plane runs it over the
-//!   in-process transport, the native plane (`gpaw-hybrid-rt`) over its
-//!   fault-injecting `NativeFabric`;
+//! * `core::interp` executes it on real data and real threads over the
+//!   in-process `NativeFabric` — the functional plane on a clean fabric,
+//!   the native plane (`gpaw-hybrid-rt`) with faults and checkpoints;
 //! * `core::timed` lowers each op to cost-model instructions for the
 //!   simulated Blue Gene/P.
 //!
@@ -23,7 +22,7 @@
 //!
 //! The ops deliberately say *what* must happen, not *how*: `PostRecv`
 //! is a real `Irecv` on the timed plane but a no-op on real data, whose
-//! fabrics buffer sends; `ThreadBarrier` is a real `std::sync::Barrier`
+//! fabric buffers sends; `ThreadBarrier` is a real `std::sync::Barrier`
 //! on real data and a simulated barrier instruction on the timed plane.
 //! What every interpreter must preserve is the op *order* and the
 //! tag/epoch derivation (from [`crate::plan`]).

@@ -19,6 +19,11 @@ use std::fmt::Write as _;
 /// Schema version stamped into every report; bump on breaking changes.
 pub const SCHEMA_VERSION: u64 = 1;
 
+/// The deepest array/object nesting [`Json::parse`] accepts — far above
+/// any document this repo writes, far below what the recursive parser's
+/// stack can hold.
+pub const MAX_NESTING: usize = 128;
+
 /// A JSON value. Objects keep insertion order so output is deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -101,11 +106,13 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document. Errors carry the byte offset.
+    /// Parse a JSON document. Errors carry the byte offset. Arrays and
+    /// objects nest at most [`MAX_NESTING`] deep, so no input can exhaust
+    /// the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -157,8 +164,15 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value whose enclosing arrays and objects are `depth` deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_NESTING {
+        return Err(format!(
+            "nesting deeper than {MAX_NESTING} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -174,7 +188,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -199,7 +213,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 members.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -270,15 +284,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// A finite number: JSON has no infinities, and one that overflows `f64`
+/// could not render back to itself.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     std::str::from_utf8(&b[start..*pos])
-        .map_err(|e| e.to_string())?
-        .parse::<f64>()
-        .map_err(|_| format!("bad number at byte {start}"))
+        .ok()
+        .and_then(|text| text.parse::<f64>().ok())
+        .filter(|x| x.is_finite())
+        .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
 /// The span-kind totals of one run as a JSON object of per-kind fractions
@@ -497,5 +514,95 @@ mod tests {
         assert!((compute - 0.375).abs() < 1e-12);
         assert!((wait - 0.125).abs() < 1e-12);
         assert!((idle - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_naming_the_offset_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_NESTING}")), "{err}");
+        let deepest = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(Json::parse(&deepest).is_ok());
+        let over = format!("{{\"a\":{deepest}}}");
+        assert!(Json::parse(&over).unwrap_err().contains("nesting deeper"));
+    }
+
+    /// A random value at most `depth` levels deep.
+    fn random_value(rng: &mut gpaw_des::SplitMix64, depth: usize) -> Json {
+        let pick = |rng: &mut gpaw_des::SplitMix64, n: u64| rng.next_below(n) as usize;
+        let word = |rng: &mut gpaw_des::SplitMix64| -> String {
+            (0..pick(rng, 6))
+                .map(|_| ['a', '"', '\\', '\n', 'é', '\u{1}', ' '][pick(rng, 7)])
+                .collect()
+        };
+        match pick(rng, if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next_below(2) == 1),
+            2 => Json::Num(
+                [
+                    0.0,
+                    -2.5,
+                    1e-9,
+                    16384.0,
+                    1e300,
+                    f64::from_bits(rng.next_u64() >> 2),
+                ][pick(rng, 6)],
+            ),
+            3 => Json::Str(word(rng)),
+            4 => Json::Arr(
+                (0..pick(rng, 4))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..pick(rng, 4))
+                    .map(|_| (word(rng), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn fuzzed_documents_never_panic_and_every_success_round_trips() {
+        const ALPHABET: &[char] = &[
+            '[', ']', '{', '}', '"', ',', ':', '0', '1', '9', '-', '+', '.', 'e', 'E', 't', 'r',
+            'u', 'f', 'a', 'l', 's', 'n', '\\', '/', 'b', ' ', '\n', 'é',
+        ];
+        let mut rng = gpaw_des::SplitMix64::new(0x15_0E);
+        let mut parsed = 0;
+        for case in 0..10_000 {
+            let text: String = if case % 2 == 0 {
+                let len = rng.next_below(40) as usize;
+                (0..len)
+                    .map(|_| ALPHABET[rng.next_below(ALPHABET.len() as u64) as usize])
+                    .collect()
+            } else {
+                let mut chars: Vec<char> = random_value(&mut rng, 4).render().chars().collect();
+                for _ in 0..1 + rng.next_below(3) {
+                    let at = rng.next_below(chars.len() as u64 + 1) as usize;
+                    let c = ALPHABET[rng.next_below(ALPHABET.len() as u64) as usize];
+                    match rng.next_below(3) {
+                        0 if at < chars.len() => {
+                            chars.remove(at);
+                        }
+                        1 if at < chars.len() => chars[at] = c,
+                        _ => chars.insert(at, c),
+                    }
+                }
+                chars.into_iter().collect()
+            };
+            let outcome = std::panic::catch_unwind(|| Json::parse(&text));
+            let Ok(result) = outcome else {
+                panic!("case {case}: parse panicked on {text:?}");
+            };
+            if let Ok(v) = result {
+                parsed += 1;
+                assert_eq!(
+                    Json::parse(&v.render()).as_ref(),
+                    Ok(&v),
+                    "case {case}: {text:?} does not round-trip"
+                );
+            }
+        }
+        assert!(parsed > 100, "only {parsed} fuzzed documents parsed");
     }
 }

@@ -12,7 +12,7 @@
 //! Span attribution on real threads:
 //!
 //! * [`SpanKind::HaloPack`] / [`SpanKind::HaloUnpack`] — face (un)packing;
-//! * [`SpanKind::Post`] — handing a packed buffer to the transport;
+//! * [`SpanKind::Post`] — handing a packed buffer to the fabric;
 //! * [`SpanKind::Wait`] — blocked in a receive;
 //! * [`SpanKind::Compute`] — the stencil kernel;
 //! * [`SpanKind::ThreadBarrier`] — waiting at a barrier.

@@ -20,7 +20,7 @@
 //! checkpoint store, seeds the fabric's *logical* traffic counters with
 //! the statically-known messages of the already-completed sweeps, and
 //! resumes mid-program via
-//! [`RankCtx::start_sweep`](gpaw_fd::interp::RankCtx). Because every
+//! [`Launch::start_sweep`](gpaw_fd::interp::Launch::start_sweep). Because every
 //! sweep's traffic is a pure function of the compiled programs, a
 //! restored run finishes with the same `run_digest` *and* the same
 //! logical message/byte counts as a run that was never killed. A spill
@@ -28,10 +28,10 @@
 //! instead, on the same path a shrink takes.
 
 use crate::error::RunError;
-use crate::fabric::NativeFabric;
 use crate::runtime::{JobGeometry, NativeJob};
 use gpaw_fd::checkpoint::CheckpointStore;
 use gpaw_fd::durable::{DurableError, DurableStore, RecordRef, SnapshotRecord};
+use gpaw_fd::fabric::NativeFabric;
 use gpaw_fd::progcache::JobPrograms;
 use gpaw_fd::program::SweepOp;
 use gpaw_grid::scalar::Scalar;

@@ -4,36 +4,27 @@
 //! (`gpaw_fd::exec`) proves the four programming approaches *correct*;
 //! the timed plane (`gpaw_fd::timed`) regenerates the paper's figures on
 //! a simulated Blue Gene/P; this crate *runs* the approaches — real
-//! `std::thread` workers, real barriers, real comm/compute overlap over
-//! an in-process rank fabric — so the strategy ranking can be measured on
-//! genuine shared-memory hardware rather than only predicted. The
-//! interpreter itself is not here: it is `gpaw_fd::interp`, shared with
-//! the functional plane; this crate supplies the fabric, the faults, and
-//! the supervision around it.
+//! `std::thread` workers, real barriers, real comm/compute overlap — so
+//! the strategy ranking can be measured on genuine shared-memory hardware
+//! rather than only predicted. The interpreter, its rank launcher and the
+//! rank fabric are not here: they are `gpaw_fd::interp` and
+//! `gpaw_fd::fabric`, shared with the functional plane; this crate
+//! supplies the faults, the checkpoints and the supervision around them.
 //!
 //! Structure:
 //!
-//! * [`fabric`] — the in-process MPI stand-in: sharded `(dst, src)`
-//!   mailboxes (no cross-pair contention) with atomic intra/inter-node
-//!   traffic accounting, per-`(src, tag)` FIFO enforced by sequence
-//!   numbers, a deadlock watchdog on every receive, and an optional
-//!   seeded fault plan;
-//! * [`fault`] — the deterministic fault plane: [`FaultPlan`] (delay,
-//!   duplicate, drop-with-redelivery, lethal black holes and injected
-//!   panics — all a pure function of seed + message identity) and the
-//!   watchdog's structured [`FabricDiagnostic`] snapshot;
-//! * [`error`] — the failure channel: [`RunError`] / [`RankFailure`] /
-//!   [`StrategyError`], so no failure mode panics the process or hangs a
-//!   condvar;
-//! * [`strategy`] — a [`Strategy`] is a marker naming an approach
-//!   ([`FlatOriginal`], [`FlatOptimized`], [`HybridMultiple`],
-//!   [`HybridMasterOnly`], [`FlatStatic`], [`TemporalBlocked`]), and the
-//!   fabric's `Comm` impl: every approach runs through the one real-data
-//!   interpreter, `gpaw_fd::interp` — the functional plane's — over the
-//!   [`NativeFabric`];
+//! * [`fabric`] and [`fault`] — re-exported from `gpaw_fd`: the
+//!   in-process MPI stand-in (sharded mailboxes, exact traffic
+//!   accounting, per-`(src, tag)` sequence numbers and checksums, a
+//!   deadlock watchdog on every receive) and its seeded [`FaultPlan`]
+//!   with the watchdog's structured [`FabricDiagnostic`];
+//! * [`error`] — the failure channel: [`RunError`] over the interpreter's
+//!   per-rank [`RankFailure`], so no failure mode panics the process or
+//!   hangs a condvar;
 //! * [`runtime`] — [`NativeJob`] and one attempt: geometry resolution
-//!   (every check, every rank's compiled programs), synthetic fill, and
-//!   per-rank interpreter threads under `catch_unwind`, returning grids, a
+//!   (every check, every rank's compiled programs), one
+//!   `gpaw_fd::interp::launch` of every rank, and the worst-first
+//!   classification of its failures, returning grids, a
 //!   [`gpaw_simmpi::RunReport`], and raw span timelines;
 //! * [`supervisor`] — [`execute`]: the one run driver. A [`RunPolicy`]
 //!   names the retries, the geometry shrinks, the disk and the program
@@ -45,8 +36,8 @@
 //!   fewer ranks. Completed runs are bitwise identical to fault-free
 //!   ones, with retries, retransmissions and geometry changes itemized
 //!   in a [`RecoveryReport`]. [`run_native`], [`supervise`] and
-//!   [`supervise_durable`] are one-line wrappers kept for the benchmark
-//!   package;
+//!   [`supervise_durable`] (over the [`Strategy`] handle [`strategy_for`]
+//!   returns) are one-line wrappers kept for the benchmark package;
 //! * [`durable`] — the durability plane's disk side. A background
 //!   spiller serializes every consistent epoch to disk
 //!   (`gpaw_fd::durable`'s checksummed, atomically-renamed format);
@@ -64,7 +55,7 @@
 //! * [`report`] — the mapping onto the timed plane's report shape, so
 //!   native runs flow through the same JSON emission and perf gate.
 //!
-//! Every strategy is validated bitwise against the sequential reference
+//! Every approach is validated bitwise against the sequential reference
 //! and the functional plane (`tests/parity.rs`) — both on a quiet fabric
 //! and under seeded fault schedules (`tests/chaos.rs`); the span ledgers
 //! satisfy the same conservation invariant as simulated runs.
@@ -73,27 +64,22 @@
 
 pub mod durable;
 pub mod error;
-pub mod fabric;
-pub mod fault;
 pub mod report;
 pub mod runtime;
 pub mod service;
-pub mod strategy;
 pub mod supervisor;
 
 pub use durable::{DurabilityConfig, DurableReport};
-pub use error::{FailureKind, RankFailure, RunError, StrategyError};
-pub use fabric::NativeFabric;
-pub use fault::{FabricDiagnostic, FaultPlan, RecvError, RecvTimeout};
+pub use error::RunError;
+pub use gpaw_fd::fabric::NativeFabric;
+pub use gpaw_fd::fault::{FabricDiagnostic, FaultPlan, RecvError, RecvTimeout};
+pub use gpaw_fd::interp::{FailureKind, RankFailure};
+pub use gpaw_fd::{fabric, fault};
 pub use runtime::{NativeJob, NativeRun};
 pub use service::{
     run_digest, AdmissionError, JobHandle, JobService, Priority, ServiceConfig, ServiceOutcome,
 };
-pub use strategy::{
-    all_strategies, strategy_for, FlatOptimized, FlatOriginal, FlatStatic, HybridMasterOnly,
-    HybridMultiple, Strategy, TemporalBlocked,
-};
 pub use supervisor::{
-    execute, run_native, supervise, supervise_durable, DegradePolicy, FailureClass, RecoveryReport,
-    RetryPolicy, RunPolicy, SupervisedRun,
+    execute, run_native, strategy_for, supervise, supervise_durable, DegradePolicy, FailureClass,
+    RecoveryReport, RetryPolicy, RunPolicy, Strategy, SupervisedRun,
 };

@@ -18,8 +18,8 @@
 //!   the host, not the modeled Blue Gene/P, and the report accessors
 //!   already return 0 for them when peak is unset.
 
-use crate::fabric::FabricStats;
 use gpaw_des::{SimDuration, SpanAgg, SpanKind};
+use gpaw_fd::fabric::FabricStats;
 use gpaw_netsim::NetReport;
 use gpaw_simmpi::{RunReport, ThreadPhases};
 

@@ -37,7 +37,6 @@
 use crate::durable::DurabilityConfig;
 use crate::error::RunError;
 use crate::runtime::{check_geometry, NativeJob};
-use crate::strategy::strategy_for;
 use crate::supervisor::{execute, DegradePolicy, RecoveryReport, RetryPolicy, RunPolicy};
 use gpaw_fd::config::Approach;
 use gpaw_fd::exec::SyntheticFill;
@@ -548,7 +547,6 @@ fn worker_loop<T: SyntheticFill>(shared: &Shared<T>) {
 
         let queued = qjob.submitted.elapsed();
         let started = Instant::now();
-        let strategy = strategy_for::<T>(qjob.approach);
         let policy = RunPolicy {
             retry: shared.retry,
             degrade: shared.degrade,
@@ -562,7 +560,7 @@ fn worker_loop<T: SyntheticFill>(shared: &Shared<T>) {
             }),
             cache: Some(&shared.cache),
         };
-        let result = execute(&qjob.job, strategy.as_ref(), &policy).map(|sup| JobResult {
+        let result = execute(&qjob.job, qjob.approach, &policy).map(|sup| JobResult {
             digest: run_digest(&sup.run.sets),
             messages: sup.run.report.messages,
             network_bytes: sup.run.report.total_network_bytes,

@@ -51,15 +51,15 @@
 use crate::durable::{
     corrupt, recover_validated, seed_restored_traffic, spilling, DurabilityConfig, DurableReport,
 };
-use crate::error::{FailureKind, RankFailure, RunError};
-use crate::fabric::NativeFabric;
-use crate::fault::{EscalationStat, FabricConfig, FaultPlan};
+use crate::error::RunError;
 use crate::runtime::{run_attempt, JobGeometry, NativeJob, NativeRun};
-use crate::strategy::Strategy;
 use gpaw_fd::checkpoint::{gather_epoch, reshard_epoch, CheckpointStore, RegridError};
 use gpaw_fd::config::Approach;
 use gpaw_fd::durable::{DurableStore, SnapshotRecord};
 use gpaw_fd::exec::SyntheticFill;
+use gpaw_fd::fabric::NativeFabric;
+use gpaw_fd::fault::{EscalationStat, FabricConfig, FaultPlan};
+use gpaw_fd::interp::{FailureKind, RankFailure};
 use gpaw_fd::progcache::ProgramCache;
 use gpaw_fd::program::predicted_logical_span;
 use gpaw_grid::scalar::Scalar;
@@ -291,7 +291,7 @@ pub struct SupervisedRun<T: Scalar> {
     pub durable: DurableReport,
 }
 
-/// Execute `job` under `strategy` as `policy` says.
+/// Execute `job` under `approach` as `policy` says.
 ///
 /// Completes with a [`SupervisedRun`] whose grids are bitwise identical
 /// to a fault-free run and whose *logical* traffic counts are exactly a
@@ -305,7 +305,7 @@ pub struct SupervisedRun<T: Scalar> {
 /// shrinks are exhausted. No failure aborts or hangs the process.
 pub fn execute<T: SyntheticFill>(
     job: &NativeJob,
-    strategy: &dyn Strategy<T>,
+    approach: Approach,
     policy: &RunPolicy<'_>,
 ) -> Result<SupervisedRun<T>, RunError> {
     let one_shot;
@@ -316,7 +316,7 @@ pub fn execute<T: SyntheticFill>(
             &one_shot
         }
     };
-    let resolve = |job: &NativeJob| JobGeometry::resolve(job, strategy.approach(), cache, T::BYTES);
+    let resolve = |job: &NativeJob| JobGeometry::resolve(job, approach, cache, T::BYTES);
     let mut job = *job;
     let mut geo = resolve(&job)?;
     let rolls_back = policy.rolls_back();
@@ -399,7 +399,6 @@ pub fn execute<T: SyntheticFill>(
             let store = store.as_ref();
             retry_loop(
                 &job,
-                strategy,
                 &policy.retry,
                 &geo,
                 &fabric,
@@ -456,7 +455,7 @@ pub fn execute<T: SyntheticFill>(
         if shrinks >= policy.degrade.max_degrades {
             return Err(err);
         }
-        let target = shrink_target(&job, strategy.approach(), &policy.degrade, &resolve);
+        let target = shrink_target(&job, approach, &policy.degrade, &resolve);
         let Some((next_job, next_geo)) = target else {
             return Err(err);
         };
@@ -489,13 +488,33 @@ pub fn execute<T: SyntheticFill>(
     }
 }
 
+/// The handle the benchmark package passes to [`run_native`],
+/// [`supervise`] and [`supervise_durable`]: an [`Approach`], the one
+/// implementor.
+pub trait Strategy<T: SyntheticFill> {
+    /// The approach to run.
+    fn approach(&self) -> Approach;
+}
+
+impl<T: SyntheticFill> Strategy<T> for Approach {
+    fn approach(&self) -> Approach {
+        *self
+    }
+}
+
+/// `approach` as a [`Strategy`]. Kept because the benchmark package pins
+/// this name.
+pub fn strategy_for<T: SyntheticFill>(approach: Approach) -> Box<dyn Strategy<T>> {
+    Box::new(approach)
+}
+
 /// [`execute`] under [`RunPolicy::bare`], returning only the run. Kept
 /// because the benchmark package pins this name.
 pub fn run_native<T: SyntheticFill>(
     job: &NativeJob,
     strategy: &dyn Strategy<T>,
 ) -> Result<NativeRun<T>, RunError> {
-    execute(job, strategy, &RunPolicy::bare()).map(|sup| sup.run)
+    execute(job, strategy.approach(), &RunPolicy::bare()).map(|sup| sup.run)
 }
 
 /// [`execute`] under [`RunPolicy::supervised`]. Kept because the
@@ -505,7 +524,7 @@ pub fn supervise<T: SyntheticFill>(
     strategy: &dyn Strategy<T>,
     policy: &RetryPolicy,
 ) -> Result<SupervisedRun<T>, RunError> {
-    execute(job, strategy, &RunPolicy::supervised(*policy))
+    execute(job, strategy.approach(), &RunPolicy::supervised(*policy))
 }
 
 /// [`execute`] under [`RunPolicy::supervised`] plus `durability`. Kept
@@ -518,7 +537,7 @@ pub fn supervise_durable<T: SyntheticFill>(
 ) -> Result<SupervisedRun<T>, RunError> {
     execute(
         job,
-        strategy,
+        strategy.approach(),
         &RunPolicy {
             durable: Some(durability.clone()),
             ..RunPolicy::supervised(*policy)
@@ -532,10 +551,8 @@ pub fn supervise_durable<T: SyntheticFill>(
 /// absorbed failures are added to `recovery` as they happen, so they
 /// survive an `Err` return; the caller folds in the fabric's and store's
 /// counters.
-#[allow(clippy::too_many_arguments)]
 fn retry_loop<T: SyntheticFill>(
     job: &NativeJob,
-    strategy: &dyn Strategy<T>,
     policy: &RetryPolicy,
     geo: &JobGeometry,
     fabric: &NativeFabric<T>,
@@ -548,7 +565,7 @@ fn retry_loop<T: SyntheticFill>(
     loop {
         attempt += 1;
         recovery.attempts += 1;
-        let err = match run_attempt(job, strategy, geo, fabric, store, start_epoch) {
+        let err = match run_attempt(job, geo, fabric, store, start_epoch) {
             Ok(run) => return Ok(run),
             Err(err) => err,
         };
@@ -694,7 +711,7 @@ fn merge_escalations(into: &mut Vec<EscalationStat>, from: &[EscalationStat]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FabricDiagnostic, QueueStat, RecvTimeout};
+    use gpaw_fd::fault::{FabricDiagnostic, QueueStat, RecvTimeout};
 
     fn timeout_failure(queues: Vec<QueueStat>) -> RankFailure {
         RankFailure {
@@ -744,7 +761,7 @@ mod tests {
 
     #[test]
     fn detected_corruption_classifies_as_corrupted() {
-        use crate::fault::PayloadCorruption;
+        use gpaw_fd::fault::PayloadCorruption;
         let c = RankFailure {
             rank: 1,
             phase: "halo-verify",

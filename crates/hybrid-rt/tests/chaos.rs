@@ -20,8 +20,7 @@ use gpaw_fd::exec::{max_error_vs_reference_planned, sequential_reference};
 use gpaw_fd::plan::{decomposition_supports, RankPlan};
 use gpaw_fd::Approach;
 use gpaw_hybrid_rt::{
-    all_strategies, execute, FailureKind, FaultPlan, FlatOptimized, FlatStatic, HybridMultiple,
-    NativeJob, RetryPolicy, RunError, RunPolicy, Strategy,
+    execute, FailureKind, FaultPlan, NativeJob, RetryPolicy, RunError, RunPolicy,
 };
 use std::time::{Duration, Instant};
 
@@ -29,8 +28,8 @@ fn coef(job: &NativeJob) -> gpaw_grid::stencil::StencilCoeffs {
     gpaw_grid::stencil::StencilCoeffs::laplacian(job.spacing)
 }
 
-fn check_bitwise(job: &NativeJob, strategy: &dyn Strategy<f64>, what: &str) {
-    let run = execute::<f64>(job, strategy, &RunPolicy::bare())
+fn check_bitwise(job: &NativeJob, approach: Approach, what: &str) {
+    let run = execute::<f64>(job, approach, &RunPolicy::bare())
         .expect(what)
         .run;
     let reference = sequential_reference::<f64>(
@@ -41,9 +40,9 @@ fn check_bitwise(job: &NativeJob, strategy: &dyn Strategy<f64>, what: &str) {
         job.bc,
         job.sweeps,
     );
-    let cfg = job.config(strategy.approach());
+    let cfg = job.config(approach);
     let err = max_error_vs_reference_planned(&run.sets, &run.map, job.grid_ext, &reference, &cfg);
-    assert_eq!(err, 0.0, "{}: diverged under {what}", strategy.name());
+    assert_eq!(err, 0.0, "{}: diverged under {what}", approach.label());
 }
 
 /// The acceptance bar: all four strategies hold bitwise parity — and
@@ -55,29 +54,29 @@ fn all_strategies_hold_parity_and_traffic_under_twenty_fault_schedules() {
     let base = NativeJob::new([12, 10, 8], 4, 2)
         .with_threads(2)
         .with_sweeps(2);
-    for s in all_strategies::<f64>() {
-        let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+    for a in Approach::ALL {
+        let clean = execute::<f64>(&base, a, &RunPolicy::bare())
             .expect("clean run")
             .run;
         for seed in 0..20 {
             let job = base.with_fault(FaultPlan::benign(seed));
-            check_bitwise(&job, s.as_ref(), "benign chaos run");
+            check_bitwise(&job, a, "benign chaos run");
             // Counters are charged per logical message, so benign chaos
             // must not change what the run claims to have communicated.
-            let chaotic = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+            let chaotic = execute::<f64>(&job, a, &RunPolicy::bare())
                 .expect("benign chaos run")
                 .run;
             assert_eq!(
                 chaotic.report.messages,
                 clean.report.messages,
                 "{} seed {seed}: message count drifted under chaos",
-                s.name()
+                a.label()
             );
             assert_eq!(
                 chaotic.report.total_network_bytes,
                 clean.report.total_network_bytes,
                 "{} seed {seed}: network bytes drifted under chaos",
-                s.name()
+                a.label()
             );
         }
     }
@@ -92,13 +91,13 @@ fn a_black_holed_message_fails_the_run_with_a_diagnostic() {
         .with_threads(2)
         .with_recv_timeout_ms(300)
         .with_fault(FaultPlan::quiet(5).with_black_hole(0, 1, 1));
-    let err = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+    let err = execute::<f64>(&job, Approach::HybridMultiple, &RunPolicy::bare())
         .err()
         .expect("a black hole must fail the run");
     let RunError::Failed { strategy, failures } = &err else {
         panic!("expected RunError::Failed, got {err:?}");
     };
-    assert_eq!(*strategy, Strategy::<f64>::name(&HybridMultiple));
+    assert_eq!(*strategy, Approach::HybridMultiple.label());
     let timeout = failures
         .iter()
         .find_map(|f| match &f.kind {
@@ -125,7 +124,7 @@ fn an_injected_send_panic_is_contained_in_flat_mode() {
     let job = NativeJob::new([10, 10, 10], 3, 2)
         .with_recv_timeout_ms(300)
         .with_fault(FaultPlan::quiet(5).with_panic_on_send(0, 2));
-    let err = execute::<f64>(&job, &gpaw_hybrid_rt::FlatOptimized, &RunPolicy::bare())
+    let err = execute::<f64>(&job, Approach::FlatOptimized, &RunPolicy::bare())
         .err()
         .expect("an injected panic must fail the run");
     let first = err.first_failure().expect("failures must be listed");
@@ -145,7 +144,7 @@ fn an_injected_send_panic_is_contained_in_a_hybrid_endpoint() {
         .with_threads(2)
         .with_recv_timeout_ms(300)
         .with_fault(FaultPlan::quiet(5).with_panic_on_send(0, 0));
-    let err = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+    let err = execute::<f64>(&job, Approach::HybridMultiple, &RunPolicy::bare())
         .err()
         .expect("an injected panic must fail the run");
     let first = err.first_failure().expect("failures must be listed");
@@ -166,10 +165,10 @@ fn chaos_runs_are_reproducible_per_seed() {
     let job = NativeJob::new([10, 8, 6], 4, 2)
         .with_threads(2)
         .with_fault(FaultPlan::benign(77));
-    let a = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+    let a = execute::<f64>(&job, Approach::HybridMultiple, &RunPolicy::bare())
         .expect("chaos run")
         .run;
-    let b = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+    let b = execute::<f64>(&job, Approach::HybridMultiple, &RunPolicy::bare())
         .expect("chaos run")
         .run;
     assert_eq!(a.report.messages, b.report.messages);
@@ -196,7 +195,7 @@ fn a_too_fine_decomposition_is_rejected_not_run() {
         RunPolicy::bare(),
         RunPolicy::supervised(RetryPolicy::default()),
     ] {
-        let err = execute::<f64>(&job, &FlatOptimized, &policy)
+        let err = execute::<f64>(&job, Approach::FlatOptimized, &policy)
             .err()
             .expect("a too-fine decomposition must be rejected");
         let RunError::Decomposition {
@@ -224,7 +223,6 @@ fn a_too_fine_decomposition_is_rejected_not_run() {
 fn runs_start_exactly_when_the_decomposition_supports_them() {
     for nodes in [1, 2] {
         for approach in Approach::ALL {
-            let strategy = gpaw_hybrid_rt::strategy_for::<f64>(approach);
             for e in 0..216 {
                 let ext = [1 + e % 6, 1 + e / 6 % 6, 1 + e / 36];
                 // Four grids, so each FlatStatic core holds at least one.
@@ -237,7 +235,7 @@ fn runs_start_exactly_when_the_decomposition_supports_them() {
                 let map = CartMap::best(partition.expect("1 and 2 are standard"), ext);
                 let supported = decomposition_supports(&map, ext, &cfg);
                 let what = format!("{approach:?} on {nodes} node(s), extents {ext:?}");
-                match execute::<f64>(&job, strategy.as_ref(), &RunPolicy::bare()) {
+                match execute::<f64>(&job, approach, &RunPolicy::bare()) {
                     Ok(_) => {
                         assert!(supported, "{what}: ran an unsupported geometry");
                         for rank in 0..map.ranks() {
@@ -254,7 +252,7 @@ fn runs_start_exactly_when_the_decomposition_supports_them() {
         // Flat static deals the grids over the 4 cores statically: with 3
         // grids, core 3's ranks would hold nothing. Typed, not a panic.
         let job = NativeJob::new([12, 10, 8], 3, nodes);
-        match execute::<f64>(&job, &FlatStatic, &RunPolicy::bare()).err() {
+        match execute::<f64>(&job, Approach::FlatStatic, &RunPolicy::bare()).err() {
             Some(RunError::IdleCores {
                 approach: Approach::FlatStatic,
                 n_grids: 3,

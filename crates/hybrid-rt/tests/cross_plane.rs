@@ -34,11 +34,16 @@ use gpaw_fd::program::{compile_rank, SweepProgram};
 use gpaw_fd::timed::{run_timed_with_map, ScopeSel, TimedJob};
 use gpaw_grid::norms::max_abs_diff;
 use gpaw_grid::stencil::{BoundaryCond, StencilCoeffs};
-use gpaw_hybrid_rt::{execute, strategy_for, NativeJob, RunError, RunPolicy};
+use gpaw_hybrid_rt::{execute, NativeJob, RunError, RunPolicy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Configurations per run, the replaced matrices included.
-const CONFIGS: usize = 1000;
+/// Configurations per run, the replaced matrices included: 10 000 in an
+/// optimized build (CI's release step), 1 000 in a debug one.
+const CONFIGS: usize = if cfg!(debug_assertions) {
+    1_000
+} else {
+    10_000
+};
 const SEED: u64 = 0x5EED_C0DE;
 
 /// One generated job.
@@ -151,8 +156,7 @@ fn programs(c: &Config, cfg: &FdConfig, map: &CartMap, threads: usize) -> Vec<Sw
 fn check(c: &Config) -> bool {
     let job = c.job();
     let native_cfg = job.config(c.approach);
-    let strategy = strategy_for::<f64>(c.approach);
-    let native = match execute::<f64>(&job, strategy.as_ref(), &RunPolicy::bare()) {
+    let native = match execute::<f64>(&job, c.approach, &RunPolicy::bare()) {
         Ok(sup) => sup.run,
         Err(RunError::Decomposition { .. } | RunError::IdleCores { .. }) => return false,
         Err(e) => panic!("not a geometry rejection: {e}"),
@@ -236,13 +240,9 @@ fn flat_static_runs_natively_with_zero_plane_specific_code() {
     let job = NativeJob::new([13, 11, 9], 9, 2).with_sweeps(3);
     let cfg = job.config(Approach::FlatStatic);
     let coef = StencilCoeffs::laplacian(job.spacing);
-    let native = execute::<f64>(
-        &job,
-        strategy_for(Approach::FlatStatic).as_ref(),
-        &RunPolicy::bare(),
-    )
-    .expect("valid job")
-    .run;
+    let native = execute::<f64>(&job, Approach::FlatStatic, &RunPolicy::bare())
+        .expect("valid job")
+        .run;
     // 8 virtual ranks; each holds only its static quarter of the grids,
     // so the 4 cores of each node partition the 9 grids exactly once.
     assert_eq!(native.sets.len(), 8);

@@ -29,8 +29,8 @@ use gpaw_fd::plan::RankPlan;
 use gpaw_fd::program::{compile_rank, predicted_logical_span, SweepProgram};
 use gpaw_fd::Approach;
 use gpaw_hybrid_rt::{
-    execute, run_digest, strategy_for, DegradePolicy, DurabilityConfig, FaultPlan, NativeJob,
-    RetryPolicy, RunError, RunPolicy, Strategy, SupervisedRun,
+    execute, run_digest, DegradePolicy, DurabilityConfig, FaultPlan, NativeJob, RetryPolicy,
+    RunError, RunPolicy, SupervisedRun,
 };
 use std::time::Duration;
 
@@ -93,7 +93,7 @@ fn programs_for(job: &NativeJob, approach: Approach, nodes: usize) -> Vec<Vec<Sw
         .collect()
 }
 
-fn assert_bitwise(job: &NativeJob, strategy: &dyn Strategy<f64>, sup: &SupervisedRun<f64>) {
+fn assert_bitwise(job: &NativeJob, approach: Approach, sup: &SupervisedRun<f64>) {
     let reference = sequential_reference::<f64>(
         job.grid_ext,
         job.n_grids,
@@ -102,14 +102,14 @@ fn assert_bitwise(job: &NativeJob, strategy: &dyn Strategy<f64>, sup: &Supervise
         job.bc,
         job.sweeps,
     );
-    let cfg = job.config(strategy.approach());
+    let cfg = job.config(approach);
     let err =
         max_error_vs_reference_planned(&sup.run.sets, &sup.run.map, job.grid_ext, &reference, &cfg);
     assert_eq!(
         err,
         0.0,
         "{}: degraded run diverged from the sequential reference",
-        strategy.name()
+        approach.label()
     );
 }
 
@@ -120,7 +120,6 @@ fn assert_bitwise(job: &NativeJob, strategy: &dyn Strategy<f64>, sup: &Supervise
 fn degraded_runs_complete_bit_identical_across_twenty_seeds() {
     let base = base_job();
     for approach in STRATEGIES {
-        let strategy = strategy_for::<f64>(approach);
         let old_programs = programs_for(&base, approach, 2);
         let new_programs = programs_for(&base, approach, 1);
         let from_ranks = old_programs.len();
@@ -128,14 +127,14 @@ fn degraded_runs_complete_bit_identical_across_twenty_seeds() {
         for seed in 0..20 {
             let job =
                 base.with_fault(FaultPlan::benign(seed).with_lethal_rank_from(1, LETHAL_FROM));
-            let sup = execute::<f64>(&job, strategy.as_ref(), &policy(DegradePolicy::default()))
+            let sup = execute::<f64>(&job, approach, &policy(DegradePolicy::default()))
                 .unwrap_or_else(|e| {
-                    panic!("{} seed {seed}: degradation failed: {e}", strategy.name())
+                    panic!("{} seed {seed}: degradation failed: {e}", approach.label())
                 });
-            assert_bitwise(&job, strategy.as_ref(), &sup);
+            assert_bitwise(&job, approach, &sup);
 
             let deg = sup.recovery.degradation.as_ref().unwrap_or_else(|| {
-                panic!("{} seed {seed}: no degradation report", strategy.name())
+                panic!("{} seed {seed}: no degradation report", approach.label())
             });
             assert_eq!((deg.from_ranks, deg.to_ranks), (from_ranks, to_ranks));
             assert_eq!(deg.degrades, 1);
@@ -143,7 +142,7 @@ fn degraded_runs_complete_bit_identical_across_twenty_seeds() {
             assert!(
                 deg.triggers.iter().any(|t| t.rank == 1),
                 "{} seed {seed}: the lethal rank must be among the triggers",
-                strategy.name()
+                approach.label()
             );
 
             // Segment 1: the doomed geometry committed exactly epochs
@@ -156,7 +155,7 @@ fn degraded_runs_complete_bit_identical_across_twenty_seeds() {
                 (old.logical_messages, old.logical_bytes),
                 (m, b),
                 "{} seed {seed}: old segment traffic is not exact",
-                strategy.name()
+                approach.label()
             );
 
             // Segment 2: the surviving geometry's measured counters
@@ -169,7 +168,7 @@ fn degraded_runs_complete_bit_identical_across_twenty_seeds() {
                 (new.logical_messages, new.logical_bytes),
                 (m, b),
                 "{} seed {seed}: degraded segment traffic is not exact",
-                strategy.name()
+                approach.label()
             );
             assert_eq!((new.messages_discarded, new.bytes_discarded), (0, 0));
 
@@ -181,7 +180,7 @@ fn degraded_runs_complete_bit_identical_across_twenty_seeds() {
                     .iter()
                     .any(|e| e.rank == 1 && e.retries > 0),
                 "{} seed {seed}: the lethal rank's retries must be charged",
-                strategy.name()
+                approach.label()
             );
             let survived: Vec<usize> = sup
                 .recovery
@@ -194,7 +193,7 @@ fn degraded_runs_complete_bit_identical_across_twenty_seeds() {
                 survived,
                 (0..to_ranks).collect::<Vec<_>>(),
                 "{} seed {seed}: every surviving rank carries the scar",
-                strategy.name()
+                approach.label()
             );
         }
     }
@@ -208,15 +207,15 @@ fn degraded_runs_complete_bit_identical_across_twenty_seeds() {
 fn degradation_resumes_from_a_mid_run_epoch_not_the_fill() {
     let base = base_job();
     let job = base.with_fault(FaultPlan::quiet(3).with_lethal_rank_from(1, LETHAL_FROM));
-    let strategy = strategy_for::<f64>(Approach::TemporalBlocked);
-    let sup = execute::<f64>(&job, strategy.as_ref(), &policy(DegradePolicy::default()))
+    let approach = Approach::TemporalBlocked;
+    let sup = execute::<f64>(&job, approach, &policy(DegradePolicy::default()))
         .expect("degradation must complete");
     let deg = sup.recovery.degradation.as_ref().expect("degraded");
     // The resume point is the verified epoch 2 — a real mid-run
     // checkpoint (temporal block boundary), not the synthetic fill.
     assert_eq!(deg.segments[1].start_epoch, LETHAL_FROM);
     assert!(deg.triggers.iter().all(|t| t.resumed_from == LETHAL_FROM));
-    assert_bitwise(&job, strategy.as_ref(), &sup);
+    assert_bitwise(&job, approach, &sup);
 }
 
 /// A disabled policy keeps the old contract: exhausted retries surface
@@ -224,8 +223,8 @@ fn degradation_resumes_from_a_mid_run_epoch_not_the_fill() {
 #[test]
 fn disabled_escalation_fails_like_the_plain_supervisor() {
     let job = base_job().with_fault(FaultPlan::quiet(7).with_lethal_rank(1));
-    let strategy = strategy_for::<f64>(Approach::HybridMultiple);
-    let err = execute::<f64>(&job, strategy.as_ref(), &policy(DegradePolicy::disabled()))
+    let approach = Approach::HybridMultiple;
+    let err = execute::<f64>(&job, approach, &policy(DegradePolicy::disabled()))
         .err()
         .expect("no escalation budget");
     assert!(matches!(err, RunError::Failed { .. }), "{err}");
@@ -236,12 +235,12 @@ fn disabled_escalation_fails_like_the_plain_supervisor() {
 #[test]
 fn min_ranks_floor_blocks_the_shrink() {
     let job = base_job().with_fault(FaultPlan::quiet(7).with_lethal_rank(1));
-    let strategy = strategy_for::<f64>(Approach::HybridMultiple);
+    let approach = Approach::HybridMultiple;
     let floor = DegradePolicy {
         max_degrades: 1,
         min_ranks: 2, // 1 node in SMP mode is 1 rank — below the floor
     };
-    let err = execute::<f64>(&job, strategy.as_ref(), &policy(floor))
+    let err = execute::<f64>(&job, approach, &policy(floor))
         .err()
         .expect("no geometry satisfies the floor");
     assert!(matches!(err, RunError::Failed { .. }), "{err}");
@@ -252,13 +251,12 @@ fn min_ranks_floor_blocks_the_shrink() {
 #[test]
 fn clean_degradable_runs_report_no_degradation() {
     let job = base_job();
-    let strategy = strategy_for::<f64>(Approach::TemporalBlocked);
-    let sup = execute::<f64>(&job, strategy.as_ref(), &policy(DegradePolicy::default()))
-        .expect("clean run");
+    let approach = Approach::TemporalBlocked;
+    let sup = execute::<f64>(&job, approach, &policy(DegradePolicy::default())).expect("clean run");
     assert!(sup.recovery.degradation.is_none());
     assert!(sup.recovery.rank_escalations.is_empty());
     assert_eq!(sup.recovery.attempts, 1);
-    assert_bitwise(&job, strategy.as_ref(), &sup);
+    assert_bitwise(&job, approach, &sup);
 }
 
 /// The durable variant: an epoch spilled by a 2-node run restores onto
@@ -268,11 +266,10 @@ fn clean_degradable_runs_report_no_degradation() {
 #[test]
 fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
     for approach in STRATEGIES {
-        let strategy = strategy_for::<f64>(approach);
         let dir = std::env::temp_dir().join(format!(
             "gpaw-degradation-{}-{}",
             std::process::id(),
-            strategy.name().replace(' ', "-")
+            approach.label().replace(' ', "-")
         ));
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -282,13 +279,13 @@ fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
         let half = base_job().with_sweeps(LETHAL_FROM);
         execute::<f64>(
             &half,
-            strategy.as_ref(),
+            approach,
             &RunPolicy {
                 durable: Some(DurabilityConfig::new(&dir)),
                 ..policy(DegradePolicy::disabled())
             },
         )
-        .unwrap_or_else(|e| panic!("{}: phase 1 failed: {e}", strategy.name()));
+        .unwrap_or_else(|e| panic!("{}: phase 1 failed: {e}", approach.label()));
 
         // Phase 2: restore the full job on 1 node from that checkpoint.
         let full = NativeJob {
@@ -297,17 +294,17 @@ fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
         };
         let dr = execute::<f64>(
             &full,
-            strategy.as_ref(),
+            approach,
             &RunPolicy {
                 durable: Some(DurabilityConfig::new(&dir).with_restore(true)),
                 ..policy(DegradePolicy::disabled())
             },
         )
-        .unwrap_or_else(|e| panic!("{}: cross-geometry restore failed: {e}", strategy.name()));
+        .unwrap_or_else(|e| panic!("{}: cross-geometry restore failed: {e}", approach.label()));
         let _ = std::fs::remove_dir_all(&dir);
 
         assert_eq!(dr.durable.resumed_from, LETHAL_FROM);
-        assert_bitwise(&full, strategy.as_ref(), &dr);
+        assert_bitwise(&full, approach, &dr);
 
         let old_programs = programs_for(&half, approach, 2);
         let new_programs = programs_for(&full, approach, 1);
@@ -315,7 +312,7 @@ fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
             .recovery
             .degradation
             .as_ref()
-            .unwrap_or_else(|| panic!("{}: no degradation report", strategy.name()));
+            .unwrap_or_else(|| panic!("{}: no degradation report", approach.label()));
         assert_eq!(deg.from_ranks, old_programs.len());
         assert_eq!(deg.to_ranks, new_programs.len());
         assert_eq!(deg.segments.len(), 2);
@@ -327,7 +324,7 @@ fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
             ),
             (m, b),
             "{}: spilled segment traffic is not exact",
-            strategy.name()
+            approach.label()
         );
         let (m, b) = predicted_logical_span(&new_programs, LETHAL_FROM, SWEEPS);
         assert_eq!(
@@ -337,7 +334,7 @@ fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
             ),
             (m, b),
             "{}: restored segment traffic is not exact",
-            strategy.name()
+            approach.label()
         );
         // Survivors carry the scar here too.
         assert!(
@@ -346,7 +343,7 @@ fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
                 .iter()
                 .all(|e| e.degrades_survived >= 1),
             "{}: restored ranks must record the survived degradation",
-            strategy.name()
+            approach.label()
         );
     }
 }
@@ -359,7 +356,6 @@ fn durable_restore_onto_fewer_ranks_is_bitwise_with_exact_segments() {
 #[test]
 fn durable_runs_shrink_and_their_spill_restores() {
     for approach in STRATEGIES {
-        let strategy = strategy_for::<f64>(approach);
         let dir = std::env::temp_dir().join(format!(
             "gpaw-durable-degradation-{}-{}",
             std::process::id(),
@@ -371,11 +367,11 @@ fn durable_runs_shrink_and_their_spill_restores() {
             ..policy(DegradePolicy::default())
         };
         let job = base_job().with_fault(FaultPlan::quiet(5).with_lethal_rank_from(1, LETHAL_FROM));
-        let name = strategy.name();
+        let name = approach.label();
 
-        let sup = execute::<f64>(&job, strategy.as_ref(), &durable(false))
+        let sup = execute::<f64>(&job, approach, &durable(false))
             .unwrap_or_else(|e| panic!("{name}: durable degradation failed: {e}"));
-        assert_bitwise(&job, strategy.as_ref(), &sup);
+        assert_bitwise(&job, approach, &sup);
         assert!(sup.durable.epochs_spilled >= 1, "{name}: nothing spilled");
         let deg = sup.recovery.degradation.as_ref().expect("the run shrank");
         let old_programs = programs_for(&job, approach, 2);
@@ -398,11 +394,11 @@ fn durable_runs_shrink_and_their_spill_restores() {
             );
         }
 
-        let restored = execute::<f64>(&job, strategy.as_ref(), &durable(true))
+        let restored = execute::<f64>(&job, approach, &durable(true))
             .unwrap_or_else(|e| panic!("{name}: restoring the shrunken spill failed: {e}"));
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(restored.durable.resumed_from, SWEEPS, "{name}");
-        let clean = execute::<f64>(&base_job(), strategy.as_ref(), &RunPolicy::bare())
+        let clean = execute::<f64>(&base_job(), approach, &RunPolicy::bare())
             .expect("clean run")
             .run;
         assert_eq!(

@@ -25,14 +25,12 @@
 use gpaw_fd::config::Approach;
 use gpaw_fd::durable::DurableStore;
 use gpaw_hybrid_rt::{
-    execute, run_digest, strategy_for, AdmissionError, DurabilityConfig, JobService, NativeJob,
-    NativeRun, Priority, RetryPolicy, RunError, RunPolicy, ServiceConfig, SupervisedRun,
+    execute, run_digest, AdmissionError, DurabilityConfig, JobService, NativeJob, NativeRun,
+    Priority, RetryPolicy, RunError, RunPolicy, ServiceConfig, SupervisedRun,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-const ALL_APPROACHES: [Approach; 6] = Approach::ALL;
 
 fn base_job(threads: usize, sweeps: usize) -> NativeJob {
     // Every sub-extent stays ≥ 4, the fused temporal-blocked ghost depth.
@@ -56,8 +54,7 @@ fn policy(durable: DurabilityConfig) -> RunPolicy<'static> {
 
 /// The uninterrupted, fault-free run of `job`.
 fn clean_run(job: &NativeJob, approach: Approach) -> NativeRun<f64> {
-    let strategy = strategy_for::<f64>(approach);
-    execute::<f64>(job, strategy.as_ref(), &RunPolicy::bare())
+    execute::<f64>(job, approach, &RunPolicy::bare())
         .expect("clean run")
         .run
 }
@@ -76,8 +73,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn run_durable(job: &NativeJob, approach: Approach, cfg: &DurabilityConfig) -> SupervisedRun<f64> {
-    let strategy = strategy_for::<f64>(approach);
-    execute::<f64>(job, strategy.as_ref(), &policy(cfg.clone())).expect("durable run completes")
+    execute::<f64>(job, approach, &policy(cfg.clone())).expect("durable run completes")
 }
 
 /// Assert `dr` is indistinguishable from the uninterrupted `clean` run:
@@ -105,8 +101,7 @@ fn assert_bit_identical(what: &str, dr: &SupervisedRun<f64>, clean: &NativeRun<f
 #[test]
 fn kill_and_restore_is_bit_identical_for_every_strategy() {
     let sweeps = 4;
-    for approach in ALL_APPROACHES {
-        let strategy = strategy_for::<f64>(approach);
+    for approach in Approach::ALL {
         for threads in [2, 4] {
             let job = base_job(threads, sweeps);
             // A fused program deposits (and therefore can be killed and
@@ -137,10 +132,10 @@ fn kill_and_restore_is_bit_identical_for_every_strategy() {
                     restored.durable.resumed_from,
                     kill_after,
                     "{} {threads}t: restore must resume at the victim's last epoch",
-                    strategy.name()
+                    approach.label()
                 );
                 assert_bit_identical(
-                    &format!("{} {threads}t kill@{kill_after}", strategy.name()),
+                    &format!("{} {threads}t kill@{kill_after}", approach.label()),
                     &restored,
                     &clean,
                 );
@@ -244,10 +239,9 @@ fn fully_garbled_directory_restores_from_scratch_and_stays_bit_identical() {
 fn restoring_a_missing_directory_is_a_typed_error() {
     let job = base_job(2, 2);
     let dir = tmpdir("missing"); // never created
-    let strategy = strategy_for::<f64>(Approach::HybridMultiple);
     let err = execute::<f64>(
         &job,
-        strategy.as_ref(),
+        Approach::HybridMultiple,
         &policy(DurabilityConfig::new(&dir).with_restore(true)),
     )
     .err()
@@ -268,10 +262,9 @@ fn restoring_into_a_different_geometry_is_a_typed_error() {
     );
     // Same directory, different approach: the checkpoint's key set
     // (one slot per thread) cannot satisfy the master-only geometry.
-    let strategy = strategy_for::<f64>(Approach::HybridMasterOnly);
     let err = execute::<f64>(
         &base_job(2, 3),
-        strategy.as_ref(),
+        Approach::HybridMasterOnly,
         &policy(DurabilityConfig::new(&dir).with_restore(true)),
     )
     .err()

@@ -10,25 +10,28 @@
 
 use gpaw_fd::exec::SyntheticFill;
 use gpaw_fd::integrity::run_digest;
+use gpaw_fd::Approach;
 use gpaw_grid::decomp::Subdomain;
 use gpaw_grid::grid3::Grid3;
 use gpaw_grid::scalar::{Scalar, C64};
 use gpaw_hybrid_rt::{
-    execute, FailureKind, FaultPlan, HybridMasterOnly, HybridMultiple, NativeJob, RetryPolicy,
-    RunError, RunPolicy, Strategy, TemporalBlocked,
+    execute, FailureKind, FaultPlan, NativeJob, RetryPolicy, RunError, RunPolicy,
 };
 use std::ops::{Add, AddAssign, Neg, Sub};
 use std::time::Duration;
 
 fn digests_do_not_depend_on_the_filler_count<T: SyntheticFill>() {
-    let strategies: [&dyn Strategy<T>; 3] = [&HybridMultiple, &HybridMasterOnly, &TemporalBlocked];
-    for strategy in strategies {
+    for approach in [
+        Approach::HybridMultiple,
+        Approach::HybridMasterOnly,
+        Approach::TemporalBlocked,
+    ] {
         for n_grids in [1, 2, 3, 5] {
             let digest = |threads: usize| {
                 let job = NativeJob::new([12, 10, 8], n_grids, 2)
                     .with_threads(threads)
                     .with_sweeps(2);
-                let run = execute::<T>(&job, strategy, &RunPolicy::bare())
+                let run = execute::<T>(&job, approach, &RunPolicy::bare())
                     .expect("valid job")
                     .run;
                 run_digest(&run.sets)
@@ -40,7 +43,7 @@ fn digests_do_not_depend_on_the_filler_count<T: SyntheticFill>() {
                     digest(threads),
                     serial,
                     "{} with {n_grids} grids on {threads} threads",
-                    strategy.name()
+                    approach.label()
                 );
             }
         }
@@ -145,7 +148,7 @@ fn a_panicking_fill_is_a_typed_rank_failure_not_a_hang() {
             .with_threads(threads)
             .with_seed(cursed)
             .with_recv_timeout_ms(500);
-        let err = execute::<Boom>(&job, &HybridMultiple, &RunPolicy::bare())
+        let err = execute::<Boom>(&job, Approach::HybridMultiple, &RunPolicy::bare())
             .err()
             .expect("the fill panics on every rank");
         let RunError::Failed { failures, .. } = err else {
@@ -182,15 +185,19 @@ fn a_supervised_retry_restores_from_the_store_not_from_a_refill() {
         max_attempts: 4,
         base_backoff: Duration::from_millis(1),
     };
-    let clean = execute::<f64>(&base, &HybridMultiple, &RunPolicy::bare())
+    let clean = execute::<f64>(&base, Approach::HybridMultiple, &RunPolicy::bare())
         .expect("clean run")
         .run;
     let resumed_mid = [8u64, 12, 16, 24, 32, 48, 64]
         .into_iter()
         .find(|&after_sends| {
             let job = base.with_fault(FaultPlan::quiet(9).with_panic_on_send(0, after_sends));
-            let sup = execute::<f64>(&job, &HybridMultiple, &RunPolicy::supervised(policy))
-                .expect("recovers");
+            let sup = execute::<f64>(
+                &job,
+                Approach::HybridMultiple,
+                &RunPolicy::supervised(policy),
+            )
+            .expect("recovers");
             assert_eq!(run_digest(&sup.run.sets), run_digest(&clean.sets));
             sup.recovery.failures.iter().any(|f| f.resumed_from >= 1)
         });

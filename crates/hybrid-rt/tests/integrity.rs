@@ -23,12 +23,10 @@
 use gpaw_fd::config::Approach;
 use gpaw_fd::plan::RankPlan;
 use gpaw_hybrid_rt::{
-    execute, run_digest, strategy_for, FailureClass, FailureKind, FaultPlan, NativeJob, NativeRun,
-    RetryPolicy, RunError, RunPolicy, Strategy, SupervisedRun,
+    execute, run_digest, FailureClass, FailureKind, FaultPlan, NativeJob, NativeRun, RetryPolicy,
+    RunError, RunPolicy, SupervisedRun,
 };
 use std::time::Duration;
-
-const ALL_APPROACHES: [Approach; 6] = Approach::ALL;
 
 fn base_job(threads: usize) -> NativeJob {
     // Every sub-extent stays ≥ 4, the fused temporal-blocked ghost depth.
@@ -45,15 +43,11 @@ fn policy() -> RunPolicy<'static> {
     })
 }
 
-/// Rank 0's first neighbor under this strategy's geometry — flat
+/// Rank 0's first neighbor under this approach's geometry — flat
 /// strategies run virtual ranks, where rank 1 need not be adjacent to
 /// rank 0, so injectors must target a real plan edge.
-fn neighbor_of_rank0(
-    job: &NativeJob,
-    strategy: &dyn Strategy<f64>,
-    clean: &NativeRun<f64>,
-) -> usize {
-    let cfg = job.config(strategy.approach());
+fn neighbor_of_rank0(job: &NativeJob, approach: Approach, clean: &NativeRun<f64>) -> usize {
+    let cfg = job.config(approach);
     let plan = RankPlan::for_rank(&clean.map, job.grid_ext, 0, 8, &cfg);
     plan.neighbors
         .iter()
@@ -67,7 +61,7 @@ fn neighbor_of_rank0(
 /// same bits, same logical traffic — corruption never leaks into either.
 fn assert_bitwise_with_exact_traffic(
     what: &str,
-    strategy: &dyn Strategy<f64>,
+    approach: Approach,
     clean: &NativeRun<f64>,
     sup: &SupervisedRun<f64>,
 ) {
@@ -75,19 +69,19 @@ fn assert_bitwise_with_exact_traffic(
         run_digest(&sup.run.sets),
         run_digest(&clean.sets),
         "{} ({what}): recovered bits diverged from the fault-free run",
-        strategy.name()
+        approach.label()
     );
     assert_eq!(
         sup.run.report.messages,
         clean.report.messages,
         "{} ({what}): logical message count drifted",
-        strategy.name()
+        approach.label()
     );
     assert_eq!(
         sup.run.report.total_network_bytes,
         clean.report.total_network_bytes,
         "{} ({what}): logical network bytes drifted",
-        strategy.name()
+        approach.label()
     );
 }
 
@@ -97,37 +91,36 @@ fn assert_bitwise_with_exact_traffic(
 /// counted separately from logical traffic.
 #[test]
 fn corrupted_payloads_supervise_to_bitwise_parity_across_twenty_seeds() {
-    for approach in ALL_APPROACHES {
-        let s = strategy_for::<f64>(approach);
+    for approach in Approach::ALL {
         for threads in [2, 4] {
             let base = base_job(threads);
-            let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+            let clean = execute::<f64>(&base, approach, &RunPolicy::bare())
                 .expect("clean run")
                 .run;
-            let dst = neighbor_of_rank0(&base, s.as_ref(), &clean);
+            let dst = neighbor_of_rank0(&base, approach, &clean);
             for seed in 0..20 {
                 let job = base.with_fault(FaultPlan::benign(seed).with_corrupt_payload(
                     0,
                     dst,
                     1 + seed % 2,
                 ));
-                let sup = execute::<f64>(&job, s.as_ref(), &policy()).unwrap_or_else(|e| {
+                let sup = execute::<f64>(&job, approach, &policy()).unwrap_or_else(|e| {
                     panic!(
                         "{} threads {threads} seed {seed}: recovery failed: {e}",
-                        s.name()
+                        approach.label()
                     )
                 });
-                assert_bitwise_with_exact_traffic("payload corruption", s.as_ref(), &clean, &sup);
+                assert_bitwise_with_exact_traffic("payload corruption", approach, &clean, &sup);
                 assert!(
                     sup.recovery.attempts >= 2,
                     "{} seed {seed}: the flipped bit must have been detected",
-                    s.name()
+                    approach.label()
                 );
                 assert!(
                     sup.recovery.corruptions_detected >= 1,
                     "{} seed {seed}: the detection must be counted — separately from \
                      the logical counts the parity assertions just proved exact",
-                    s.name()
+                    approach.label()
                 );
                 assert!(
                     sup.recovery
@@ -135,12 +128,12 @@ fn corrupted_payloads_supervise_to_bitwise_parity_across_twenty_seeds() {
                         .iter()
                         .any(|f| f.rank == dst && f.class == FailureClass::Corrupted),
                     "{} seed {seed}: rank {dst}'s rejected payload must classify as Corrupted",
-                    s.name()
+                    approach.label()
                 );
                 assert!(
                     sup.recovery.messages_retransmitted > 0,
                     "{} seed {seed}: replay redelivers the intact copy as a retransmission",
-                    s.name()
+                    approach.label()
                 );
             }
         }
@@ -152,28 +145,32 @@ fn corrupted_payloads_supervise_to_bitwise_parity_across_twenty_seeds() {
 #[test]
 fn unsupervised_corruption_is_a_typed_integrity_error() {
     let base = base_job(2);
-    for approach in ALL_APPROACHES {
-        let s = strategy_for::<f64>(approach);
-        let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+    for approach in Approach::ALL {
+        let clean = execute::<f64>(&base, approach, &RunPolicy::bare())
             .expect("clean run")
             .run;
-        let dst = neighbor_of_rank0(&base, s.as_ref(), &clean);
+        let dst = neighbor_of_rank0(&base, approach, &clean);
         let job = base.with_fault(FaultPlan::quiet(11).with_corrupt_payload(0, dst, 1));
-        let err = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+        let err = execute::<f64>(&job, approach, &RunPolicy::bare())
             .err()
-            .unwrap_or_else(|| panic!("{}: a corrupted payload must fail the run", s.name()));
+            .unwrap_or_else(|| {
+                panic!(
+                    "{}: a corrupted payload must fail the run",
+                    approach.label()
+                )
+            });
         assert!(
             matches!(err, RunError::Integrity { .. }),
             "{}: expected RunError::Integrity, got: {err}",
-            s.name()
+            approach.label()
         );
         let first = err.first_failure().expect("integrity errors list failures");
-        assert_eq!(first.rank, dst, "{}", s.name());
-        assert_eq!(first.phase, "halo-verify", "{}", s.name());
+        assert_eq!(first.rank, dst, "{}", approach.label());
+        assert_eq!(first.phase, "halo-verify", "{}", approach.label());
         let FailureKind::Corrupt(c) = &first.kind else {
-            panic!("{}: worst failure must be the corruption", s.name());
+            panic!("{}: worst failure must be the corruption", approach.label());
         };
-        assert_eq!(c.src, 0, "{}", s.name());
+        assert_eq!(c.src, 0, "{}", approach.label());
         let text = err.to_string();
         assert!(text.contains("silent data corruption detected"), "{text}");
         assert!(text.contains("checksum mismatch"), "{text}");
@@ -187,10 +184,9 @@ fn unsupervised_corruption_is_a_typed_integrity_error() {
 /// is still bitwise with exact traffic — for every strategy.
 #[test]
 fn poisoned_snapshots_degrade_the_rollback_and_recover_bitwise() {
-    for approach in ALL_APPROACHES {
-        let s = strategy_for::<f64>(approach);
+    for approach in Approach::ALL {
         let base = base_job(2).with_sweeps(3);
-        let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+        let clean = execute::<f64>(&base, approach, &RunPolicy::bare())
             .expect("clean run")
             .run;
         let mut convicted = false;
@@ -200,10 +196,10 @@ fn poisoned_snapshots_degrade_the_rollback_and_recover_bitwise() {
                     .with_panic_on_send(0, after_sends)
                     .with_corrupt_snapshot(0, 0, 1),
             );
-            let sup = execute::<f64>(&job, s.as_ref(), &policy()).unwrap_or_else(|e| {
+            let sup = execute::<f64>(&job, approach, &policy()).unwrap_or_else(|e| {
                 panic!(
                     "{} after_sends {after_sends}: recovery failed: {e}",
-                    s.name()
+                    approach.label()
                 )
             });
             if sup.recovery.attempts == 1 {
@@ -211,7 +207,7 @@ fn poisoned_snapshots_degrade_the_rollback_and_recover_bitwise() {
                 // fired and the poison was never on a rollback path.
                 break;
             }
-            assert_bitwise_with_exact_traffic("snapshot poison", s.as_ref(), &clean, &sup);
+            assert_bitwise_with_exact_traffic("snapshot poison", approach, &clean, &sup);
             if sup.recovery.snapshot_digest_failures >= 1 {
                 // The digest convicted the poisoned snapshot; the resume
                 // epoch degraded below the poisoned epoch 1.
@@ -219,7 +215,7 @@ fn poisoned_snapshots_degrade_the_rollback_and_recover_bitwise() {
                     sup.recovery.failures.iter().all(|f| f.resumed_from == 0),
                     "{} after_sends {after_sends}: a poisoned epoch-1 snapshot \
                      leaves only the synthetic fill to resume from",
-                    s.name()
+                    approach.label()
                 );
                 convicted = true;
                 break;
@@ -229,7 +225,7 @@ fn poisoned_snapshots_degrade_the_rollback_and_recover_bitwise() {
             convicted,
             "{}: some panic ordinal must land after epoch 1's deposits and \
              convict the poisoned snapshot",
-            s.name()
+            approach.label()
         );
     }
 }
@@ -239,17 +235,21 @@ fn poisoned_snapshots_degrade_the_rollback_and_recover_bitwise() {
 /// still completing bitwise.
 #[test]
 fn clean_runs_report_zero_detections_under_always_on_verification() {
-    for approach in ALL_APPROACHES {
-        let s = strategy_for::<f64>(approach);
+    for approach in Approach::ALL {
         let job = base_job(2);
-        let clean = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+        let clean = execute::<f64>(&job, approach, &RunPolicy::bare())
             .expect("clean run")
             .run;
-        let sup = execute::<f64>(&job, s.as_ref(), &policy()).expect("supervised clean run");
-        assert_bitwise_with_exact_traffic("no faults", s.as_ref(), &clean, &sup);
-        assert_eq!(sup.recovery.attempts, 1, "{}", s.name());
-        assert_eq!(sup.recovery.corruptions_detected, 0, "{}", s.name());
-        assert_eq!(sup.recovery.snapshot_digest_failures, 0, "{}", s.name());
+        let sup = execute::<f64>(&job, approach, &policy()).expect("supervised clean run");
+        assert_bitwise_with_exact_traffic("no faults", approach, &clean, &sup);
+        assert_eq!(sup.recovery.attempts, 1, "{}", approach.label());
+        assert_eq!(sup.recovery.corruptions_detected, 0, "{}", approach.label());
+        assert_eq!(
+            sup.recovery.snapshot_digest_failures,
+            0,
+            "{}",
+            approach.label()
+        );
     }
 }
 
@@ -258,9 +258,9 @@ fn clean_runs_report_zero_detections_under_always_on_verification() {
 #[test]
 fn corrupt_recovery_is_reproducible_per_seed() {
     let job = base_job(2).with_fault(FaultPlan::benign(42).with_corrupt_payload(0, 1, 1));
-    let s = strategy_for::<f64>(Approach::HybridMultiple);
-    let a = execute::<f64>(&job, s.as_ref(), &policy()).expect("first recovery");
-    let b = execute::<f64>(&job, s.as_ref(), &policy()).expect("second recovery");
+    let approach = Approach::HybridMultiple;
+    let a = execute::<f64>(&job, approach, &policy()).expect("first recovery");
+    let b = execute::<f64>(&job, approach, &policy()).expect("second recovery");
     assert_eq!(run_digest(&a.run.sets), run_digest(&b.run.sets));
     assert_eq!(a.run.report.messages, b.run.report.messages);
     assert_eq!(a.recovery.attempts, b.recovery.attempts);

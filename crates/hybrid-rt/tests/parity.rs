@@ -9,18 +9,19 @@
 use gpaw_des::SimDuration;
 use gpaw_fd::exec::{max_error_vs_reference_planned, run_distributed, sequential_reference};
 use gpaw_fd::trace::SpanKind;
+use gpaw_fd::Approach;
 use gpaw_grid::scalar::C64;
 use gpaw_grid::stencil::BoundaryCond;
-use gpaw_hybrid_rt::{all_strategies, execute, HybridMultiple, NativeJob, RunPolicy, Strategy};
+use gpaw_hybrid_rt::{execute, NativeJob, RunPolicy};
 
 fn coef(job: &NativeJob) -> gpaw_grid::stencil::StencilCoeffs {
     gpaw_grid::stencil::StencilCoeffs::laplacian(job.spacing)
 }
 
-/// Run `strategy` natively and assert the grids match the sequential
+/// Run `approach` natively and assert the grids match the sequential
 /// reference bit for bit.
-fn check_bitwise<T: gpaw_fd::exec::SyntheticFill>(job: &NativeJob, strategy: &dyn Strategy<T>) {
-    let run = execute::<T>(job, strategy, &RunPolicy::bare())
+fn check_bitwise<T: gpaw_fd::exec::SyntheticFill>(job: &NativeJob, approach: Approach) {
+    let run = execute::<T>(job, approach, &RunPolicy::bare())
         .expect("valid job")
         .run;
     let reference = sequential_reference::<T>(
@@ -31,21 +32,21 @@ fn check_bitwise<T: gpaw_fd::exec::SyntheticFill>(job: &NativeJob, strategy: &dy
         job.bc,
         job.sweeps,
     );
-    let cfg = job.config(strategy.approach());
+    let cfg = job.config(approach);
     let err = max_error_vs_reference_planned(&run.sets, &run.map, job.grid_ext, &reference, &cfg);
     assert_eq!(
         err,
         0.0,
         "{} diverged from the functional plane",
-        strategy.name()
+        approach.label()
     );
 }
 
 #[test]
 fn all_strategies_match_the_reference_at_4_threads() {
     let job = NativeJob::new([12, 12, 12], 7, 2).with_sweeps(2);
-    for s in all_strategies::<f64>() {
-        check_bitwise(&job, s.as_ref());
+    for a in Approach::ALL {
+        check_bitwise::<f64>(&job, a);
     }
 }
 
@@ -54,16 +55,16 @@ fn all_strategies_match_the_reference_at_2_threads() {
     let job = NativeJob::new([13, 11, 9], 6, 2)
         .with_threads(2)
         .with_sweeps(2);
-    for s in all_strategies::<f64>() {
-        check_bitwise(&job, s.as_ref());
+    for a in Approach::ALL {
+        check_bitwise::<f64>(&job, a);
     }
 }
 
 #[test]
 fn complex_grids_match_the_reference() {
     let job = NativeJob::new([10, 10, 10], 5, 2);
-    for s in all_strategies::<C64>() {
-        check_bitwise(&job, s.as_ref());
+    for a in Approach::ALL {
+        check_bitwise::<C64>(&job, a);
     }
 }
 
@@ -71,8 +72,8 @@ fn complex_grids_match_the_reference() {
 fn zero_boundaries_match_the_reference() {
     let mut job = NativeJob::new([12, 10, 8], 4, 2);
     job.bc = BoundaryCond::Zero;
-    for s in all_strategies::<f64>() {
-        check_bitwise(&job, s.as_ref());
+    for a in Approach::ALL {
+        check_bitwise::<f64>(&job, a);
     }
 }
 
@@ -81,8 +82,8 @@ fn uneven_decomposition_and_single_node_self_exchange() {
     // 13³ on one SMP node: every neighbor is the rank itself, extents
     // indivisible — remainder paths everywhere.
     let job = NativeJob::new([13, 13, 13], 5, 1).with_sweeps(2);
-    for s in all_strategies::<f64>() {
-        check_bitwise(&job, s.as_ref());
+    for a in Approach::ALL {
+        check_bitwise::<f64>(&job, a);
     }
 }
 
@@ -91,10 +92,10 @@ fn native_hybrid_multiple_matches_the_functional_plane_rank_by_rank() {
     // Same approach, same geometry ⇒ the per-rank grid sets must be
     // bitwise equal to run_distributed's, not just to the reference.
     let job = NativeJob::new([12, 12, 12], 9, 2).with_sweeps(2);
-    let native = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+    let native = execute::<f64>(&job, Approach::HybridMultiple, &RunPolicy::bare())
         .expect("valid job")
         .run;
-    let cfg = job.config(gpaw_fd::Approach::HybridMultiple);
+    let cfg = job.config(Approach::HybridMultiple);
     let functional = run_distributed::<f64>(
         job.grid_ext,
         job.n_grids,
@@ -118,8 +119,8 @@ fn native_hybrid_multiple_matches_the_functional_plane_rank_by_rank() {
 #[test]
 fn span_ledgers_satisfy_the_conservation_invariant() {
     let job = NativeJob::new([12, 12, 12], 8, 2).with_sweeps(2);
-    for s in all_strategies::<f64>() {
-        let run = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+    for a in Approach::ALL {
+        let run = execute::<f64>(&job, a, &RunPolicy::bare())
             .expect("valid job")
             .run;
         let r = &run.report;
@@ -130,7 +131,7 @@ fn span_ledgers_satisfy_the_conservation_invariant() {
             assert!(
                 t.spans.total() <= t.finish,
                 "{}: rank {} slot {} overfull ledger",
-                s.name(),
+                a.label(),
                 t.rank,
                 t.slot
             );
@@ -138,7 +139,7 @@ fn span_ledgers_satisfy_the_conservation_invariant() {
         }
         // Aggregate: per-kind fractions plus idle sum to exactly 1.
         let covered: f64 = SpanKind::ALL.iter().map(|&k| r.span_fraction(k)).sum();
-        assert!(covered <= 1.0 + 1e-9, "{}: covered {covered}", s.name());
+        assert!(covered <= 1.0 + 1e-9, "{}: covered {covered}", a.label());
         assert!((covered + r.idle_fraction_from_spans() - 1.0).abs() < 1e-9);
         // The raw timelines aggregate to the same totals.
         let mut agg = gpaw_des::SpanAgg::new();
@@ -147,19 +148,19 @@ fn span_ledgers_satisfy_the_conservation_invariant() {
                 agg.record(span);
             }
         }
-        assert_eq!(agg, r.phases, "{}: timeline/aggregate mismatch", s.name());
+        assert_eq!(agg, r.phases, "{}: timeline/aggregate mismatch", a.label());
     }
 }
 
 #[test]
 fn native_reports_count_real_traffic() {
     let job = NativeJob::new([12, 12, 12], 6, 2);
-    for s in all_strategies::<f64>() {
-        let run = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
+    for a in Approach::ALL {
+        let run = execute::<f64>(&job, a, &RunPolicy::bare())
             .expect("valid job")
             .run;
         let r = &run.report;
-        assert!(r.messages > 0, "{}: no messages recorded", s.name());
+        assert!(r.messages > 0, "{}: no messages recorded", a.label());
         assert!(r.bytes_per_node > 0);
         // Two SMP nodes (or eight virtual ranks on two nodes): the halo
         // exchange must cross nodes.
@@ -176,19 +177,17 @@ fn native_reports_count_real_traffic() {
 #[test]
 fn message_counts_are_deterministic() {
     let job = NativeJob::new([12, 10, 8], 6, 2).with_sweeps(2);
-    for s in all_strategies::<f64>() {
-        let a = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
-            .expect("valid job")
-            .run;
-        let b = execute::<f64>(&job, s.as_ref(), &RunPolicy::bare())
-            .expect("valid job")
-            .run;
-        assert_eq!(a.report.messages, b.report.messages, "{}", s.name());
+    for approach in Approach::ALL {
+        let [a, b] = [0, 1].map(|_| {
+            execute::<f64>(&job, approach, &RunPolicy::bare())
+                .expect("valid job")
+                .run
+        });
+        let label = approach.label();
+        assert_eq!(a.report.messages, b.report.messages, "{label}");
         assert_eq!(
-            a.report.total_network_bytes,
-            b.report.total_network_bytes,
-            "{}",
-            s.name()
+            a.report.total_network_bytes, b.report.total_network_bytes,
+            "{label}"
         );
         assert_eq!(a.report.bytes_per_node, b.report.bytes_per_node);
     }
@@ -197,17 +196,14 @@ fn message_counts_are_deterministic() {
 #[test]
 fn hybrid_ledgers_record_barrier_time() {
     let job = NativeJob::new([12, 12, 12], 8, 2).with_sweeps(3);
-    for s in [
-        &gpaw_hybrid_rt::HybridMultiple as &dyn Strategy<f64>,
-        &gpaw_hybrid_rt::HybridMasterOnly,
-    ] {
-        let run = execute::<f64>(&job, s, &RunPolicy::bare())
+    for a in [Approach::HybridMultiple, Approach::HybridMasterOnly] {
+        let run = execute::<f64>(&job, a, &RunPolicy::bare())
             .expect("valid job")
             .run;
         assert!(
             run.report.phases.count(SpanKind::ThreadBarrier) > 0,
             "{}: no barrier spans",
-            s.name()
+            a.label()
         );
         // 2 ranks × 4 threads, one phase set each, and every span kind
         // of the interpreter's ledger present.
@@ -223,7 +219,7 @@ fn hybrid_ledgers_record_barrier_time() {
             assert!(
                 run.report.phases.get(kind) > SimDuration::ZERO,
                 "{}: {kind:?} missing from the ledger",
-                s.name()
+                a.label()
             );
         }
     }

@@ -22,10 +22,10 @@
 use gpaw_fd::exec::{max_error_vs_reference_planned, sequential_reference};
 use gpaw_fd::plan::RankPlan;
 use gpaw_fd::progcache::ProgramCache;
+use gpaw_fd::Approach;
 use gpaw_hybrid_rt::{
-    all_strategies, execute, run_digest, DegradePolicy, DurabilityConfig, FailureClass, FaultPlan,
-    HybridMultiple, NativeJob, NativeRun, RetryPolicy, RunError, RunPolicy, Strategy,
-    SupervisedRun,
+    execute, run_digest, DegradePolicy, DurabilityConfig, FailureClass, FaultPlan, NativeJob,
+    NativeRun, RetryPolicy, RunError, RunPolicy, SupervisedRun,
 };
 use std::time::Duration;
 
@@ -48,15 +48,11 @@ fn coef(job: &NativeJob) -> gpaw_grid::stencil::StencilCoeffs {
     gpaw_grid::stencil::StencilCoeffs::laplacian(job.spacing)
 }
 
-/// Rank 0's first neighbor under this strategy's geometry — flat
+/// Rank 0's first neighbor under this approach's geometry — flat
 /// strategies run 8 virtual ranks on 2 nodes, where rank 1 need not be
 /// adjacent to rank 0, so black holes must target a real plan edge.
-fn neighbor_of_rank0(
-    job: &NativeJob,
-    strategy: &dyn Strategy<f64>,
-    clean: &NativeRun<f64>,
-) -> usize {
-    let cfg = job.config(strategy.approach());
+fn neighbor_of_rank0(job: &NativeJob, approach: Approach, clean: &NativeRun<f64>) -> usize {
+    let cfg = job.config(approach);
     let plan = RankPlan::for_rank(&clean.map, job.grid_ext, 0, 8, &cfg);
     plan.neighbors
         .iter()
@@ -68,7 +64,7 @@ fn neighbor_of_rank0(
 
 fn assert_recovered_bitwise(
     job: &NativeJob,
-    strategy: &dyn Strategy<f64>,
+    approach: Approach,
     clean: &NativeRun<f64>,
     sup: &SupervisedRun<f64>,
     what: &str,
@@ -81,26 +77,26 @@ fn assert_recovered_bitwise(
         job.bc,
         job.sweeps,
     );
-    let cfg = job.config(strategy.approach());
+    let cfg = job.config(approach);
     let err =
         max_error_vs_reference_planned(&sup.run.sets, &sup.run.map, job.grid_ext, &reference, &cfg);
     assert_eq!(
         err,
         0.0,
         "{}: recovered run diverged ({what})",
-        strategy.name()
+        approach.label()
     );
     assert_eq!(
         sup.run.report.messages,
         clean.report.messages,
         "{} ({what}): logical message count drifted through recovery",
-        strategy.name()
+        approach.label()
     );
     assert_eq!(
         sup.run.report.total_network_bytes,
         clean.report.total_network_bytes,
         "{} ({what}): logical network bytes drifted through recovery",
-        strategy.name()
+        approach.label()
     );
 }
 
@@ -110,15 +106,15 @@ fn assert_recovered_bitwise(
 #[test]
 fn supervised_runs_absorb_injected_panics_across_twenty_seeds() {
     let base = base_job();
-    for s in all_strategies::<f64>() {
-        let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+    for a in Approach::ALL {
+        let clean = execute::<f64>(&base, a, &RunPolicy::bare())
             .expect("clean run")
             .run;
         for seed in 0..20 {
             let job = base.with_fault(FaultPlan::benign(seed).with_panic_on_send(0, seed % 3));
-            let sup = execute::<f64>(&job, s.as_ref(), &policy())
-                .unwrap_or_else(|e| panic!("{} seed {seed}: recovery failed: {e}", s.name()));
-            assert_recovered_bitwise(&job, s.as_ref(), &clean, &sup, "panic injection");
+            let sup = execute::<f64>(&job, a, &policy())
+                .unwrap_or_else(|e| panic!("{} seed {seed}: recovery failed: {e}", a.label()));
+            assert_recovered_bitwise(&job, a, &clean, &sup, "panic injection");
             assert!(sup.recovery.attempts >= 2, "the panic must have fired");
             assert!(
                 sup.recovery
@@ -126,12 +122,12 @@ fn supervised_runs_absorb_injected_panics_across_twenty_seeds() {
                     .iter()
                     .any(|f| f.rank == 0 && f.class == FailureClass::Panic),
                 "{} seed {seed}: rank 0's contained panic must be classified",
-                s.name()
+                a.label()
             );
             assert!(
                 sup.recovery.messages_retransmitted > 0,
                 "{} seed {seed}: the replay must retransmit the peers' in-flight sends",
-                s.name()
+                a.label()
             );
         }
     }
@@ -143,17 +139,17 @@ fn supervised_runs_absorb_injected_panics_across_twenty_seeds() {
 #[test]
 fn supervised_runs_absorb_black_holes_across_twenty_seeds() {
     let base = base_job();
-    for s in all_strategies::<f64>() {
-        let clean = execute::<f64>(&base, s.as_ref(), &RunPolicy::bare())
+    for a in Approach::ALL {
+        let clean = execute::<f64>(&base, a, &RunPolicy::bare())
             .expect("clean run")
             .run;
-        let dst = neighbor_of_rank0(&base, s.as_ref(), &clean);
+        let dst = neighbor_of_rank0(&base, a, &clean);
         for seed in 0..20 {
             let job =
                 base.with_fault(FaultPlan::benign(seed).with_black_hole(0, dst, 1 + seed % 2));
-            let sup = execute::<f64>(&job, s.as_ref(), &policy())
-                .unwrap_or_else(|e| panic!("{} seed {seed}: recovery failed: {e}", s.name()));
-            assert_recovered_bitwise(&job, s.as_ref(), &clean, &sup, "black hole");
+            let sup = execute::<f64>(&job, a, &policy())
+                .unwrap_or_else(|e| panic!("{} seed {seed}: recovery failed: {e}", a.label()));
+            assert_recovered_bitwise(&job, a, &clean, &sup, "black hole");
             assert!(sup.recovery.attempts >= 2, "the black hole must have fired");
             assert!(
                 sup.recovery
@@ -161,12 +157,12 @@ fn supervised_runs_absorb_black_holes_across_twenty_seeds() {
                     .iter()
                     .any(|f| f.rank == dst && f.class == FailureClass::Starved),
                 "{} seed {seed}: rank {dst}'s starved receive must be classified",
-                s.name()
+                a.label()
             );
             assert!(
                 sup.recovery.messages_retransmitted > 0,
                 "{} seed {seed}: the swallowed message's resend is a retransmission",
-                s.name()
+                a.label()
             );
         }
     }
@@ -179,19 +175,25 @@ fn supervised_runs_absorb_black_holes_across_twenty_seeds() {
 #[test]
 fn recovery_resumes_mid_program_from_a_checkpointed_epoch() {
     let base = base_job().with_sweeps(3);
-    let clean = execute::<f64>(&base, &HybridMultiple, &RunPolicy::bare())
+    let clean = execute::<f64>(&base, Approach::HybridMultiple, &RunPolicy::bare())
         .expect("clean run")
         .run;
     let mut resumed_mid = None;
     for after_sends in [4u64, 6, 8, 12, 16, 24, 32, 48] {
         let job = base.with_fault(FaultPlan::quiet(9).with_panic_on_send(0, after_sends));
-        let sup = execute::<f64>(&job, &HybridMultiple, &policy())
+        let sup = execute::<f64>(&job, Approach::HybridMultiple, &policy())
             .unwrap_or_else(|e| panic!("after_sends {after_sends}: recovery failed: {e}"));
         if sup.recovery.attempts == 1 {
             // The ordinal exceeded the run's sends: the panic never fired.
             break;
         }
-        assert_recovered_bitwise(&job, &HybridMultiple, &clean, &sup, "mid-program panic");
+        assert_recovered_bitwise(
+            &job,
+            Approach::HybridMultiple,
+            &clean,
+            &sup,
+            "mid-program panic",
+        );
         if sup.recovery.failures.iter().any(|f| f.resumed_from >= 1) {
             resumed_mid = Some((after_sends, sup.recovery));
             break;
@@ -218,9 +220,13 @@ fn exhausted_retry_budgets_surface_the_run_error() {
         max_attempts: 1,
         base_backoff: Duration::from_millis(1),
     };
-    let err = execute::<f64>(&job, &HybridMultiple, &RunPolicy::supervised(one_shot))
-        .err()
-        .expect("one attempt cannot absorb a lethal fault");
+    let err = execute::<f64>(
+        &job,
+        Approach::HybridMultiple,
+        &RunPolicy::supervised(one_shot),
+    )
+    .err()
+    .expect("one attempt cannot absorb a lethal fault");
     assert!(matches!(err, RunError::Failed { .. }), "{err}");
 }
 
@@ -229,7 +235,7 @@ fn exhausted_retry_budgets_surface_the_run_error() {
 fn unretryable_errors_fail_fast() {
     let mut job = base_job();
     job.n_grids = 0;
-    let err = execute::<f64>(&job, &HybridMultiple, &policy())
+    let err = execute::<f64>(&job, Approach::HybridMultiple, &policy())
         .err()
         .expect("zero grids is unretryable");
     assert!(matches!(err, RunError::NoGrids));
@@ -240,11 +246,12 @@ fn unretryable_errors_fail_fast() {
 #[test]
 fn clean_supervised_runs_report_no_recovery_overhead() {
     let job = base_job();
-    let clean = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+    let clean = execute::<f64>(&job, Approach::HybridMultiple, &RunPolicy::bare())
         .expect("clean run")
         .run;
-    let sup = execute::<f64>(&job, &HybridMultiple, &policy()).expect("supervised clean run");
-    assert_recovered_bitwise(&job, &HybridMultiple, &clean, &sup, "no faults");
+    let sup =
+        execute::<f64>(&job, Approach::HybridMultiple, &policy()).expect("supervised clean run");
+    assert_recovered_bitwise(&job, Approach::HybridMultiple, &clean, &sup, "no faults");
     assert_eq!(sup.recovery.attempts, 1);
     assert!(sup.recovery.failures.is_empty());
     assert_eq!(sup.recovery.messages_retransmitted, 0);
@@ -257,8 +264,8 @@ fn clean_supervised_runs_report_no_recovery_overhead() {
 #[test]
 fn recovered_runs_are_reproducible_per_seed() {
     let job = base_job().with_fault(FaultPlan::benign(77).with_panic_on_send(0, 1));
-    let a = execute::<f64>(&job, &HybridMultiple, &policy()).expect("first recovery");
-    let b = execute::<f64>(&job, &HybridMultiple, &policy()).expect("second recovery");
+    let a = execute::<f64>(&job, Approach::HybridMultiple, &policy()).expect("first recovery");
+    let b = execute::<f64>(&job, Approach::HybridMultiple, &policy()).expect("second recovery");
     assert_eq!(a.run.report.messages, b.run.report.messages);
     assert_eq!(a.recovery.attempts, b.recovery.attempts);
     for (x, y) in a.run.sets.iter().zip(&b.run.sets) {
@@ -283,7 +290,7 @@ fn every_policy_gives_the_same_run() {
     let job = base_job();
     let root = std::env::temp_dir().join(format!("gpaw-policy-matrix-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let bare = execute::<f64>(&job, &HybridMultiple, &RunPolicy::bare())
+    let bare = execute::<f64>(&job, Approach::HybridMultiple, &RunPolicy::bare())
         .expect("bare run")
         .run;
     let identity = |run: &NativeRun<f64>| {
@@ -323,7 +330,7 @@ fn every_policy_gives_the_same_run() {
         for (row, policy) in rows {
             let policy = RunPolicy { cache, ..policy };
             let what = format!("{row} with a {column} cache");
-            let sup = execute::<f64>(&job, &HybridMultiple, &policy)
+            let sup = execute::<f64>(&job, Approach::HybridMultiple, &policy)
                 .unwrap_or_else(|e| panic!("{what}: {e}"));
             assert_eq!(identity(&sup.run), identity(&bare), "{what}: diverged");
             assert_eq!(sup.recovery.attempts, 1, "{what}: a clean run retried");

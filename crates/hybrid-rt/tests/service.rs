@@ -9,8 +9,8 @@
 use gpaw_fd::config::Approach;
 use gpaw_fd::plan::RankPlan;
 use gpaw_hybrid_rt::{
-    execute, run_digest, strategy_for, AdmissionError, FaultPlan, JobService, NativeJob, Priority,
-    RetryPolicy, RunError, RunPolicy, ServiceConfig, ServiceOutcome,
+    execute, run_digest, AdmissionError, FaultPlan, JobService, NativeJob, Priority, RetryPolicy,
+    RunError, RunPolicy, ServiceConfig, ServiceOutcome,
 };
 use std::collections::HashMap;
 use std::time::Duration;
@@ -29,13 +29,9 @@ fn solo_identity(job: &NativeJob, approach: Approach) -> SoloIdentity {
         fault: None,
         ..*job
     };
-    let run = execute::<f64>(
-        &clean,
-        strategy_for::<f64>(approach).as_ref(),
-        &RunPolicy::bare(),
-    )
-    .expect("solo run completes")
-    .run;
+    let run = execute::<f64>(&clean, approach, &RunPolicy::bare())
+        .expect("solo run completes")
+        .run;
     SoloIdentity {
         digest: run_digest(&run.sets),
         messages: run.report.messages,
@@ -50,13 +46,9 @@ fn neighbor_of_rank0(job: &NativeJob, approach: Approach) -> usize {
         fault: None,
         ..*job
     };
-    let run = execute::<f64>(
-        &clean,
-        strategy_for::<f64>(approach).as_ref(),
-        &RunPolicy::bare(),
-    )
-    .expect("geometry probe run completes")
-    .run;
+    let run = execute::<f64>(&clean, approach, &RunPolicy::bare())
+        .expect("geometry probe run completes")
+        .run;
     let cfg = job.config(approach);
     let plan = RankPlan::for_rank(&run.map, job.grid_ext, 0, 8, &cfg);
     plan.neighbors

@@ -123,7 +123,7 @@ fn grids_fewer_than_threads() {
 #[test]
 fn smp_partition_of_one_node_self_wraps() {
     // A single SMP process: every neighbor is the rank itself; the
-    // functional transport must deliver self-sends.
+    // fabric must deliver self-sends.
     let cfg = FdConfig::paper(Approach::HybridMultiple).with_batch(2);
     check_f64(&cfg, 1, [9, 9, 9], 4);
 }
