@@ -12,12 +12,24 @@
 //!   so the four concurrent endpoints of *hybrid multiple* never contend
 //!   on senders from different ranks (lock-free between distinct pairs; a
 //!   mutex only orders one pair's FIFO);
-//! * **traffic accounting** — atomic per-node counters classify every
-//!   message as intra-node (shared-memory on a real Blue Gene/P) or
-//!   inter-node (torus traffic), giving real-data runs the same
-//!   `bytes_per_node` / `network_bytes_per_node` split the timed machine
-//!   reports. Counters are charged once per *logical* message, so fault
-//!   injection (duplicates, redelivery) never changes the counts;
+//! * **state sized by the traffic in flight** — a shard keeps one record
+//!   per tag (queue, both sequence cursors, the exactly-once ledger and
+//!   the retransmission buffer). Without a send history the record is
+//!   retired as soon as the tag goes quiet (everything sent on it
+//!   consumed), so a drained fabric holds no tag state however many
+//!   sweeps it carried;
+//! * **wake-ups only for receivers that sleep** — a receive that finds
+//!   its message never registers, reads the clock or sleeps; one that
+//!   must wait parks its thread, and a send unparks only the receivers
+//!   asleep on its tag (every sleeper on the shard only when the fault
+//!   plan parks a message, so they switch to redelivery polls);
+//! * **traffic accounting** — per-pair counters, charged under the
+//!   shard lock the send already holds, classify every message as
+//!   intra-node (shared-memory on a real Blue Gene/P) or inter-node
+//!   (torus traffic), giving real-data runs the same `bytes_per_node` /
+//!   `network_bytes_per_node` split the timed machine reports. Counters
+//!   are charged once per *logical* message, so fault injection
+//!   (duplicates, redelivery) never changes the counts;
 //! * **the fault plane** — an optional seeded
 //!   [`FaultPlan`](crate::fault::FaultPlan) perturbs
 //!   delivery (delay, duplicate-then-dedup, drop-with-redelivery) within
@@ -48,9 +60,11 @@ use crate::integrity::{flip_bit, payload_digest};
 use crate::plan::sweep_of_tag;
 use gpaw_bgp_hw::CartMap;
 use gpaw_grid::scalar::Scalar;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::{self, Thread};
 use std::time::Instant;
 
 /// One message with its per-`(src, tag)` sequence number and the payload
@@ -88,39 +102,84 @@ struct ParkedMsg<T> {
     ticks_left: u32,
 }
 
-/// A receive currently blocked on this shard (for watchdog snapshots).
+/// A receive asleep on this shard: what it waits for (the watchdog
+/// snapshot reports it) and the thread a matching send unparks.
 struct Waiter {
     tag: u64,
     since: Instant,
+    thread: Thread,
 }
 
-/// One `(destination, source)` pair's state: live queues, parked
-/// messages, sequence counters, and blocked receivers.
+/// Everything one `(src, tag)` stream of a shard needs. Created by the
+/// first send on the tag; retired by [`ShardState::take_next`] once the
+/// tag goes quiet, unless the fabric keeps send history.
+struct TagRecord<T> {
+    /// Envelopes in arrival order; delivery goes by sequence number.
+    queue: VecDeque<Envelope<T>>,
+    /// Next sequence number to assign.
+    next_send: u64,
+    /// Next sequence number the receiver expects.
+    next_recv: u64,
+    /// Sequence high-water already charged to the *logical* traffic
+    /// counters. A send below it is a retransmission (a replayed send
+    /// after rollback) and is charged to the retransmission counters
+    /// instead — logical counts stay exact across any number of retries.
+    charged: u64,
+    /// Send-side retransmission buffer (when `retain_history` is on):
+    /// every envelope delivered into the fabric. A rollback re-queues a
+    /// rolled-back sweep's entries so its receivers can re-consume
+    /// in-flight traffic.
+    history: Vec<Envelope<T>>,
+}
+
+impl<T> Default for TagRecord<T> {
+    fn default() -> Self {
+        TagRecord {
+            queue: VecDeque::new(),
+            next_send: 0,
+            next_recv: 0,
+            charged: 0,
+            history: Vec::new(),
+        }
+    }
+}
+
+impl<T> TagRecord<T> {
+    /// Matchable (non-duplicate) messages left on this tag.
+    fn live_depth(&self) -> usize {
+        self.queue
+            .iter()
+            .filter(|e| e.seq >= self.next_recv)
+            .count()
+    }
+}
+
+/// One `(destination, source)` pair's state: a record per tag with
+/// traffic in flight, parked messages, sleeping receivers, and the
+/// pair's traffic and integrity counters.
 struct ShardState<T> {
-    /// tag → envelopes, delivered in sequence order.
-    queues: HashMap<u64, VecDeque<Envelope<T>>>,
+    /// tag → its stream. Without send history only tags with traffic in
+    /// flight have a record; with it, every tag sent on (the records are
+    /// the ledger a rollback replays against).
+    tags: HashMap<u64, TagRecord<T>>,
     /// Fault-plan holdbacks, any tag.
     parked: Vec<ParkedMsg<T>>,
-    /// Next sequence number to assign per tag.
-    next_send: HashMap<u64, u64>,
-    /// Next sequence number the receiver expects per tag.
-    next_recv: HashMap<u64, u64>,
-    /// Receives currently blocked on this shard.
+    /// Receives asleep on this shard.
     waiters: Vec<Waiter>,
+    /// Unparks issued to sleeping receivers.
+    wakeups: u64,
     /// Messages ever sent through this shard (black-hole ordinal).
     /// Monotonic across rollbacks, which is what makes one-shot lethal
     /// faults stay one-shot under replay.
     sent_count: u64,
-    /// Send-side retransmission buffer (when `retain_history` is on):
-    /// every envelope delivered into the fabric, per tag. A rollback
-    /// re-queues the rolled-back sweeps' entries so their receivers can
-    /// re-consume in-flight traffic.
-    history: HashMap<u64, Vec<Envelope<T>>>,
-    /// Sequence high-water already charged to the *logical* traffic
-    /// counters, per tag. A send below it is a retransmission (a replayed
-    /// send after rollback) and is charged to the retransmission counters
-    /// instead — logical counts stay exact across any number of retries.
-    charged: HashMap<u64, u64>,
+    /// Logical messages charged on this pair, each once.
+    messages: u64,
+    /// Payload bytes of the logical messages.
+    bytes: u64,
+    /// Replayed sends below a tag's charged high-water.
+    retrans_messages: u64,
+    /// Payload bytes of the replayed sends.
+    retrans_bytes: u64,
     /// Payloads whose checksum verified at this shard's receives.
     verified: u64,
     /// Payloads this shard's receives rejected as corrupted.
@@ -141,14 +200,15 @@ struct BadSeq {
 impl<T> Default for ShardState<T> {
     fn default() -> Self {
         ShardState {
-            queues: HashMap::new(),
+            tags: HashMap::new(),
             parked: Vec::new(),
-            next_send: HashMap::new(),
-            next_recv: HashMap::new(),
             waiters: Vec::new(),
+            wakeups: 0,
             sent_count: 0,
-            history: HashMap::new(),
-            charged: HashMap::new(),
+            messages: 0,
+            bytes: 0,
+            retrans_messages: 0,
+            retrans_bytes: 0,
             verified: 0,
             corrupted: 0,
             last_bad: None,
@@ -164,16 +224,24 @@ impl<T: Scalar> ShardState<T> {
     /// removed but the sequence cursor does *not* advance: after a
     /// supervised rollback, the re-queued intact history copy satisfies
     /// the same sequence number.
-    fn take_next(&mut self, tag: u64, detections: &AtomicU64) -> Take<T> {
-        let next = *self.next_recv.get(&tag).unwrap_or(&0);
-        let Some(q) = self.queues.get_mut(&tag) else {
+    ///
+    /// With `retire`, a tag that goes quiet here — every sequence number
+    /// sent on it consumed — loses its record, and a later send on it
+    /// starts a fresh stream at sequence 0. Only a fabric without send
+    /// history may retire: with history, the record is the exactly-once
+    /// ledger a rollback replays against. Without it, a parked envelope
+    /// is its message's only copy, so a quiet tag has none parked.
+    fn take_next(&mut self, tag: u64, retire: bool, detections: &AtomicU64) -> Take<T> {
+        let Entry::Occupied(mut slot) = self.tags.entry(tag) else {
             return Take::Pending;
         };
-        q.retain(|e| e.seq >= next);
-        let Some(pos) = q.iter().position(|e| e.seq == next) else {
+        let rec = slot.get_mut();
+        let next = rec.next_recv;
+        rec.queue.retain(|e| e.seq >= next);
+        let Some(pos) = rec.queue.iter().position(|e| e.seq == next) else {
             return Take::Pending;
         };
-        let Some(env) = q.remove(pos) else {
+        let Some(env) = rec.queue.remove(pos) else {
             return Take::Pending;
         };
         if payload_digest(&env.payload) != env.sum {
@@ -186,7 +254,10 @@ impl<T: Scalar> ShardState<T> {
             return Take::Corrupt { seq: env.seq };
         }
         self.verified += 1;
-        self.next_recv.insert(tag, next + 1);
+        rec.next_recv = next + 1;
+        if retire && rec.next_recv == rec.next_send {
+            slot.remove();
+        }
         Take::Ready(env.payload)
     }
 }
@@ -200,7 +271,9 @@ impl<T> ShardState<T> {
         while i < self.parked.len() {
             if self.parked[i].ticks_left <= 1 {
                 let p = self.parked.swap_remove(i);
-                self.queues.entry(p.tag).or_default().push_back(p.env);
+                // A parked message keeps its tag from going quiet, so
+                // its record is still there to take it.
+                self.tags.entry(p.tag).or_default().queue.push_back(p.env);
                 promoted = true;
             } else {
                 self.parked[i].ticks_left -= 1;
@@ -210,13 +283,18 @@ impl<T> ShardState<T> {
         promoted
     }
 
-    /// Matchable (non-duplicate) messages left on this shard.
-    fn live_depth(&self, tag: u64) -> usize {
-        let next = *self.next_recv.get(&tag).unwrap_or(&0);
-        self.queues
-            .get(&tag)
-            .map(|q| q.iter().filter(|e| e.seq >= next).count())
-            .unwrap_or(0)
+    /// The threads of the receives asleep on this shard whose tag
+    /// `wakes`, counted as woken; the caller unparks them. Empty, and
+    /// allocation-free, when nobody sleeps.
+    fn sleepers_on(&mut self, wakes: impl Fn(u64) -> bool) -> Vec<Thread> {
+        let woken: Vec<Thread> = self
+            .waiters
+            .iter()
+            .filter(|w| wakes(w.tag))
+            .map(|w| w.thread.clone())
+            .collect();
+        self.wakeups += woken.len() as u64;
+        woken
     }
 
     /// Drained = nothing matchable left. Parked envelopes whose sequence
@@ -225,10 +303,11 @@ impl<T> ShardState<T> {
     /// the re-queued history while the sender's replayed copy of the same
     /// message sits parked, and that copy can never be needed again.
     fn is_drained(&self) -> bool {
-        self.parked
-            .iter()
-            .all(|p| p.env.seq < *self.next_recv.get(&p.tag).unwrap_or(&0))
-            && self.queues.keys().all(|&tag| self.live_depth(tag) == 0)
+        self.parked.iter().all(|p| {
+            self.tags
+                .get(&p.tag)
+                .is_some_and(|r| p.env.seq < r.next_recv)
+        }) && self.tags.values().all(|r| r.live_depth() == 0)
     }
 
     /// Reset this shard to the epoch boundary `epoch`. Tags of committed
@@ -243,41 +322,24 @@ impl<T> ShardState<T> {
     /// high-water for the logical traffic counters.
     fn rollback_to(&mut self, epoch: usize) {
         let rolled = |tag: u64| sweep_of_tag(tag) >= epoch;
-        self.queues.retain(|&tag, _| !rolled(tag));
         self.parked.retain(|p| !rolled(p.tag));
-        self.next_send.retain(|&tag, _| !rolled(tag));
-        self.next_recv.retain(|&tag, _| !rolled(tag));
-        let history = std::mem::take(&mut self.history);
-        for (tag, mut envs) in history {
+        for (&tag, rec) in &mut self.tags {
+            let mut history = std::mem::take(&mut rec.history);
             if rolled(tag) {
-                envs.sort_by_key(|e| e.seq);
-                self.queues.entry(tag).or_default().extend(envs);
+                history.sort_by_key(|e| e.seq);
+                rec.queue = history.into();
+                rec.next_send = 0;
+                rec.next_recv = 0;
             }
         }
     }
 }
 
-struct Shard<T> {
-    state: Mutex<ShardState<T>>,
-    arrived: Condvar,
-}
-
-impl<T> Shard<T> {
-    /// Lock the shard state. Senders never panic while holding the lock,
-    /// so a poisoned mutex only ever reflects a panic already unwinding
-    /// elsewhere — recover the guard rather than double-panicking.
-    fn lock(&self) -> MutexGuard<'_, ShardState<T>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T> Default for Shard<T> {
-    fn default() -> Self {
-        Shard {
-            state: Mutex::new(ShardState::default()),
-            arrived: Condvar::new(),
-        }
-    }
+/// Lock one shard's state. Senders never panic while holding the lock,
+/// so a poisoned mutex only ever reflects a panic already unwinding
+/// elsewhere — recover the guard rather than double-panicking.
+fn lock<T>(shard: &Mutex<ShardState<T>>) -> MutexGuard<'_, ShardState<T>> {
+    shard.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Snapshot of the fabric's traffic counters.
@@ -345,7 +407,7 @@ impl FabricStats {
 pub struct NativeFabric<T> {
     ranks: usize,
     /// Shard of pair `(dst, src)` at index `dst * ranks + src`.
-    shards: Vec<Shard<T>>,
+    shards: Vec<Mutex<ShardState<T>>>,
     /// Linear node index of each rank.
     node_of: Vec<usize>,
     nodes: usize,
@@ -353,13 +415,6 @@ pub struct NativeFabric<T> {
     config: FabricConfig,
     /// Completed sends per source rank (panic-injection ordinal).
     sends_of_rank: Vec<AtomicU64>,
-    messages: AtomicU64,
-    network_messages: AtomicU64,
-    bytes_per_node: Vec<AtomicU64>,
-    network_bytes_per_node: Vec<AtomicU64>,
-    network_messages_per_node: Vec<AtomicU64>,
-    retrans_messages: AtomicU64,
-    retrans_bytes: AtomicU64,
     /// Fabric-wide corruption-detection ordinal, stamped onto each
     /// shard's `last_bad` so diagnostics can name the newest rejection.
     detections: AtomicU64,
@@ -387,19 +442,12 @@ impl<T: Scalar> NativeFabric<T> {
         let nodes = map.partition.nodes();
         NativeFabric {
             ranks,
-            shards: (0..ranks * ranks).map(|_| Shard::default()).collect(),
+            shards: (0..ranks * ranks).map(|_| Mutex::default()).collect(),
             node_of,
             nodes,
             elem_bytes: T::BYTES as u64,
             config,
             sends_of_rank: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
-            messages: AtomicU64::new(0),
-            network_messages: AtomicU64::new(0),
-            bytes_per_node: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            network_bytes_per_node: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            network_messages_per_node: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            retrans_messages: AtomicU64::new(0),
-            retrans_bytes: AtomicU64::new(0),
             detections: AtomicU64::new(0),
             retries_of_rank: (0..ranks).map(|_| AtomicU32::new(0)).collect(),
             degrades_of_rank: (0..ranks).map(|_| AtomicU32::new(0)).collect(),
@@ -416,8 +464,8 @@ impl<T: Scalar> NativeFabric<T> {
         &self.config
     }
 
-    fn shard(&self, dst: usize, src: usize) -> &Shard<T> {
-        &self.shards[dst * self.ranks + src]
+    fn shard(&self, dst: usize, src: usize) -> MutexGuard<'_, ShardState<T>> {
+        lock(&self.shards[dst * self.ranks + src])
     }
 
     /// Deliver `payload` to `dst`, stamped as coming from `src` with `tag`.
@@ -455,36 +503,30 @@ impl<T: Scalar> NativeFabric<T> {
         }
 
         let bytes = payload.len() as u64 * self.elem_bytes;
-        let src_node = self.node_of[src];
         // The envelope's checksum covers the payload as the sender handed
         // it over — before any injected corruption — so the receive-side
         // verification detects exactly the bits that changed in flight.
         let sum = payload_digest(&payload);
 
-        let shard = self.shard(dst, src);
-        let mut st = shard.lock();
+        let mut guard = self.shard(dst, src);
+        let st = &mut *guard;
         st.sent_count += 1;
-        let seq_entry = st.next_send.entry(tag).or_insert(0);
-        let seq = *seq_entry;
-        *seq_entry += 1;
+        let sent_count = st.sent_count;
+        let rec = st.tags.entry(tag).or_default();
+        let seq = rec.next_send;
+        rec.next_send += 1;
 
         // Exactly-once logical accounting: a sequence number below the
         // charged high-water was counted before a rollback replayed this
         // send — it is a *retransmission*, charged to its own counters so
         // exact-traffic checks keep holding for recovered runs.
-        let charged = st.charged.entry(tag).or_insert(0);
-        if seq < *charged {
-            self.retrans_messages.fetch_add(1, Ordering::Relaxed);
-            self.retrans_bytes.fetch_add(bytes, Ordering::Relaxed);
+        if seq < rec.charged {
+            st.retrans_messages += 1;
+            st.retrans_bytes += bytes;
         } else {
-            *charged = seq + 1;
-            self.messages.fetch_add(1, Ordering::Relaxed);
-            self.bytes_per_node[src_node].fetch_add(bytes, Ordering::Relaxed);
-            if src_node != self.node_of[dst] {
-                self.network_messages.fetch_add(1, Ordering::Relaxed);
-                self.network_bytes_per_node[src_node].fetch_add(bytes, Ordering::Relaxed);
-                self.network_messages_per_node[src_node].fetch_add(1, Ordering::Relaxed);
-            }
+            rec.charged = seq + 1;
+            st.messages += 1;
+            st.bytes += bytes;
         }
 
         let mut env = Envelope { seq, sum, payload };
@@ -494,7 +536,7 @@ impl<T: Scalar> NativeFabric<T> {
             Some(plan) => {
                 if plan
                     .black_hole
-                    .is_some_and(|bh| bh.src == src && bh.dst == dst && bh.nth == st.sent_count)
+                    .is_some_and(|bh| bh.src == src && bh.dst == dst && bh.nth == sent_count)
                 {
                     // The lethal fault: the message vanishes. Its sequence
                     // number stays consumed (and charged), so the receiver
@@ -524,7 +566,7 @@ impl<T: Scalar> NativeFabric<T> {
         if let Some(plan) = self.config.plan.as_ref() {
             if plan
                 .corrupt_payload
-                .is_some_and(|cp| cp.src == src && cp.dst == dst && cp.nth == st.sent_count)
+                .is_some_and(|cp| cp.src == src && cp.dst == dst && cp.nth == sent_count)
             {
                 flip = Some(plan.corrupt_raw(src, dst, tag, seq));
             }
@@ -534,12 +576,12 @@ impl<T: Scalar> NativeFabric<T> {
         // this sequence by re-consuming the rollback's re-queued history)
         // must not re-enter the fabric: queued it would be stale-purged,
         // but parked it would strand past the drain check.
-        if seq < *st.next_recv.get(&tag).unwrap_or(&0) {
+        if seq < rec.next_recv {
             return;
         }
 
         if self.config.retain_history {
-            st.history.entry(tag).or_default().push(Envelope {
+            rec.history.push(Envelope {
                 seq,
                 sum,
                 payload: env.payload.clone(),
@@ -550,9 +592,10 @@ impl<T: Scalar> NativeFabric<T> {
             flip_bit(&mut env.payload, raw);
         }
 
-        match action {
+        let woken = match action {
             FaultAction::Deliver => {
-                st.queues.entry(tag).or_default().push_back(env);
+                rec.queue.push_back(env);
+                st.sleepers_on(|t| t == tag)
             }
             FaultAction::Duplicate => {
                 let dup = Envelope {
@@ -560,9 +603,9 @@ impl<T: Scalar> NativeFabric<T> {
                     sum: env.sum,
                     payload: env.payload.clone(),
                 };
-                let q = st.queues.entry(tag).or_default();
-                q.push_back(env);
-                q.push_back(dup);
+                rec.queue.push_back(env);
+                rec.queue.push_back(dup);
+                st.sleepers_on(|t| t == tag)
             }
             FaultAction::Park { ticks } => {
                 st.parked.push(ParkedMsg {
@@ -570,13 +613,19 @@ impl<T: Scalar> NativeFabric<T> {
                     env,
                     ticks_left: ticks,
                 });
+                // Every sleeper on the shard must switch from the long
+                // watchdog sleep to tick-length redelivery polls.
+                st.sleepers_on(|_| true)
             }
             // Normalized to Deliver above; the flip already happened.
             FaultAction::Corrupt { .. } => unreachable!("corrupt draws are resolved to a flip"),
+        };
+        // Unpark once the lock is released, so the woken receiver finds it
+        // free.
+        drop(guard);
+        for thread in woken {
+            thread.unpark();
         }
-        // Wake waiters even for a parked message: they must switch from
-        // the long watchdog sleep to tick-length redelivery polls.
-        shard.arrived.notify_all();
     }
 
     /// Block until the next-in-sequence message from `(src, tag)` is
@@ -589,19 +638,23 @@ impl<T: Scalar> NativeFabric<T> {
     /// watchdog wait — the corruption is already proven). Either carries
     /// a fabric-wide [`FabricDiagnostic`].
     pub fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Vec<T>, RecvError> {
-        let shard = self.shard(me, src);
-        let start = Instant::now();
-        let deadline = start + self.config.recv_timeout;
-        let mut st = shard.lock();
-        st.waiters.push(Waiter { tag, since: start });
+        let retire = !self.config.retain_history;
+        let mut st = self.shard(me, src);
+        // Set when the receive first has to sleep. A receive whose message
+        // is already there never reads the clock or registers as a waiter.
+        let mut asleep_since: Option<Instant> = None;
         loop {
-            match st.take_next(tag, &self.detections) {
+            match st.take_next(tag, retire, &self.detections) {
                 Take::Ready(payload) => {
-                    Self::remove_waiter(&mut st, tag, start);
+                    if let Some(start) = asleep_since {
+                        Self::remove_waiter(&mut st, tag, start);
+                    }
                     return Ok(payload);
                 }
                 Take::Corrupt { seq } => {
-                    Self::remove_waiter(&mut st, tag, start);
+                    if let Some(start) = asleep_since {
+                        Self::remove_waiter(&mut st, tag, start);
+                    }
                     // Same lock discipline as the watchdog below.
                     drop(st);
                     let diagnostic = self.snapshot_diagnostic(None);
@@ -616,6 +669,15 @@ impl<T: Scalar> NativeFabric<T> {
                 Take::Pending => {}
             }
             let now = Instant::now();
+            let start = *asleep_since.get_or_insert_with(|| {
+                st.waiters.push(Waiter {
+                    tag,
+                    since: now,
+                    thread: thread::current(),
+                });
+                now
+            });
+            let deadline = start + self.config.recv_timeout;
             if now >= deadline {
                 Self::remove_waiter(&mut st, tag, start);
                 // Drop the shard lock before the fabric-wide snapshot:
@@ -646,15 +708,19 @@ impl<T: Scalar> NativeFabric<T> {
             } else {
                 self.config.tick.min(deadline - now)
             };
-            let (guard, timeout) = shard
-                .arrived
-                .wait_timeout(st, wait_for)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-            if timeout.timed_out() && st.tick_parked() {
+            // Registered as a waiter under the lock, so a send that lands
+            // after it is released unparks this thread, and an unpark that
+            // beats the park makes the park return at once.
+            drop(st);
+            thread::park_timeout(wait_for);
+            st = self.shard(me, src);
+            // A full tick with no wake-up is one redelivery tick.
+            if now.elapsed() >= wait_for && st.tick_parked() {
                 // Redelivered messages may belong to other tags whose
-                // receivers are also parked on this shard.
-                shard.arrived.notify_all();
+                // receivers are also asleep on this shard.
+                for thread in st.sleepers_on(|_| true) {
+                    thread.unpark();
+                }
             }
         }
     }
@@ -679,7 +745,7 @@ impl<T: Scalar> NativeFabric<T> {
         let mut queues = Vec::new();
         for dst in 0..self.ranks {
             for src in 0..self.ranks {
-                let st = self.shard(dst, src).lock();
+                let st = self.shard(dst, src);
                 for w in &st.waiters {
                     blocked.push(BlockedRecv {
                         rank: dst,
@@ -689,8 +755,8 @@ impl<T: Scalar> NativeFabric<T> {
                     });
                 }
                 let mut per_tag: HashMap<u64, (usize, usize)> = HashMap::new();
-                for &tag in st.queues.keys() {
-                    let live = st.live_depth(tag);
+                for (&tag, rec) in &st.tags {
+                    let live = rec.live_depth();
                     if live > 0 {
                         per_tag.entry(tag).or_default().0 = live;
                     }
@@ -762,7 +828,7 @@ impl<T: Scalar> NativeFabric<T> {
             let mut corrupted = 0u64;
             let mut newest: Option<(u64, BadPayload)> = None;
             for src in 0..self.ranks {
-                let st = self.shard(dst, src).lock();
+                let st = self.shard(dst, src);
                 verified += st.verified;
                 corrupted += st.corrupted;
                 if let Some(b) = st.last_bad {
@@ -795,9 +861,9 @@ impl<T: Scalar> NativeFabric<T> {
     /// blocking receiver. A corrupt next-in-sequence envelope is counted,
     /// removed, and reported as `None` — nothing matchable.
     pub fn try_recv(&self, me: usize, src: usize, tag: u64) -> Option<Vec<T>> {
-        let mut st = self.shard(me, src).lock();
+        let mut st = self.shard(me, src);
         st.tick_parked();
-        match st.take_next(tag, &self.detections) {
+        match st.take_next(tag, !self.config.retain_history, &self.detections) {
             Take::Ready(payload) => Some(payload),
             Take::Corrupt { .. } | Take::Pending => None,
         }
@@ -808,7 +874,7 @@ impl<T: Scalar> NativeFabric<T> {
     /// mismatch). Consumed duplicates do not count: only messages a
     /// receive could still match.
     pub fn is_drained(&self, me: usize) -> bool {
-        (0..self.ranks).all(|src| self.shard(me, src).lock().is_drained())
+        (0..self.ranks).all(|src| self.shard(me, src).is_drained())
     }
 
     /// Roll every shard back to the epoch boundary `epoch`: clear and
@@ -819,10 +885,16 @@ impl<T: Scalar> NativeFabric<T> {
     /// high-water keeps the logical counts exactly-once across replays.
     ///
     /// Callers must quiesce the fabric first (no rank threads running);
-    /// the supervisor only rolls back between attempts.
+    /// the supervisor only rolls back between attempts. Only a fabric
+    /// configured with `retain_history` can be rolled back: one without
+    /// it retires quiet tags, and with them their charged high-water.
     pub fn rollback(&self, epoch: usize) {
+        debug_assert!(
+            self.config.retain_history,
+            "rollback needs a fabric that retains send history"
+        );
         for shard in &self.shards {
-            shard.lock().rollback_to(epoch);
+            lock(shard).rollback_to(epoch);
         }
     }
 
@@ -836,41 +908,46 @@ impl<T: Scalar> NativeFabric<T> {
     /// [`send`](NativeFabric::send): to the sending node, with the
     /// network counters only when the pair crosses nodes.
     pub fn credit_logical(&self, src: usize, dst: usize, messages: u64, bytes: u64) {
-        let src_node = self.node_of[src];
-        self.messages.fetch_add(messages, Ordering::Relaxed);
-        self.bytes_per_node[src_node].fetch_add(bytes, Ordering::Relaxed);
-        if src_node != self.node_of[dst] {
-            self.network_messages.fetch_add(messages, Ordering::Relaxed);
-            self.network_bytes_per_node[src_node].fetch_add(bytes, Ordering::Relaxed);
-            self.network_messages_per_node[src_node].fetch_add(messages, Ordering::Relaxed);
-        }
+        let mut st = self.shard(dst, src);
+        st.messages += messages;
+        st.bytes += bytes;
     }
 
-    /// Snapshot the traffic counters. Quiescent reads of the per-shard
-    /// integrity counters (stats are taken between attempts or after a
-    /// run, never concurrently with the hot path).
+    /// Snapshot the traffic counters, folding each pair's counts into
+    /// its sending node. Locks one shard at a time (stats are taken
+    /// between attempts or after a run, never concurrently with the hot
+    /// path).
     pub fn stats(&self) -> FabricStats {
-        let load =
-            |v: &[AtomicU64]| -> Vec<u64> { v.iter().map(|a| a.load(Ordering::Relaxed)).collect() };
-        let mut messages_verified = 0u64;
-        let mut corruptions_detected = 0u64;
-        for shard in &self.shards {
-            let st = shard.lock();
-            messages_verified += st.verified;
-            corruptions_detected += st.corrupted;
-        }
-        FabricStats {
+        let mut s = FabricStats {
             nodes: self.nodes,
-            messages_total: self.messages.load(Ordering::Relaxed),
-            network_messages_total: self.network_messages.load(Ordering::Relaxed),
-            bytes_per_node: load(&self.bytes_per_node),
-            network_bytes_per_node: load(&self.network_bytes_per_node),
-            network_messages_per_node: load(&self.network_messages_per_node),
-            retransmitted_messages: self.retrans_messages.load(Ordering::Relaxed),
-            retransmitted_bytes: self.retrans_bytes.load(Ordering::Relaxed),
-            messages_verified,
-            corruptions_detected,
+            messages_total: 0,
+            network_messages_total: 0,
+            bytes_per_node: vec![0; self.nodes],
+            network_bytes_per_node: vec![0; self.nodes],
+            network_messages_per_node: vec![0; self.nodes],
+            retransmitted_messages: 0,
+            retransmitted_bytes: 0,
+            messages_verified: 0,
+            corruptions_detected: 0,
+        };
+        for dst in 0..self.ranks {
+            for src in 0..self.ranks {
+                let st = self.shard(dst, src);
+                let node = self.node_of[src];
+                s.messages_total += st.messages;
+                s.bytes_per_node[node] += st.bytes;
+                if node != self.node_of[dst] {
+                    s.network_messages_total += st.messages;
+                    s.network_bytes_per_node[node] += st.bytes;
+                    s.network_messages_per_node[node] += st.messages;
+                }
+                s.retransmitted_messages += st.retrans_messages;
+                s.retransmitted_bytes += st.retrans_bytes;
+                s.messages_verified += st.verified;
+                s.corruptions_detected += st.corrupted;
+            }
         }
+        s
     }
 }
 
@@ -950,6 +1027,105 @@ mod tests {
         assert_eq!(s.network_bytes_total(), 80);
         assert_eq!(s.network_messages_per_node_max(), 2);
         assert_eq!(s.bytes_per_node, s.network_bytes_per_node);
+        // A credited restore is charged like a send on the same pair.
+        f.credit_logical(1, 0, 2, 24);
+        let s = f.stats();
+        assert_eq!(s.messages_total, 5);
+        assert_eq!(s.network_bytes_per_node, vec![64, 40]);
+        assert_eq!(s.network_messages_per_node, vec![2, 3]);
+    }
+
+    /// Tag records held across every shard.
+    fn tag_records<T>(f: &NativeFabric<T>) -> usize {
+        f.shards.iter().map(|s| lock(s).tags.len()).sum()
+    }
+
+    #[test]
+    fn a_bare_fabric_holds_state_only_for_traffic_in_flight() {
+        let f: NativeFabric<f64> = NativeFabric::new(&map(2, ExecMode::Smp));
+        // A hundred sweeps' worth of distinct tags, all in flight at once.
+        let tags: Vec<u64> = (0..100u64).map(|s| (s << 40) | 3).collect();
+        for &tag in &tags {
+            f.send(0, 1, tag, vec![tag as f64]);
+        }
+        assert_eq!(tag_records(&f), 100);
+        for &tag in &tags {
+            assert_eq!(recv_ok(&f, 1, 0, tag), vec![tag as f64]);
+        }
+        assert_eq!(tag_records(&f), 0, "every quiet tag is retired");
+        assert!(f.is_drained(1));
+        // One message in flight at a time: one record, whatever the
+        // number of tags.
+        for tag in 1000..2000u64 {
+            f.send(0, 1, tag, vec![1.0]);
+            assert_eq!(tag_records(&f), 1);
+            assert_eq!(recv_ok(&f, 1, 0, tag), vec![1.0]);
+        }
+        assert_eq!(tag_records(&f), 0);
+        // A tag stays open while anything sent on it is unconsumed, and a
+        // retired tag reopens as a fresh FIFO stream.
+        f.send(0, 1, 7, vec![1.0]);
+        f.send(0, 1, 7, vec![2.0]);
+        assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0]);
+        assert_eq!(tag_records(&f), 1);
+        assert_eq!(recv_ok(&f, 1, 0, 7), vec![2.0]);
+        assert_eq!(tag_records(&f), 0);
+        f.send(0, 1, 7, vec![3.0]);
+        assert_eq!(f.try_recv(1, 0, 7), Some(vec![3.0]));
+        assert_eq!(tag_records(&f), 0);
+        assert_eq!(f.stats().messages_total, 1103, "every message counted once");
+    }
+
+    #[test]
+    fn a_fabric_with_history_keeps_every_record_as_the_rollback_ledger() {
+        let cfg = FabricConfig {
+            retain_history: true,
+            ..FabricConfig::default()
+        };
+        let f: NativeFabric<f64> = NativeFabric::with_config(&map(2, ExecMode::Smp), cfg);
+        for tag in 0..3u64 {
+            f.send(0, 1, tag, vec![1.0]);
+            assert_eq!(recv_ok(&f, 1, 0, tag), vec![1.0]);
+        }
+        assert!(f.is_drained(1));
+        assert_eq!(tag_records(&f), 3);
+    }
+
+    #[test]
+    fn only_receivers_asleep_on_the_tag_are_woken() {
+        let f: Arc<NativeFabric<f64>> = Arc::new(NativeFabric::new(&map(2, ExecMode::Smp)));
+        let asleep = |f: &NativeFabric<f64>| lock(&f.shards[2]).waiters.len();
+        let wakeups = |f: &NativeFabric<f64>| lock(&f.shards[2]).wakeups;
+        // A receive whose message is already there never sleeps.
+        f.send(0, 1, 7, vec![0.0]);
+        assert_eq!(recv_ok(&f, 1, 0, 7), vec![0.0]);
+        assert_eq!((asleep(&f), wakeups(&f)), (0, 0));
+        let sleepers: Vec<_> = [8u64, 9]
+            .into_iter()
+            .map(|tag| {
+                let f = Arc::clone(&f);
+                std::thread::spawn(move || f.recv(1, 0, tag))
+            })
+            .collect();
+        while asleep(&f) < 2 {
+            std::thread::yield_now();
+        }
+        for i in 0..10 {
+            f.send(0, 1, 7, vec![i as f64]);
+        }
+        assert_eq!(wakeups(&f), 0, "nobody sleeps on tag 7");
+        let mut woken = 0;
+        for (tag, h) in [8u64, 9].into_iter().zip(sleepers) {
+            f.send(0, 1, tag, vec![tag as f64]);
+            assert_eq!(h.join().unwrap().unwrap(), vec![tag as f64]);
+            woken += 1;
+            assert_eq!(wakeups(&f), woken, "one wake-up per matching sleeper");
+        }
+        for i in 0..10 {
+            assert_eq!(recv_ok(&f, 1, 0, 7), vec![i as f64]);
+        }
+        assert_eq!(asleep(&f), 0);
+        assert!(f.is_drained(1));
     }
 
     #[test]
@@ -1055,6 +1231,7 @@ mod tests {
             h.join().unwrap();
         }
         assert!(f.is_drained(1));
+        assert_eq!(tag_records(&f), 0, "duplicates and redeliveries retire too");
         // Exact traffic counts survive duplication and redelivery.
         assert_eq!(f.stats().messages_total, 2 * N as u64);
     }
@@ -1321,6 +1498,7 @@ mod tests {
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0], "FIFO despite the drop");
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![2.0]);
         assert!(f.is_drained(1), "the duplicate is consumed state");
+        assert_eq!(tag_records(&f), 0, "the stale duplicate goes with its tag");
         assert_eq!(f.stats().messages_total, 2);
     }
 
