@@ -142,7 +142,7 @@ fn kill_rounds(root: &Path) -> Result<(u64, u64), SoakFailure> {
             let dir = root.join(format!("{}_seed{seed}", a.slug()));
             // Kill anywhere from before the first sweep to past the
             // ~120 ms run: nothing durable yet, mid-run, already done.
-            let delay = Duration::from_millis(10 + splitmix(seed) % 200);
+            let delay = Duration::from_millis(10 + SplitMix64::new(seed).next_u64() % 200);
             kill_after(child("degradation", a, 2, &dir, false), delay);
             kills += 1;
             // A very early kill can beat the victim to creating the

@@ -51,7 +51,7 @@ fn soak(ledger: &mut Ledger, root: &Path) -> Result<(), SoakFailure> {
             let dir = root.join(format!("{}_{threads}t_seed{seed}", a.slug()));
             // Kill anywhere from before the first sweep to past the
             // ~150 ms run: nothing durable yet, mid-run, already done.
-            let delay = Duration::from_millis(5 + splitmix(seed) % 250);
+            let delay = Duration::from_millis(5 + SplitMix64::new(seed).next_u64() % 250);
             kill_after(child("durability", a, threads, &dir, false), delay);
             // A very early kill can beat the victim to creating the
             // directory; the operator's restart then starts fresh.

@@ -42,6 +42,7 @@ mod sim;
 
 use gpaw_bench::gate::{self, Ledger, RunContext, SoakFailure, Tol, BASELINE};
 use gpaw_bgp_hw::CartMap;
+use gpaw_des::SplitMix64;
 use gpaw_fd::exec::{max_error_vs_reference_planned, sequential_reference};
 use gpaw_fd::plan::RankPlan;
 use gpaw_fd::Approach;
@@ -110,14 +111,6 @@ fn retry(max_attempts: u32) -> RunPolicy<'static> {
         max_attempts,
         base_backoff,
     })
-}
-
-/// SplitMix64: seed-derived schedules, identical on every host and run.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Rank 0's first neighbor under `approach`'s geometry: flat strategies

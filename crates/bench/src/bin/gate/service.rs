@@ -51,11 +51,9 @@ fn generate_mix() -> Vec<MixJob> {
         ([12, 10, 8], 4),
     ];
     let mut mix = Vec::with_capacity(JOBS);
+    let mut rng = SplitMix64::new(0x5eed_5eed_5eed_5eed);
     for i in 0..JOBS {
-        // The i-th draw of a SplitMix64 stream seeded 0x5eed…
-        let r = splitmix(
-            0x5eed_5eed_5eed_5eed_u64.wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        );
+        let r = rng.next_u64();
         if i % 10 == 9 {
             // 2 nodes so rank 0 really sends, and a short watchdog.
             let seed = r % 251;

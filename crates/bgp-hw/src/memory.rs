@@ -23,11 +23,6 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Points in one full grid.
-    pub fn grid_points(&self) -> u64 {
-        self.grid_ext.iter().map(|&e| e as u64).product()
-    }
-
     /// Bytes one rank needs when the job is decomposed over `proc_dims`:
     /// input + output storage of its sub-grid of every grid (sub-grids
     /// stored with halo shells) — the dominant term the paper's 32-grid cap

@@ -33,14 +33,6 @@ impl Axis {
             Axis::Z => 2,
         }
     }
-
-    /// Axis from index.
-    ///
-    /// # Panics
-    /// Panics if `i > 2`.
-    pub fn from_index(i: usize) -> Axis {
-        Axis::ALL[i]
-    }
 }
 
 /// Direction of travel along an axis.

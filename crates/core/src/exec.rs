@@ -1,7 +1,7 @@
 //! The functional plane: the compiled sweep programs on real data.
 //!
 //! One OS thread per MPI process, real packed faces through a clean
-//! [`NativeFabric`] (no fault plan, no send history), and the real
+//! [`NativeFabric`] (no fault plan, no rollback ledger), and the real
 //! stencil kernel — launched by [`interp::launch`], the same launcher and
 //! interpreter the native plane runs. For the hybrid approaches the
 //! interpreter gives each process its inner threads (four, the paper's
@@ -15,7 +15,7 @@ use crate::interp::{self, Launch};
 use crate::plan::{rank_assignment, RankPlan};
 use crate::progcache::ProgramCache;
 use gpaw_bgp_hw::CartMap;
-use gpaw_grid::decomp::{Decomposition, Subdomain};
+use gpaw_grid::decomp::Subdomain;
 use gpaw_grid::generator;
 use gpaw_grid::grid3::Grid3;
 use gpaw_grid::gridset::GridSet;
@@ -114,33 +114,10 @@ pub fn sequential_reference<T: SyntheticFill>(
 }
 
 /// Largest absolute difference between the distributed outputs and the
-/// sequential reference over every rank's subdomain of every grid.
-///
-/// Assumes every rank holds all grids under the process-grid
-/// decomposition — true for the four paper approaches. For approaches
-/// whose ranks own grid *subsets* (flat static), use
-/// [`max_error_vs_reference_planned`].
-pub fn max_error_vs_reference<T: SyntheticFill>(
-    outputs: &[GridSet<T>],
-    map: &CartMap,
-    grid_ext: [usize; 3],
-    reference: &GridSet<T>,
-) -> f64 {
-    let decomp = Decomposition::new(grid_ext, map.proc_dims);
-    let mut worst = 0.0f64;
-    for (rank, set) in outputs.iter().enumerate() {
-        let sub = decomp.subdomain(map.proc_coord(rank).0);
-        for g in 0..set.len() {
-            worst = worst.max(max_sub_error(set.grid(g), reference.grid(g), &sub));
-        }
-    }
-    worst
-}
-
-/// Plan-aware variant of [`max_error_vs_reference`]: derives each rank's
-/// subdomain and grid ownership from the compiled plan, so it validates
-/// any approach — including flat static, whose ranks own node-level
-/// subdomains and a quarter of the grid set.
+/// sequential reference over every rank's subdomain of every grid it
+/// owns. Each rank's subdomain and grid ownership come from the compiled
+/// plan, so this validates any approach — including flat static, whose
+/// ranks own node-level subdomains and a quarter of the grid set.
 pub fn max_error_vs_reference_planned<T: SyntheticFill>(
     outputs: &[GridSet<T>],
     map: &CartMap,

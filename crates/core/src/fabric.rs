@@ -5,19 +5,19 @@
 //! `Vec<T>` of packed face data matched on `(source, tag)` with FIFO
 //! ordering per pair. Sends never block (buffered, like eager-protocol
 //! MPI); receives block until a match arrives. The functional plane runs
-//! it clean — no fault plan, no send history — and the native plane adds
-//! both. What makes it a *measured*, *survivable* transport:
+//! it clean — no fault plan, no rollback ledger — and the native plane
+//! adds both. What makes it a *measured*, *survivable* transport:
 //!
 //! * **sharded mailboxes** — one mutex per `(destination, source)` pair,
 //!   so the four concurrent endpoints of *hybrid multiple* never contend
 //!   on senders from different ranks (lock-free between distinct pairs; a
 //!   mutex only orders one pair's FIFO);
 //! * **state sized by the traffic in flight** — a shard keeps one record
-//!   per tag (queue, both sequence cursors, the exactly-once ledger and
-//!   the retransmission buffer). Without a send history the record is
-//!   retired as soon as the tag goes quiet (everything sent on it
-//!   consumed), so a drained fabric holds no tag state however many
-//!   sweeps it carried;
+//!   per tag (queue, both sequence cursors and the exactly-once ledger),
+//!   and a message's payload lives only until it is consumed. Without a
+//!   rollback ledger the record is retired as soon as the tag goes quiet
+//!   (everything sent on it consumed), so a drained fabric holds no tag
+//!   state however many sweeps it carried;
 //! * **wake-ups only for receivers that sleep** — a receive that finds
 //!   its message never registers, reads the clock or sleeps; one that
 //!   must wait parks its thread, and a send unparks only the receivers
@@ -45,16 +45,20 @@
 //!   at send over the intact bits and verified at recv *before* the
 //!   per-tag sequence cursor advances. A flipped bit — injected by the
 //!   fault plane or otherwise — surfaces as [`RecvError::Corrupt`]
-//!   instead of propagating into a grid. Retransmission buffers always
-//!   hold the intact copy (the checksum is taken before any injected
-//!   flip), so a supervised rollback replays true bits.
+//!   instead of propagating into a grid. Injected flips touch only a
+//!   message's first, logical send, so after a supervised rollback the
+//!   replaying sender's resend carries the true bits;
+//! * **recovery by replay** — a rollback resets every rolled-back tag's
+//!   queue and cursors and keeps nothing else: every rank re-runs from the
+//!   restored epoch, so each rolled-back message is sent again by its own
+//!   sender, and charged as a retransmission, not as logical traffic.
 //!
 //! Bytes are charged to the *sending* node (injection accounting, matching
 //! the interconnect model's per-node injection counters).
 
 use crate::fault::{
     BadPayload, BlockedRecv, EscalationStat, FabricConfig, FabricDiagnostic, FaultAction,
-    IntegrityStat, PayloadCorruption, QueueStat, RecvError, RecvTimeout,
+    IntegrityStat, PayloadCorruption, QueueStat, RecvError, RecvTimeout, REDELIVERY_TICK,
 };
 use crate::integrity::{flip_bit, payload_digest};
 use crate::plan::sweep_of_tag;
@@ -112,7 +116,7 @@ struct Waiter {
 
 /// Everything one `(src, tag)` stream of a shard needs. Created by the
 /// first send on the tag; retired by [`ShardState::take_next`] once the
-/// tag goes quiet, unless the fabric keeps send history.
+/// tag goes quiet, unless the fabric keeps the rollback ledger.
 struct TagRecord<T> {
     /// Envelopes in arrival order; delivery goes by sequence number.
     queue: VecDeque<Envelope<T>>,
@@ -125,11 +129,6 @@ struct TagRecord<T> {
     /// after rollback) and is charged to the retransmission counters
     /// instead — logical counts stay exact across any number of retries.
     charged: u64,
-    /// Send-side retransmission buffer (when `retain_history` is on):
-    /// every envelope delivered into the fabric. A rollback re-queues a
-    /// rolled-back sweep's entries so its receivers can re-consume
-    /// in-flight traffic.
-    history: Vec<Envelope<T>>,
 }
 
 impl<T> Default for TagRecord<T> {
@@ -139,7 +138,6 @@ impl<T> Default for TagRecord<T> {
             next_send: 0,
             next_recv: 0,
             charged: 0,
-            history: Vec::new(),
         }
     }
 }
@@ -158,9 +156,8 @@ impl<T> TagRecord<T> {
 /// traffic in flight, parked messages, sleeping receivers, and the
 /// pair's traffic and integrity counters.
 struct ShardState<T> {
-    /// tag → its stream. Without send history only tags with traffic in
-    /// flight have a record; with it, every tag sent on (the records are
-    /// the ledger a rollback replays against).
+    /// tag → its stream. Without the rollback ledger only tags with
+    /// traffic in flight have a record; with it, every tag sent on.
     tags: HashMap<u64, TagRecord<T>>,
     /// Fault-plan holdbacks, any tag.
     parked: Vec<ParkedMsg<T>>,
@@ -221,15 +218,15 @@ impl<T: Scalar> ShardState<T> {
     /// duplicates, and verify its checksum. [`Take::Pending`] when the
     /// expected sequence number has not arrived (even if later ones have
     /// — FIFO holds). On a checksum mismatch the corrupt envelope is
-    /// removed but the sequence cursor does *not* advance: after a
-    /// supervised rollback, the re-queued intact history copy satisfies
-    /// the same sequence number.
+    /// removed but the sequence cursor does *not* advance: a supervised
+    /// rollback resets it, and the sender's replayed intact resend
+    /// satisfies the same sequence number.
     ///
     /// With `retire`, a tag that goes quiet here — every sequence number
     /// sent on it consumed — loses its record, and a later send on it
-    /// starts a fresh stream at sequence 0. Only a fabric without send
-    /// history may retire: with history, the record is the exactly-once
-    /// ledger a rollback replays against. Without it, a parked envelope
+    /// starts a fresh stream at sequence 0. Only a fabric without the
+    /// rollback ledger may retire: with it, the record's charged
+    /// high-water is what a replay is counted against. A parked envelope
     /// is its message's only copy, so a quiet tag has none parked.
     fn take_next(&mut self, tag: u64, retire: bool, detections: &AtomicU64) -> Take<T> {
         let Entry::Occupied(mut slot) = self.tags.entry(tag) else {
@@ -297,40 +294,28 @@ impl<T> ShardState<T> {
         woken
     }
 
-    /// Drained = nothing matchable left. Parked envelopes whose sequence
-    /// number was already consumed are ignored like stale queued
-    /// duplicates: after a rollback the receiver may satisfy a tag from
-    /// the re-queued history while the sender's replayed copy of the same
-    /// message sits parked, and that copy can never be needed again.
+    /// Drained = nothing matchable left: no parked message (each is its
+    /// message's only copy) and no queued envelope at or past its tag's
+    /// receive cursor (consumed duplicates do not count).
     fn is_drained(&self) -> bool {
-        self.parked.iter().all(|p| {
-            self.tags
-                .get(&p.tag)
-                .is_some_and(|r| p.env.seq < r.next_recv)
-        }) && self.tags.values().all(|r| r.live_depth() == 0)
+        self.parked.is_empty() && self.tags.values().all(|r| r.live_depth() == 0)
     }
 
     /// Reset this shard to the epoch boundary `epoch`. Tags of committed
     /// sweeps (`sweep < epoch`) keep their state — their messages are
-    /// already reflected in the checkpointed grids — but their
-    /// retransmission buffers are purged (they can never be a rollback
-    /// target again). Tags of rolled-back sweeps are reset to pristine
-    /// sequence counters, with the buffered send history re-queued so a
-    /// rolled-back receiver finds every in-flight message again; the
-    /// re-executing sender's own resends dedup against these by sequence
-    /// number. `charged` survives untouched: it is the exactly-once
-    /// high-water for the logical traffic counters.
+    /// already reflected in the checkpointed grids. Tags of rolled-back
+    /// sweeps lose their queued and parked envelopes and restart at
+    /// sequence 0: every rank replays from `epoch`, so each rolled-back
+    /// message is sent again by its own sender. `charged` survives
+    /// untouched: it is the exactly-once high-water that counts those
+    /// resends as retransmissions.
     fn rollback_to(&mut self, epoch: usize) {
         let rolled = |tag: u64| sweep_of_tag(tag) >= epoch;
         self.parked.retain(|p| !rolled(p.tag));
-        for (&tag, rec) in &mut self.tags {
-            let mut history = std::mem::take(&mut rec.history);
-            if rolled(tag) {
-                history.sort_by_key(|e| e.seq);
-                rec.queue = history.into();
-                rec.next_send = 0;
-                rec.next_recv = 0;
-            }
+        for (_, rec) in self.tags.iter_mut().filter(|(&tag, _)| rolled(tag)) {
+            rec.queue.clear();
+            rec.next_send = 0;
+            rec.next_recv = 0;
         }
     }
 }
@@ -434,7 +419,7 @@ impl<T: Scalar> NativeFabric<T> {
         Self::with_config(map, FabricConfig::default())
     }
 
-    /// A fabric with explicit watchdog/tick/fault-plan knobs.
+    /// A fabric with explicit watchdog/fault-plan/ledger knobs.
     pub fn with_config(map: &CartMap, config: FabricConfig) -> NativeFabric<T> {
         let ranks = map.ranks();
         let shape = map.partition.node_shape;
@@ -459,7 +444,7 @@ impl<T: Scalar> NativeFabric<T> {
         self.ranks
     }
 
-    /// The active configuration (watchdog, tick, fault plan).
+    /// The active configuration (watchdog, fault plan, ledger).
     pub fn config(&self) -> &FabricConfig {
         &self.config
     }
@@ -520,7 +505,8 @@ impl<T: Scalar> NativeFabric<T> {
         // charged high-water was counted before a rollback replayed this
         // send — it is a *retransmission*, charged to its own counters so
         // exact-traffic checks keep holding for recovered runs.
-        if seq < rec.charged {
+        let replayed = seq < rec.charged;
+        if replayed {
             st.retrans_messages += 1;
             st.retrans_bytes += bytes;
         } else {
@@ -550,14 +536,12 @@ impl<T: Scalar> NativeFabric<T> {
             }
         };
 
-        // Corruption resolves to a seeded bit flip applied to the
-        // *delivered* copy only, after the retransmission buffer takes
-        // its intact clone below. The targeted injector is keyed on the
+        // Corruption resolves to a seeded bit flip of the delivered
+        // payload, and only on a logical send: the identity-keyed Corrupt
+        // draw would re-fire on a replayed send, and a replay must deliver
+        // the true bits. The targeted injector is also keyed on the
         // shard's monotonic send count, like the black hole, so it fires
-        // once; the probabilistic Corrupt draw is identity-keyed and may
-        // re-fire on a replayed send, which is safe — the receiver
-        // matches the earlier-queued intact history copy first and the
-        // re-corrupted resend is purged as a stale duplicate.
+        // once.
         let mut flip: Option<u64> = None;
         if let FaultAction::Corrupt { raw } = action {
             flip = Some(raw);
@@ -571,24 +555,7 @@ impl<T: Scalar> NativeFabric<T> {
                 flip = Some(plan.corrupt_raw(src, dst, tag, seq));
             }
         }
-
-        // A retransmission the receiver already consumed (it advanced past
-        // this sequence by re-consuming the rollback's re-queued history)
-        // must not re-enter the fabric: queued it would be stale-purged,
-        // but parked it would strand past the drain check.
-        if seq < rec.next_recv {
-            return;
-        }
-
-        if self.config.retain_history {
-            rec.history.push(Envelope {
-                seq,
-                sum,
-                payload: env.payload.clone(),
-            });
-        }
-
-        if let Some(raw) = flip {
+        if let Some(raw) = flip.filter(|_| !replayed) {
             flip_bit(&mut env.payload, raw);
         }
 
@@ -638,7 +605,7 @@ impl<T: Scalar> NativeFabric<T> {
     /// watchdog wait — the corruption is already proven). Either carries
     /// a fabric-wide [`FabricDiagnostic`].
     pub fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Vec<T>, RecvError> {
-        let retire = !self.config.retain_history;
+        let retire = !self.config.keep_ledger;
         let mut st = self.shard(me, src);
         // Set when the receive first has to sleep. A receive whose message
         // is already there never reads the clock or registers as a waiter.
@@ -706,7 +673,7 @@ impl<T: Scalar> NativeFabric<T> {
             let wait_for = if st.parked.is_empty() {
                 deadline - now
             } else {
-                self.config.tick.min(deadline - now)
+                REDELIVERY_TICK.min(deadline - now)
             };
             // Registered as a waiter under the lock, so a send that lands
             // after it is released unparks this thread, and an unpark that
@@ -863,7 +830,7 @@ impl<T: Scalar> NativeFabric<T> {
     pub fn try_recv(&self, me: usize, src: usize, tag: u64) -> Option<Vec<T>> {
         let mut st = self.shard(me, src);
         st.tick_parked();
-        match st.take_next(tag, !self.config.retain_history, &self.detections) {
+        match st.take_next(tag, !self.config.keep_ledger, &self.detections) {
             Take::Ready(payload) => Some(payload),
             Take::Corrupt { .. } | Take::Pending => None,
         }
@@ -877,21 +844,22 @@ impl<T: Scalar> NativeFabric<T> {
         (0..self.ranks).all(|src| self.shard(me, src).is_drained())
     }
 
-    /// Roll every shard back to the epoch boundary `epoch`: clear and
-    /// reset the state of rolled-back sweeps' tags, re-queue their
-    /// buffered send history (so rolled-back receivers re-consume
-    /// in-flight traffic), and purge committed sweeps' retransmission
-    /// buffers. Traffic counters are untouched — the per-tag charged
-    /// high-water keeps the logical counts exactly-once across replays.
+    /// Roll every shard back to the epoch boundary `epoch`: drop the
+    /// queued and parked traffic of rolled-back sweeps' tags and restart
+    /// their sequence cursors. Nothing is re-queued — the caller replays
+    /// every rank from `epoch`, so each rolled-back message is sent again
+    /// by its own sender. Traffic counters are untouched, and the per-tag
+    /// charged high-water counts the resends as retransmissions, keeping
+    /// the logical counts exactly-once across replays.
     ///
     /// Callers must quiesce the fabric first (no rank threads running);
     /// the supervisor only rolls back between attempts. Only a fabric
-    /// configured with `retain_history` can be rolled back: one without
-    /// it retires quiet tags, and with them their charged high-water.
+    /// configured with `keep_ledger` can be rolled back: one without it
+    /// retires quiet tags, and with them their charged high-water.
     pub fn rollback(&self, epoch: usize) {
         debug_assert!(
-            self.config.retain_history,
-            "rollback needs a fabric that retains send history"
+            self.config.keep_ledger,
+            "rollback needs a fabric that keeps the rollback ledger"
         );
         for shard in &self.shards {
             lock(shard).rollback_to(epoch);
@@ -1076,19 +1044,80 @@ mod tests {
         assert_eq!(f.stats().messages_total, 1103, "every message counted once");
     }
 
-    #[test]
-    fn a_fabric_with_history_keeps_every_record_as_the_rollback_ledger() {
+    /// Payload elements held across every shard, queued or parked.
+    fn held_elements<T>(f: &NativeFabric<T>) -> usize {
+        f.shards
+            .iter()
+            .map(|s| {
+                let st = lock(s);
+                let queued: usize = st
+                    .tags
+                    .values()
+                    .flat_map(|r| &r.queue)
+                    .map(|e| e.payload.len())
+                    .sum();
+                queued + st.parked.iter().map(|p| p.env.payload.len()).sum::<usize>()
+            })
+            .sum()
+    }
+
+    /// A fabric that can be rolled back: it keeps the ledger.
+    fn ledger_fabric(plan: Option<FaultPlan>) -> NativeFabric<f64> {
         let cfg = FabricConfig {
-            retain_history: true,
-            ..FabricConfig::default()
+            recv_timeout: Duration::from_secs(5),
+            plan,
+            keep_ledger: true,
         };
-        let f: NativeFabric<f64> = NativeFabric::with_config(&map(2, ExecMode::Smp), cfg);
+        NativeFabric::with_config(&map(2, ExecMode::Smp), cfg)
+    }
+
+    #[test]
+    fn a_fabric_with_the_ledger_keeps_every_record_and_counts_replays_against_it() {
+        let f = ledger_fabric(None);
         for tag in 0..3u64 {
-            f.send(0, 1, tag, vec![1.0]);
-            assert_eq!(recv_ok(&f, 1, 0, tag), vec![1.0]);
+            f.send(0, 1, tag, vec![tag as f64]);
+            assert_eq!(recv_ok(&f, 1, 0, tag), vec![tag as f64]);
         }
         assert!(f.is_drained(1));
+        assert_eq!(tag_records(&f), 3, "quiet tags keep their records");
+        // The records are what tells the replay's resends apart from new
+        // traffic.
+        f.rollback(0);
+        for tag in 0..3u64 {
+            f.send(0, 1, tag, vec![tag as f64]);
+            assert_eq!(recv_ok(&f, 1, 0, tag), vec![tag as f64]);
+        }
+        let s = f.stats();
+        assert_eq!(s.messages_total, 3, "logical count is exactly-once");
+        assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (3, 24));
+        assert!(f.is_drained(1));
         assert_eq!(tag_records(&f), 3);
+    }
+
+    #[test]
+    fn a_rollback_capable_fabric_holds_no_payload_once_everything_is_consumed() {
+        let f = ledger_fabric(None);
+        let tag = |sweep: u64| (sweep << 40) | 7;
+        for sweep in 0..3u64 {
+            f.send(0, 1, tag(sweep), vec![sweep as f64; 4]);
+            assert_eq!(recv_ok(&f, 1, 0, tag(sweep)), vec![sweep as f64; 4]);
+        }
+        assert_eq!(held_elements(&f), 0, "a consumed message is not kept");
+        // Replay sweeps 1 and 2, the resends landing before their
+        // receives.
+        f.rollback(1);
+        assert_eq!(held_elements(&f), 0, "a rollback re-queues nothing");
+        for sweep in 1..3u64 {
+            f.send(0, 1, tag(sweep), vec![sweep as f64; 4]);
+        }
+        for sweep in 1..3u64 {
+            assert_eq!(recv_ok(&f, 1, 0, tag(sweep)), vec![sweep as f64; 4]);
+        }
+        assert_eq!(held_elements(&f), 0, "a consumed resend is not kept");
+        assert!(f.is_drained(1));
+        let s = f.stats();
+        assert_eq!(s.messages_total, 3);
+        assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (2, 64));
     }
 
     #[test]
@@ -1343,57 +1372,48 @@ mod tests {
 
     #[test]
     fn corruption_does_not_advance_the_cursor_and_replay_delivers_true_bits() {
-        // Supervised-style fabric: history retained. The corrupted
-        // message's intact copy lives in the retransmission buffer; a
-        // rollback re-queues it and the same receive then succeeds —
-        // detection is fail-stop, never data loss.
-        let cfg = FabricConfig {
-            recv_timeout: Duration::from_secs(5),
-            retain_history: true,
-            plan: Some(FaultPlan::quiet(3).with_corrupt_payload(0, 1, 1)),
-            ..FabricConfig::default()
-        };
-        let f: NativeFabric<f64> = NativeFabric::with_config(&map(2, ExecMode::Smp), cfg);
+        // Supervised-style fabric. The rejected receive leaves its cursor
+        // where it was; a rollback resets it and the replaying sender's
+        // resend satisfies the same receive — detection is fail-stop,
+        // never data loss.
+        let f = ledger_fabric(Some(FaultPlan::quiet(3).with_corrupt_payload(0, 1, 1)));
         f.send(0, 1, 7, vec![5.0, 6.0]); // corrupted in flight
         let c = expect_corrupt(f.recv(1, 0, 7).expect_err("corrupt first message"));
         assert_eq!(c.seq, 0, "the cursor must still expect seq 0");
         f.rollback(0);
-        assert_eq!(
-            recv_ok(&f, 1, 0, 7),
-            vec![5.0, 6.0],
-            "history holds the intact bits"
-        );
-        // The replayed resend is one-shot (sent_count is monotonic): it
-        // passes clean, dedups as a stale retransmission, and the fabric
-        // drains.
+        assert!(f.try_recv(1, 0, 7).is_none(), "nothing is redelivered");
+        // The injector is one-shot (sent_count is monotonic), so the
+        // resend carries the true bits.
         f.send(0, 1, 7, vec![5.0, 6.0]);
+        assert_eq!(recv_ok(&f, 1, 0, 7), vec![5.0, 6.0]);
         assert!(f.is_drained(1));
         let s = f.stats();
         assert_eq!(s.messages_total, 1, "logical count is exactly-once");
-        assert_eq!(s.corruptions_detected, 1);
-        assert_eq!(s.retransmitted_messages, 1);
+        assert_eq!((s.corruptions_detected, s.messages_verified), (1, 1));
+        assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (1, 16));
     }
 
     #[test]
-    fn probabilistic_corruption_is_detected_under_always_on_verification() {
-        let cfg = FabricConfig {
-            recv_timeout: Duration::from_secs(5),
-            plan: Some(FaultPlan::quiet(17).with_corruption(1.0)),
-            ..FabricConfig::default()
-        };
-        let f: NativeFabric<f64> = NativeFabric::with_config(&map(2, ExecMode::Smp), cfg);
+    fn probabilistic_corruption_is_detected_and_spares_the_replayed_send() {
+        let f = ledger_fabric(Some(FaultPlan::quiet(17).with_corruption(1.0)));
         f.send(0, 1, 7, vec![1.0]);
-        let c = expect_corrupt(f.recv(1, 0, 7).expect_err("every message corrupts"));
+        let c = expect_corrupt(f.recv(1, 0, 7).expect_err("every logical send corrupts"));
         assert_eq!((c.rank, c.src, c.tag, c.seq), (1, 0, 7, 0));
+        f.rollback(0);
+        // The identity-keyed draw selects this resend too, but a replay
+        // is never corrupted.
+        f.send(0, 1, 7, vec![1.0]);
+        assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0]);
+        assert!(f.is_drained(1));
+        let s = f.stats();
+        assert_eq!(s.messages_total, 1, "logical count is exactly-once");
+        assert_eq!((s.corruptions_detected, s.messages_verified), (1, 1));
+        assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (1, 8));
     }
 
     #[test]
-    fn rollback_requeues_history_and_resends_count_as_retransmissions() {
-        let cfg = FabricConfig {
-            retain_history: true,
-            ..FabricConfig::default()
-        };
-        let f: NativeFabric<f64> = NativeFabric::with_config(&map(2, ExecMode::Smp), cfg);
+    fn rollback_replays_and_resends_count_as_retransmissions() {
+        let f = ledger_fabric(None);
         f.send(0, 1, 7, vec![1.0]);
         f.send(0, 1, 7, vec![2.0]);
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0]);
@@ -1401,45 +1421,45 @@ mod tests {
         assert_eq!(f.stats().messages_total, 2);
 
         // Tag 7 encodes sweep 0, so a rollback to epoch 0 rolls it back:
-        // the receiver re-consumes both messages from the history buffer.
+        // nothing is waiting until the replaying sender sends again.
         f.rollback(0);
+        assert!(f.try_recv(1, 0, 7).is_none(), "nothing is redelivered");
+        f.send(0, 1, 7, vec![1.0]);
+        f.send(0, 1, 7, vec![2.0]);
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0]);
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![2.0]);
 
-        // The replaying sender's own resends are retransmissions — the
-        // logical counters never move again for these sequence numbers.
-        f.send(0, 1, 7, vec![1.0]);
-        f.send(0, 1, 7, vec![2.0]);
+        // The resends are retransmissions — the logical counters never
+        // move again for these sequence numbers.
         let s = f.stats();
         assert_eq!(s.messages_total, 2, "logical count is exactly-once");
-        assert_eq!(s.retransmitted_messages, 2);
-        assert_eq!(s.retransmitted_bytes, 16);
-        assert!(f.is_drained(1), "stale resends must not strand anywhere");
+        assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (2, 16));
+        assert!(f.is_drained(1));
     }
 
     #[test]
     fn rollback_spares_committed_sweeps() {
         let sweep1_tag = (1u64 << 40) | 7; // sweep_of_tag == 1
         assert_eq!(sweep_of_tag(sweep1_tag), 1);
-        let cfg = FabricConfig {
-            retain_history: true,
-            ..FabricConfig::default()
-        };
-        let f: NativeFabric<f64> = NativeFabric::with_config(&map(2, ExecMode::Smp), cfg);
+        let f = ledger_fabric(None);
         f.send(0, 1, 7, vec![1.0]);
         f.send(0, 1, sweep1_tag, vec![2.0]);
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0]);
         assert_eq!(recv_ok(&f, 1, 0, sweep1_tag), vec![2.0]);
 
         // Epoch 1 commits sweep 0: its tag keeps its consumed state and
-        // loses its history; sweep 1's tag is re-queued for replay.
+        // is not replayed; only sweep 1's sender sends again.
         f.rollback(1);
         assert!(
             f.try_recv(1, 0, 7).is_none(),
             "committed sweep stays consumed"
         );
+        f.send(0, 1, sweep1_tag, vec![2.0]);
         assert_eq!(recv_ok(&f, 1, 0, sweep1_tag), vec![2.0]);
         assert!(f.is_drained(1));
+        let s = f.stats();
+        assert_eq!(s.messages_total, 2, "logical count is exactly-once");
+        assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (1, 8));
     }
 
     #[test]
@@ -1504,12 +1524,12 @@ mod tests {
 
     #[test]
     fn delay_landing_on_the_watchdog_boundary_still_delivers() {
-        // recv_timeout == tick: the parked message's promotion lands
-        // exactly on the watchdog deadline. Matching runs before the
-        // deadline check, so the receive completes rather than timing out.
+        // recv_timeout == the redelivery tick: the parked message's
+        // promotion lands exactly on the watchdog deadline. Matching runs
+        // before the deadline check, so the receive completes rather than
+        // timing out.
         let cfg = FabricConfig {
-            recv_timeout: Duration::from_millis(40),
-            tick: Duration::from_millis(40),
+            recv_timeout: REDELIVERY_TICK,
             plan: Some(FaultPlan {
                 delay_prob: 1.0,
                 ..FaultPlan::quiet(0)

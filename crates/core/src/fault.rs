@@ -19,8 +19,9 @@
 //! * **corrupt** a payload — flip one seeded bit of a message's delivered
 //!   copy ([`CorruptPayload`], or probabilistically via
 //!   [`FaultPlan::corrupt_prob`]), or poison one checkpoint snapshot
-//!   after deposit ([`CorruptSnapshot`]). The send-side retransmission
-//!   buffer always keeps the *intact* bits, so a supervised replay
+//!   after deposit ([`CorruptSnapshot`]). Only a message's first,
+//!   *logical* send is ever corrupted: after a supervised rollback the
+//!   replaying sender's resend is charged as a retransmission and
 //!   delivers the true payload.
 //!
 //! None of the benign actions can break per-`(src, tag)` FIFO order: the
@@ -88,9 +89,9 @@ pub struct PanicInjection {
 
 /// Flip one seeded bit in the `nth` (1-based) `src → dst` message's
 /// delivered payload — silent data corruption in flight. Keyed on the
-/// shard's monotonic send count (like [`BlackHole`]), so the injection
-/// is one-shot: the replayed resend after a supervised rollback carries
-/// the true bits.
+/// shard's monotonic send count (like [`BlackHole`]) and applied only to
+/// logical sends, so the injection is one-shot: the replayed resend after
+/// a supervised rollback carries the true bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorruptPayload {
     /// Sending rank.
@@ -300,34 +301,34 @@ impl FaultPlan {
     }
 }
 
+/// Granularity of parked-message redelivery, and of watchdog polls while
+/// parked messages exist.
+pub const REDELIVERY_TICK: Duration = Duration::from_millis(1);
+
 /// Runtime knobs of one [`NativeFabric`](crate::fabric::NativeFabric): the recv watchdog, the
-/// redelivery tick, the optional fault plan, and (for supervised runs)
-/// send-side history retention.
+/// optional fault plan, and (for supervised runs) the rollback ledger.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
     /// How long a receive may block before the deadlock watchdog declares
     /// it stuck and returns a [`FabricDiagnostic`] (formerly the
     /// hard-coded "watchdog" budget; default unchanged at 30 s).
     pub recv_timeout: Duration,
-    /// Granularity of parked-message redelivery (and of watchdog polls
-    /// while parked messages exist).
-    pub tick: Duration,
     /// The fault schedule; `None` is the clean fabric.
     pub plan: Option<FaultPlan>,
-    /// Keep a send-side copy of every in-flight message (the
-    /// retransmission buffer) so a rollback can re-queue traffic for
-    /// rolled-back receivers. Off for plain runs — it costs one payload
-    /// clone per send — and turned on by the supervisor.
-    pub retain_history: bool,
+    /// Keep every tag record after its tag goes quiet, as the ledger a
+    /// rollback replays against: each record's charged high-water is
+    /// what tells a replayed send (a retransmission) from a logical one.
+    /// Off for plain runs, which retire quiet tags, and turned on by the
+    /// supervisor.
+    pub keep_ledger: bool,
 }
 
 impl Default for FabricConfig {
     fn default() -> FabricConfig {
         FabricConfig {
             recv_timeout: Duration::from_secs(30),
-            tick: Duration::from_millis(1),
             plan: None,
-            retain_history: false,
+            keep_ledger: false,
         }
     }
 }
@@ -518,8 +519,8 @@ impl std::error::Error for RecvTimeout {}
 
 /// A receive that found its next-in-sequence payload corrupted: the
 /// checksum computed at send does not match the delivered bits. The
-/// sequence cursor did *not* advance, so after a supervised rollback the
-/// replayed intact copy satisfies the same receive.
+/// sequence cursor did *not* advance; a supervised rollback resets it,
+/// and the replaying sender's intact resend satisfies the same receive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PayloadCorruption {
     /// The rank whose receive rejected the payload.

@@ -142,15 +142,6 @@ pub enum SweepOp {
     AdvanceBuffer,
 }
 
-impl SweepOp {
-    /// True for the op that closes an epoch (`AdvanceBuffer`): the moment
-    /// right after it executes is the checkpointable "after `e` sweeps"
-    /// state every plane agrees on.
-    pub fn is_epoch_boundary(self) -> bool {
-        self == SweepOp::AdvanceBuffer
-    }
-}
-
 /// What kind of thread executes a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadRole {

@@ -137,11 +137,6 @@ impl<E> EventQueue<E> {
         self.popped += 1;
         Some((s.at, s.event))
     }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
 }
 
 #[cfg(test)]
@@ -199,16 +194,6 @@ mod tests {
         while q.pop().is_some() {}
         assert_eq!(q.events_processed(), 5);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_matches_next_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(SimDuration::from_ns(42), ());
-        assert_eq!(q.peek_time(), Some(SimTime(42_000)));
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime(42_000));
-        assert_eq!(q.peek_time(), None);
     }
 
     /// Determinism end-to-end: interleaved schedule/pop sequences yield the

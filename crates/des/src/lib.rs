@@ -19,10 +19,9 @@
 //!   simulations (tens of millions of events for the 16 384-core figures)
 //!   stay allocation-light.
 //!
-//! The crate also ships analytic FIFO resources ([`resource::FifoServer`],
-//! [`resource::MultiServer`]) used to model network links and DMA channels
-//! without extra events, simple statistics helpers, and a deterministic
-//! SplitMix64 RNG.
+//! The crate also ships an analytic FIFO resource ([`resource::FifoServer`])
+//! used to model network links and DMA channels without extra events, a
+//! traffic counter, and a deterministic SplitMix64 RNG.
 
 pub mod event;
 pub mod resource;
@@ -32,7 +31,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
-pub use resource::{FifoServer, MultiServer};
+pub use resource::FifoServer;
 pub use rng::SplitMix64;
 pub use span::{Span, SpanAgg, SpanKind, SpanLog};
 pub use time::{SimDuration, SimTime};

@@ -5,12 +5,10 @@
 //! queueing with events, a server just remembers when it becomes free;
 //! `acquire` returns the interval during which the request is actually
 //! serviced. This is exact for FIFO service disciplines and costs O(1)
-//! per request (O(log k) for the multi-server), which matters when the
-//! 16 384-core figures push tens of millions of messages through the model.
+//! per request, which matters when the 16 384-core figures push tens of
+//! millions of messages through the model.
 
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The service interval granted to a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,62 +84,6 @@ impl FifoServer {
     }
 }
 
-/// A pool of `k` identical FIFO servers with a shared queue (e.g. the DMA
-/// engine's injection channels). A request is serviced by whichever server
-/// frees first.
-#[derive(Debug, Clone)]
-pub struct MultiServer {
-    // Min-heap over the instants at which each server becomes free.
-    free_at: BinaryHeap<Reverse<SimTime>>,
-    busy_total: SimDuration,
-    requests: u64,
-}
-
-impl MultiServer {
-    /// A pool of `servers` servers, all free immediately.
-    ///
-    /// # Panics
-    /// Panics if `servers == 0`.
-    pub fn new(servers: usize) -> Self {
-        assert!(servers > 0, "MultiServer needs at least one server");
-        let mut free_at = BinaryHeap::with_capacity(servers);
-        for _ in 0..servers {
-            free_at.push(Reverse(SimTime::ZERO));
-        }
-        MultiServer {
-            free_at,
-            busy_total: SimDuration::ZERO,
-            requests: 0,
-        }
-    }
-
-    /// Number of servers in the pool.
-    pub fn servers(&self) -> usize {
-        self.free_at.len()
-    }
-
-    /// Request `service` time on the earliest-free server.
-    pub fn acquire(&mut self, now: SimTime, service: SimDuration) -> Grant {
-        let Reverse(earliest) = self.free_at.pop().expect("pool is never empty");
-        let start = earliest.max(now);
-        let done = start + service;
-        self.free_at.push(Reverse(done));
-        self.busy_total += service;
-        self.requests += 1;
-        Grant { start, done }
-    }
-
-    /// Aggregate busy time across all servers.
-    pub fn busy_total(&self) -> SimDuration {
-        self.busy_total
-    }
-
-    /// Number of requests served.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,33 +132,5 @@ mod tests {
         let u = s.utilization(SimTime::ZERO + ns(100));
         assert!((u - 0.5).abs() < 1e-12);
         assert_eq!(s.requests(), 2);
-    }
-
-    #[test]
-    fn multi_server_runs_k_in_parallel() {
-        let mut pool = MultiServer::new(2);
-        let g1 = pool.acquire(SimTime::ZERO, ns(10));
-        let g2 = pool.acquire(SimTime::ZERO, ns(10));
-        let g3 = pool.acquire(SimTime::ZERO, ns(10));
-        // First two run concurrently, third queues behind the earliest.
-        assert_eq!(g1.start, SimTime::ZERO);
-        assert_eq!(g2.start, SimTime::ZERO);
-        assert_eq!(g3.start, g1.done.min(g2.done));
-        assert_eq!(g3.done.0, 20_000);
-    }
-
-    #[test]
-    fn multi_server_picks_earliest_free() {
-        let mut pool = MultiServer::new(2);
-        pool.acquire(SimTime::ZERO, ns(100)); // server A busy until 100
-        pool.acquire(SimTime::ZERO, ns(10)); // server B busy until 10
-        let g = pool.acquire(SimTime::ZERO + ns(50), ns(1));
-        assert_eq!(g.start, SimTime::ZERO + ns(50)); // B, already free
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn multi_server_rejects_zero() {
-        let _ = MultiServer::new(0);
     }
 }

@@ -1,10 +1,5 @@
-//! Lightweight statistics for simulation reports.
-//!
-//! These are the accumulators behind the per-node communication counters
-//! (Fig. 6's right axis), core-utilization numbers (the paper's 36 % → 70 %
-//! claim) and the bandwidth sweep of Fig. 2.
-
-use crate::time::{SimDuration, SimTime};
+//! Lightweight statistics for simulation reports: the accumulator behind
+//! the network's per-node injection counters (Fig. 6's right axis).
 
 /// A plain monotonically increasing counter (bytes sent, messages posted…).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,143 +46,6 @@ impl Counter {
     }
 }
 
-/// Accumulates busy time so `busy / horizon` gives utilization.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BusyTime {
-    busy: SimDuration,
-}
-
-impl BusyTime {
-    /// A zeroed accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `d` of busy time.
-    pub fn add(&mut self, d: SimDuration) {
-        self.busy += d;
-    }
-
-    /// Total busy time recorded.
-    pub fn busy(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Fraction of `[0, horizon]` spent busy (clamped to [0, 1]).
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.0 == 0 {
-            return 0.0;
-        }
-        (self.busy.as_ps() as f64 / horizon.0 as f64).min(1.0)
-    }
-}
-
-/// Running min/max/mean over f64 samples (message latencies, bandwidths…).
-#[derive(Debug, Clone, Copy)]
-pub struct Summary {
-    n: u64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl Default for Summary {
-    fn default() -> Self {
-        Summary {
-            n: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-}
-
-impl Summary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        self.sum += x;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Mean sample (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.sum / self.n as f64)
-    }
-}
-
-/// Power-of-two histogram for message sizes: bucket `i` holds values in
-/// `[2^i, 2^(i+1))` (bucket 0 also holds 0).
-#[derive(Debug, Clone)]
-pub struct Log2Histogram {
-    buckets: Vec<u64>,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Log2Histogram {
-    /// An empty histogram covering the full u64 range (64 buckets).
-    pub fn new() -> Self {
-        Log2Histogram {
-            buckets: vec![0; 64],
-        }
-    }
-
-    /// Record one value.
-    pub fn add(&mut self, value: u64) {
-        let b = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        self.buckets[b] += 1;
-    }
-
-    /// Count in bucket `i` (values in `[2^i, 2^(i+1))`).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Total number of recorded values.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Iterate over non-empty `(bucket_floor, count)` pairs.
-    pub fn iter_nonempty(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (1u64 << i, c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,44 +70,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 6);
         assert_eq!(a.events(), 3);
-    }
-
-    #[test]
-    fn busy_time_utilization_clamps() {
-        let mut b = BusyTime::new();
-        b.add(SimDuration::from_ns(80));
-        assert!((b.utilization(SimTime(100_000)) - 0.8).abs() < 1e-12);
-        b.add(SimDuration::from_ns(100));
-        assert_eq!(b.utilization(SimTime(100_000)), 1.0);
-        assert_eq!(BusyTime::new().utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn summary_tracks_min_max_mean() {
-        let mut s = Summary::new();
-        assert!(s.mean().is_none());
-        for x in [3.0, 1.0, 2.0] {
-            s.add(x);
-        }
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(3.0));
-        assert!((s.mean().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(s.count(), 3);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Log2Histogram::new();
-        h.add(0);
-        h.add(1);
-        h.add(2);
-        h.add(3);
-        h.add(1024);
-        assert_eq!(h.bucket(0), 2); // 0 and 1
-        assert_eq!(h.bucket(1), 2); // 2 and 3
-        assert_eq!(h.bucket(10), 1); // 1024
-        assert_eq!(h.total(), 5);
-        let nonempty: Vec<_> = h.iter_nonempty().collect();
-        assert_eq!(nonempty, vec![(1, 2), (2, 2), (1024, 1)]);
     }
 }

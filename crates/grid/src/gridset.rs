@@ -38,11 +38,6 @@ impl<T: Scalar> GridSet<T> {
         GridSet { grids, n, halo }
     }
 
-    /// Take the grids out of the set.
-    pub fn into_grids(self) -> Vec<Grid3<T>> {
-        self.grids
-    }
-
     /// Build `count` grids, the `g`-th from `f(g, i, j, k)`.
     pub fn from_fn(
         count: usize,

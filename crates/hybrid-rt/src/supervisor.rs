@@ -6,7 +6,7 @@
 //! one — and builds one fabric per geometry it runs on. Only when the
 //! policy can roll back (more than one attempt, a shrink budget, or a
 //! disk) does it also build a [`CheckpointStore`] and turn on the
-//! fabric's send-side history, so a bare run pays for neither. When an
+//! fabric's rollback ledger, so a bare run pays for neither. When an
 //! attempt fails with [`RunError::Failed`] or [`RunError::Integrity`],
 //! the driver
 //!
@@ -22,8 +22,9 @@
 //! 3. **backs off** exponentially from [`RetryPolicy::base_backoff`], and
 //! 4. **respawns** every rank's workers to resume interpretation at that
 //!    epoch: tags embed the absolute sweep, so the interpreter re-enters
-//!    mid-program and the fabric's re-queued history hands rolled-back
-//!    receivers their in-flight messages again.
+//!    mid-program. Recovery is replay, not redelivery: the fabric keeps
+//!    no copy of sent traffic, and every rolled-back message is sent
+//!    again by its own replaying sender.
 //!
 //! Once a geometry's retries are exhausted on rank-pinned failures and
 //! the [`DegradePolicy`] allows, the driver **shrinks**: it picks the
@@ -119,8 +120,8 @@ impl DegradePolicy {
 
 /// How [`execute`] drives a run: retries, shrinks, disk, and where the
 /// compiled programs come from. A policy that cannot roll back — one
-/// attempt, no shrink, no disk — runs with no checkpoints and no send
-/// history.
+/// attempt, no shrink, no disk — runs with no checkpoints and no
+/// rollback ledger.
 pub struct RunPolicy<'a> {
     /// Attempts per geometry and the backoff between them.
     pub retry: RetryPolicy,
@@ -154,7 +155,7 @@ impl<'a> RunPolicy<'a> {
     }
 
     /// Whether a failure could ever be rolled back — the one condition
-    /// for keeping checkpoints and send history.
+    /// for keeping checkpoints and the fabric's rollback ledger.
     fn rolls_back(&self) -> bool {
         self.retry.max_attempts > 1 || self.degrade.max_degrades > 0 || self.durable.is_some()
     }
@@ -363,8 +364,7 @@ pub fn execute<T: SyntheticFill>(
         let config = FabricConfig {
             recv_timeout: Duration::from_millis(job.recv_timeout_ms),
             plan: job.fault,
-            retain_history: rolls_back,
-            ..FabricConfig::default()
+            keep_ledger: rolls_back,
         };
         let fabric: NativeFabric<T> = NativeFabric::with_config(&geo.map, config);
         let poison = job.fault.and_then(|p| p.corrupt_snapshot);

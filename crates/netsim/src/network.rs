@@ -93,17 +93,6 @@ impl FullNetwork {
         self.injected[self.shape.index(node)].events()
     }
 
-    /// Largest per-node injected payload byte count (Fig. 6's
-    /// "communication per node").
-    pub fn max_injected_bytes(&self) -> u64 {
-        self.injected.iter().map(Counter::total).max().unwrap_or(0)
-    }
-
-    /// Aggregate payload bytes that entered the network.
-    pub fn total_injected_bytes(&self) -> u64 {
-        self.injected.iter().map(Counter::total).sum()
-    }
-
     /// Peak utilization across all links over `[0, horizon]`.
     pub fn max_link_utilization(&self, horizon: SimTime) -> f64 {
         self.links
@@ -215,8 +204,6 @@ mod tests {
         net.transfer(SimTime::ZERO, Coord([0, 0, 0]), Coord([0, 1, 0]), 700, &m);
         assert_eq!(net.injected_bytes(Coord([0, 0, 0])), 1200);
         assert_eq!(net.injected_messages(Coord([0, 0, 0])), 2);
-        assert_eq!(net.max_injected_bytes(), 1200);
-        assert_eq!(net.total_injected_bytes(), 1200);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! matching send never arrives — and both report it loudly: the timed
 //! machine panics at end of simulation (`Machine::run`), the native
 //! fabric's watchdog returns a structured `FabricDiagnostic`
-//! (`gpaw_hybrid_rt::fault`). The phrases live here so the two reports
+//! (`gpaw_fd::fault`). The phrases live here so the two reports
 //! read identically and an operator can grep one vocabulary across both
 //! planes.
 

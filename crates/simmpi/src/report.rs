@@ -105,11 +105,6 @@ impl RunReport {
         self.frac(self.busy_sync)
     }
 
-    /// Fraction of thread time idle (1 − the other three).
-    pub fn idle_fraction(&self) -> f64 {
-        (1.0 - self.compute_fraction() - self.comm_fraction() - self.sync_fraction()).max(0.0)
-    }
-
     /// Fraction of aggregate thread time (threads × makespan) attributed to
     /// one span kind. Spans account for blocked time too, so summing over
     /// all kinds plus [`Self::idle_fraction_from_spans`] yields 1.

@@ -8,7 +8,7 @@
 
 use gpaw_repro::bgp::{CartMap, CostModel, Partition};
 use gpaw_repro::fd::config::{Approach, FdConfig};
-use gpaw_repro::fd::exec::{max_error_vs_reference, run_distributed, sequential_reference};
+use gpaw_repro::fd::exec::{max_error_vs_reference_planned, run_distributed, sequential_reference};
 use gpaw_repro::fd::timed::{run_timed, ScopeSel, TimedJob};
 use gpaw_repro::grid::stencil::StencilCoeffs;
 
@@ -25,7 +25,7 @@ fn main() {
         let outputs = run_distributed::<f64>(grid_ext, n_grids, 7, &coef, &cfg, &map);
         let reference =
             sequential_reference::<f64>(grid_ext, n_grids, 7, &coef, cfg.bc, cfg.sweeps);
-        let err = max_error_vs_reference(&outputs, &map, grid_ext, &reference);
+        let err = max_error_vs_reference_planned(&outputs, &map, grid_ext, &reference, &cfg);
         println!(
             "  {:<20} {} processes x {} threads  -> max error {err:e}",
             approach.label(),

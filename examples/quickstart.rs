@@ -6,7 +6,7 @@
 
 use gpaw_repro::bgp::{CartMap, ExecMode, Partition};
 use gpaw_repro::fd::config::{Approach, FdConfig};
-use gpaw_repro::fd::exec::{max_error_vs_reference, run_distributed, sequential_reference};
+use gpaw_repro::fd::exec::{max_error_vs_reference_planned, run_distributed, sequential_reference};
 use gpaw_repro::grid::grid3::Grid3;
 use gpaw_repro::grid::stencil::{apply_sequential, BoundaryCond, StencilCoeffs};
 
@@ -49,7 +49,7 @@ fn main() {
     let cfg = FdConfig::paper(Approach::FlatOptimized).with_batch(3);
     let outputs = run_distributed::<f64>(grid_ext, n_grids, 42, &coef, &cfg, &map);
     let reference = sequential_reference::<f64>(grid_ext, n_grids, 42, &coef, cfg.bc, cfg.sweeps);
-    let err = max_error_vs_reference(&outputs, &map, grid_ext, &reference);
+    let err = max_error_vs_reference_planned(&outputs, &map, grid_ext, &reference, &cfg);
     println!("max |distributed − sequential| = {err:e}");
     assert_eq!(err, 0.0, "the distributed engine must be bit-exact");
     println!("OK: the distributed halo exchange reproduces the sequential stencil exactly.");

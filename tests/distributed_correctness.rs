@@ -4,7 +4,7 @@
 
 use gpaw_repro::bgp::{CartMap, Partition};
 use gpaw_repro::fd::config::{Approach, FdConfig};
-use gpaw_repro::fd::exec::{max_error_vs_reference, run_distributed, sequential_reference};
+use gpaw_repro::fd::exec::{max_error_vs_reference_planned, run_distributed, sequential_reference};
 use gpaw_repro::grid::scalar::C64;
 use gpaw_repro::grid::stencil::{BoundaryCond, StencilCoeffs};
 
@@ -22,7 +22,7 @@ fn check_f64(cfg: &FdConfig, nodes: usize, grid: [usize; 3], n_grids: usize) {
     let c = coef();
     let outputs = run_distributed::<f64>(grid, n_grids, 1234, &c, cfg, &map);
     let reference = sequential_reference::<f64>(grid, n_grids, 1234, &c, cfg.bc, cfg.sweeps);
-    let err = max_error_vs_reference(&outputs, &map, grid, &reference);
+    let err = max_error_vs_reference_planned(&outputs, &map, grid, &reference, cfg);
     assert_eq!(err, 0.0, "{} must be bit-exact", cfg.approach.label());
 }
 
@@ -45,7 +45,7 @@ fn complex_grids_every_approach() {
         let c = coef();
         let outputs = run_distributed::<C64>([12, 12, 12], 5, 99, &c, &cfg, &map);
         let reference = sequential_reference::<C64>([12, 12, 12], 5, 99, &c, cfg.bc, cfg.sweeps);
-        let err = max_error_vs_reference(&outputs, &map, [12, 12, 12], &reference);
+        let err = max_error_vs_reference_planned(&outputs, &map, [12, 12, 12], &reference, &cfg);
         assert_eq!(err, 0.0, "{} complex", approach.label());
     }
 }
@@ -87,7 +87,7 @@ fn asymmetric_stencil_distributes_correctly() {
     let outputs = run_distributed::<f64>(grid, 4, 5, &c, &cfg, &map);
     let reference = sequential_reference::<f64>(grid, 4, 5, &c, cfg.bc, cfg.sweeps);
     assert_eq!(
-        max_error_vs_reference(&outputs, &map, grid, &reference),
+        max_error_vs_reference_planned(&outputs, &map, grid, &reference, &cfg),
         0.0
     );
 }
