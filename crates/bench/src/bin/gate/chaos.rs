@@ -1,11 +1,12 @@
 //! `chaos`: the native plane's parity under sustained perturbation. Per
 //! strategy at 2 and 4 threads, ten seeded benign fault schedules
 //! (delays, duplicates, drop-with-redelivery) must each leave the run
-//! bitwise identical to the fault-free run with exactly its traffic. Each
-//! seed also flips one bit of one in-flight payload: unsupervised, the run
-//! must fail with the typed `RunError::Integrity`; supervised, it must
-//! complete bitwise with exact traffic and count the detection. Last, a
-//! black-holed message must end the run within the watchdog budget with a
+//! bitwise identical to the fault-free run with exactly its traffic.
+//! Each seed also flips one bit of one in-flight payload: unsupervised,
+//! the run must fail as a typed integrity failure
+//! (`RunError::is_integrity`); supervised, it must complete bitwise
+//! with exact traffic and count the detection. Last, a black-holed
+//! message must end the run within the watchdog budget with a
 //! diagnostic naming the pending receive — never hang.
 
 use super::*;
@@ -51,7 +52,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
                 "black-holed run completed: fault lost",
             ))
         }
-        Err(e @ RunError::Failed { .. }) => {
+        Err(e @ RunError::Failed { .. }) if !e.is_integrity() => {
             let text = e.to_string();
             let named = text.contains("watchdog") && text.contains("recv(src=0, tag=");
             ensure!(

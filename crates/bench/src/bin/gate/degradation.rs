@@ -94,7 +94,7 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
                     "{what}: no shrink — not soaking"
                 )));
             };
-            let (from, to, n) = (deg.from_ranks, deg.to_ranks, deg.segments.len());
+            let (from, to, n) = (deg.from_ranks(), deg.to_ranks(), deg.segments.len());
             ensure!(
                 from > to && n == 2,
                 "{what}: malformed degradation ({from} -> {to}, {n})"
@@ -105,10 +105,10 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
                 let got = (seg.logical_messages, seg.logical_bytes);
                 check_span(&what, programs, (seg.start_epoch, seg.end_epoch), got)?;
             }
-            degrades += u64::from(deg.degrades);
+            degrades += u64::from(deg.degrades());
             segments += n as u64;
-            let charged = sup.recovery.rank_escalations.iter().map(|e| e.retries);
-            retries += charged.map(u64::from).sum::<u64>();
+            let charged = sup.recovery.rank_escalations();
+            retries += charged.iter().map(|e| u64::from(e.retries)).sum::<u64>();
             runs += 1;
             last = Some(sup.run.report);
         }
@@ -165,7 +165,7 @@ fn kill_rounds(root: &Path) -> Result<(u64, u64), SoakFailure> {
             // The spilled epoch came from the 2-node geometry, so a real
             // resume must be a cross-geometry restore.
             let deg = dr.recovery.degradation.as_ref();
-            let shrunk = deg.filter(|d| d.from_ranks > d.to_ranks);
+            let shrunk = deg.filter(|d| d.from_ranks() > d.to_ranks());
             let Some(last) = shrunk.and_then(|d| d.segments.last()) else {
                 return Err(SoakFailure::divergence(format!(
                     "{what}: resumed without shrinking"

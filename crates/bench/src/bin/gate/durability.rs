@@ -118,8 +118,7 @@ fn corruption_cases(root: &Path) -> Result<u64, SoakFailure> {
         }
     };
     // The CRC catches a flip or a torn write and recovery falls back to the
-    // retained previous epoch; with everything garbled, manifest included,
-    // to a fresh start.
+    // retained previous epoch; with every file garbled, to a fresh start.
     let cases: [(&str, Damage, usize); 3] = [
         ("bit-flip", &|dir| newest_epoch(dir, flip), SWEEPS - 1),
         ("truncation", &|dir| newest_epoch(dir, truncate), SWEEPS - 1),

@@ -1,13 +1,14 @@
-//! `integrity`: silent corruption detected end to end. Per strategy at 2
-//! and 4 threads: an unsupervised probe, where a flipped payload must fail
-//! with the typed `RunError::Integrity`; six seeded payload flips over
-//! benign chaos, supervised, each bitwise identical to the fault-free run
-//! with exact logical traffic and its detection counted separately; and a
-//! snapshot-poison scan, where a send panic climbs until a rollback
-//! reaches a snapshot poisoned after deposit, the digest must convict it,
-//! and the degraded resume must still be bitwise. A targeted flip detects
-//! exactly once and a poisoned snapshot fails exactly one digest, so those
-//! totals are exact.
+//! `integrity`: silent corruption detected end to end. Per strategy at
+//! 2 and 4 threads: an unsupervised probe, where a flipped payload must
+//! fail as a typed integrity failure (`RunError::is_integrity`); six
+//! seeded payload flips over benign chaos, supervised, each bitwise
+//! identical to the fault-free run with exact logical traffic and its
+//! detection counted separately; and a snapshot-poison scan, where a
+//! send panic climbs until a rollback reaches a snapshot poisoned after
+//! deposit, the digest must convict it, and the degraded resume must
+//! still be bitwise. A targeted flip detects exactly once and a
+//! poisoned snapshot fails exactly one digest, so those totals are
+//! exact.
 
 use super::*;
 

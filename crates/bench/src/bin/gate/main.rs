@@ -183,16 +183,17 @@ fn verify_reference(
     Ok(())
 }
 
-/// An unsupervised corrupted run must fail with the typed
-/// [`RunError::Integrity`]: never complete, never surface as a stall.
+/// An unsupervised corrupted run must fail as a typed integrity failure
+/// ([`RunError::is_integrity`]): never complete, never surface as a
+/// stall.
 fn expect_typed_corruption(what: &str, job: &NativeJob, g: &Group) -> Result<(), SoakFailure> {
     match execute::<f64>(job, g.approach, &RunPolicy::bare()) {
-        Err(RunError::Integrity { .. }) => Ok(()),
+        Err(e) if e.is_integrity() => Ok(()),
         other => {
             let got = other
                 .err()
                 .map_or("a completed run".into(), |e| e.to_string());
-            let untyped = format!("{what}: expected RunError::Integrity, got {got}");
+            let untyped = format!("{what}: expected an integrity failure, got {got}");
             Err(SoakFailure::integrity(untyped))
         }
     }

@@ -21,24 +21,24 @@
 //!          included, `words` words per point: 1 for f64, 2 for C64)
 //! ```
 //!
-//! # Manifest protocol and crash consistency
+//! # One file per epoch, and crash consistency
 //!
-//! Every file — epoch files and the `MANIFEST` (magic · schema · epoch u64
-//! · crc u32) — is written to a `.tmp` sibling and atomically renamed into
-//! place, in this order: epoch file first, then the manifest. A reader can
-//! therefore never observe a half-written *named* file after a process
-//! kill; the worst cases are a leftover `.tmp` (never read, and reclaimed:
-//! a failed write removes its own, and the next [`DurableStore::create`]
-//! or [`DurableStore::open`] of the directory sweeps a killed writer's)
-//! or a manifest one epoch behind the newest complete file. Recovery ([`DurableStore::recover`])
-//! treats the manifest as the newest-complete-epoch pointer but trusts
-//! only checksums: it tries every on-disk epoch newest-first, skipping any
-//! file that fails validation (torn, truncated, bit-flipped, wrong
-//! schema), and falls back as far as epoch 0 — the synthetic fill, always
-//! re-derivable from the seed — rather than ever panicking. Durability is
-//! against process death (the page cache survives a SIGKILL); powering
-//! off the machine mid-spill would additionally need `fsync`, which this
-//! simulation-scale store deliberately skips.
+//! The epoch files are the only record of what is durable: nothing else
+//! names the newest epoch, so nothing else can disagree with them. Each
+//! one is written to a `.tmp` sibling and atomically renamed into place,
+//! so a spill is one write-rename and a reader can never observe a
+//! half-written *named* file after a process kill; the worst case is a
+//! leftover `.tmp` (never read, and reclaimed: a failed write removes its
+//! own, and the next [`DurableStore::create`] or [`DurableStore::open`] of
+//! the directory sweeps a killed writer's). Recovery
+//! ([`DurableStore::recover`]) trusts only checksums: it tries every
+//! on-disk epoch newest-first, skipping any file that fails validation
+//! (torn, truncated, bit-flipped, wrong schema), and falls back as far as
+//! epoch 0 — the synthetic fill, always re-derivable from the seed —
+//! rather than ever panicking. Any other file name in the directory is
+//! ignored. Durability is against process death (the page cache survives
+//! a SIGKILL); powering off the machine mid-spill would additionally need
+//! `fsync`, which this simulation-scale store deliberately skips.
 //!
 //! # The write path
 //!
@@ -69,9 +69,6 @@ pub const SCHEMA_VERSION: u32 = 1;
 
 /// magic + schema + epoch + record_count + header crc.
 const HEADER_LEN: usize = 4 + 4 + 8 + 4 + 4;
-/// magic + schema + epoch + crc.
-const MANIFEST_LEN: usize = 4 + 4 + 8 + 4;
-const MANIFEST: &str = "MANIFEST";
 /// Suffix of the write-then-rename staging sibling of every durable file.
 const TMP_SUFFIX: &str = ".tmp";
 /// Bytes converted, checksummed and written per step of the streaming
@@ -214,8 +211,7 @@ pub struct Recovered<T> {
     pub skipped: Vec<DurableError>,
 }
 
-/// A directory of epoch files plus a manifest — the durable face of a
-/// checkpoint store.
+/// A directory of epoch files — the durable face of a checkpoint store.
 pub struct DurableStore {
     dir: PathBuf,
 }
@@ -243,7 +239,7 @@ impl DurableStore {
 
     /// Take over an existing directory: reclaim the staging files a
     /// killed writer left behind. One writer per directory is the
-    /// contract, so any `.tmp` sibling of a durable file found here is an
+    /// contract, so any `.tmp` sibling of an epoch file found here is an
     /// orphan no rename will ever complete — and at tens of MB each,
     /// repeated kills would otherwise fill the disk. Best effort: an
     /// orphan that cannot be deleted is as harmless as it was before.
@@ -253,7 +249,7 @@ impl DurableStore {
                 let name = entry.file_name();
                 let name = name.to_string_lossy();
                 let staged = name.strip_suffix(TMP_SUFFIX);
-                if staged.is_some_and(|n| n == MANIFEST || epoch_of_file_name(n).is_some()) {
+                if staged.is_some_and(|n| epoch_of_file_name(n).is_some()) {
                     let _ = fs::remove_file(entry.path());
                 }
             }
@@ -272,10 +268,6 @@ impl DurableStore {
     /// corruption harnesses can vandalize exactly the right file.
     pub fn epoch_path(&self, epoch: Epoch) -> PathBuf {
         self.dir.join(format!("epoch_{epoch:08}.ckpt"))
-    }
-
-    fn manifest_path(&self) -> PathBuf {
-        self.dir.join(MANIFEST)
     }
 
     /// Produce `path` atomically: `fill` writes a `.tmp` sibling, which
@@ -304,8 +296,8 @@ impl DurableStore {
     }
 
     /// Spill one complete consistent epoch: every registered key's
-    /// snapshot, framed and checksummed, atomically renamed into place,
-    /// then the manifest advanced to point at it. The owned-record form
+    /// snapshot, framed and checksummed, atomically renamed into place.
+    /// The owned-record form
     /// of [`DurableStore::spill_records`].
     pub fn spill_epoch<T: Scalar>(
         &self,
@@ -327,54 +319,7 @@ impl DurableStore {
     ) -> Result<PathBuf, DurableError> {
         let path = self.epoch_path(epoch);
         self.write_atomic(&path, |file| stream_epoch(file, epoch, records))?;
-        self.write_manifest(epoch)?;
         Ok(path)
-    }
-
-    fn write_manifest(&self, epoch: Epoch) -> Result<(), DurableError> {
-        let mut bytes = Vec::with_capacity(MANIFEST_LEN);
-        bytes.extend_from_slice(&MAGIC);
-        push_u32(&mut bytes, SCHEMA_VERSION);
-        push_u64(&mut bytes, epoch as u64);
-        let crc = crc32(&bytes);
-        push_u32(&mut bytes, crc);
-        self.write_atomic(&self.manifest_path(), |file| file.write_all(&bytes))
-    }
-
-    /// The epoch the manifest points at; `Ok(None)` when no manifest has
-    /// been written yet, a typed error when one exists but is invalid.
-    pub fn manifest_epoch(&self) -> Result<Option<Epoch>, DurableError> {
-        let path = self.manifest_path();
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(source) => return Err(DurableError::Io { path, source }),
-        };
-        if bytes.len() != MANIFEST_LEN {
-            return Err(DurableError::Corrupt {
-                path,
-                detail: format!("manifest is {} bytes, expected {MANIFEST_LEN}", bytes.len()),
-            });
-        }
-        if bytes[..4] != MAGIC {
-            return Err(DurableError::BadMagic(path));
-        }
-        let schema = read_u32(&bytes, 4);
-        if schema != SCHEMA_VERSION {
-            return Err(DurableError::SchemaMismatch {
-                path,
-                found: schema,
-                supported: SCHEMA_VERSION,
-            });
-        }
-        let stored = read_u32(&bytes, 16);
-        if crc32(&bytes[..16]) != stored {
-            return Err(DurableError::Corrupt {
-                path,
-                detail: "manifest checksum mismatch".to_string(),
-            });
-        }
-        Ok(Some(read_u64(&bytes, 8) as Epoch))
     }
 
     /// Epochs with a (named, hence completely renamed) file on disk,
@@ -467,24 +412,14 @@ impl DurableStore {
         Ok(records)
     }
 
-    /// Salvage the newest valid epoch: manifest as a hint, checksums as
-    /// the truth. Tries every on-disk epoch newest-first; each rejected
+    /// Salvage the newest valid epoch, trusting only checksums. Tries
+    /// every on-disk epoch newest-first; each rejected
     /// file's typed error lands in [`Recovered::skipped`]. Never panics —
     /// a directory with nothing valid recovers to epoch 0, the synthetic
     /// fill.
     pub fn recover<T: Scalar>(&self) -> Result<Recovered<T>, DurableError> {
         let mut skipped = Vec::new();
-        let mut candidates = self.epochs_on_disk()?;
-        match self.manifest_epoch() {
-            Ok(Some(m)) if !candidates.contains(&m) => skipped.push(DurableError::Corrupt {
-                path: self.manifest_path(),
-                detail: format!("manifest points at epoch {m} but no such file exists"),
-            }),
-            Ok(_) => {}
-            Err(e) => skipped.push(e),
-        }
-        candidates.reverse();
-        for e in candidates {
+        for e in self.epochs_on_disk()?.into_iter().rev() {
             match self.load_epoch::<T>(e) {
                 Ok(records) => {
                     return Ok(Recovered {
@@ -909,13 +844,11 @@ mod tests {
         let dir = tmpdir("orphan");
         let store = DurableStore::create(&dir).unwrap();
         let p1 = store.spill_epoch(1, &sample_records(3)).unwrap();
-        // A writer SIGKILLed mid-spill of epoch 2 (and once mid-manifest):
-        // torn staging files nothing will ever rename.
+        // A writer SIGKILLed mid-spill of epoch 2: a torn staging file
+        // nothing will ever rename.
         let full = fs::read(&p1).unwrap();
         let torn_epoch = dir.join("epoch_00000002.ckpt.tmp");
-        let torn_manifest = dir.join("MANIFEST.tmp");
         fs::write(&torn_epoch, &full[..full.len() / 2]).unwrap();
-        fs::write(&torn_manifest, b"GPW").unwrap();
         // Somebody else's file is not ours to delete.
         let foreign = dir.join("notes.tmp");
         fs::write(&foreign, b"keep me").unwrap();
@@ -925,10 +858,6 @@ mod tests {
         assert!(
             !torn_epoch.exists(),
             "open must reclaim the torn epoch .tmp"
-        );
-        assert!(
-            !torn_manifest.exists(),
-            "open must reclaim the torn manifest .tmp"
         );
         assert!(foreign.exists());
         let rec = store.recover::<f64>().unwrap();
@@ -966,8 +895,12 @@ mod tests {
             leftovers.is_empty(),
             "orphaned staging files: {leftovers:?}"
         );
-        // The manifest did not advance past the failed frame.
-        assert_eq!(store.manifest_epoch().unwrap(), Some(1));
+        // The failed frame left no file under epoch 2's name (the squatter
+        // is still a directory), so recovery lands on epoch 1.
+        assert!(squatter.is_dir());
+        let rec = store.recover::<f64>().unwrap();
+        assert_eq!(rec.epoch, 1);
+        assert!(matches!(rec.skipped[..], [DurableError::Io { .. }]));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1005,8 +938,9 @@ mod tests {
         store.spill_epoch(9, &recs).unwrap();
         let back = store.load_epoch::<C64>(9).unwrap();
         assert!(bitwise_eq(&g, &back[0].grids[0]));
-        // Manifest tracks the newest spill.
-        assert_eq!(store.manifest_epoch().unwrap(), Some(9));
+        // One file per spill, and the newest spill is the one recovered.
+        assert_eq!(store.epochs_on_disk().unwrap(), vec![3, 9]);
+        assert_eq!(store.recover::<C64>().unwrap().epoch, 9);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1121,20 +1055,16 @@ mod tests {
     }
 
     #[test]
-    fn recover_survives_a_garbled_manifest_and_an_empty_dir() {
-        let dir = tmpdir("manifest");
+    fn recover_survives_an_empty_dir_and_garbled_epochs() {
+        let dir = tmpdir("garbled");
         let store = DurableStore::create(&dir).unwrap();
         // Empty directory: epoch 0, nothing skipped, no error.
         let rec = store.recover::<f64>().unwrap();
         assert_eq!(rec.epoch, 0);
         assert!(rec.records.is_empty());
         assert!(rec.skipped.is_empty());
-        // Garbage manifest + one good epoch: the epoch file wins.
         store.spill_epoch(5, &sample_records(23)).unwrap();
-        fs::write(dir.join(MANIFEST), b"not a manifest at all").unwrap();
-        let rec = store.recover::<f64>().unwrap();
-        assert_eq!(rec.epoch, 5);
-        assert_eq!(rec.skipped.len(), 1, "the bad manifest is reported");
+        assert_eq!(store.recover::<f64>().unwrap().epoch, 5);
         // Everything garbled: degrade all the way to the synthetic fill.
         for e in store.epochs_on_disk().unwrap() {
             fs::write(store.epoch_path(e), b"zzzz").unwrap();

@@ -57,8 +57,8 @@
 //! the interconnect model's per-node injection counters).
 
 use crate::fault::{
-    BadPayload, BlockedRecv, EscalationStat, FabricConfig, FabricDiagnostic, FaultAction,
-    IntegrityStat, PayloadCorruption, QueueStat, RecvError, RecvTimeout, REDELIVERY_TICK,
+    BadPayload, BlockedRecv, FabricConfig, FabricDiagnostic, FaultAction, IntegrityStat,
+    PayloadCorruption, QueueStat, RecvError, RecvTimeout, REDELIVERY_TICK,
 };
 use crate::integrity::{flip_bit, payload_digest};
 use crate::plan::sweep_of_tag;
@@ -66,7 +66,7 @@ use gpaw_bgp_hw::CartMap;
 use gpaw_grid::scalar::Scalar;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::{self, Thread};
 use std::time::Instant;
@@ -403,13 +403,6 @@ pub struct NativeFabric<T> {
     /// Fabric-wide corruption-detection ordinal, stamped onto each
     /// shard's `last_bad` so diagnostics can name the newest rejection.
     detections: AtomicU64,
-    /// Supervised retry attempts charged to failures on each rank —
-    /// recorded by the supervisor so watchdog diagnostics can explain an
-    /// escalation history, not just the current stall.
-    retries_of_rank: Vec<AtomicU32>,
-    /// Geometry degradations each rank of *this* fabric was carried
-    /// through (re-sharded state from a larger geometry).
-    degrades_of_rank: Vec<AtomicU32>,
 }
 
 impl<T: Scalar> NativeFabric<T> {
@@ -434,8 +427,6 @@ impl<T: Scalar> NativeFabric<T> {
             config,
             sends_of_rank: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             detections: AtomicU64::new(0),
-            retries_of_rank: (0..ranks).map(|_| AtomicU32::new(0)).collect(),
-            degrades_of_rank: (0..ranks).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 
@@ -750,38 +741,7 @@ impl<T: Scalar> NativeFabric<T> {
             blocked,
             queues,
             integrity: self.integrity_stats(),
-            escalations: self.escalation_stats(),
         }
-    }
-
-    /// Charge one retry attempt against `rank` — called by the
-    /// supervisor when a failure pinned to this rank sends the strategy
-    /// back through the retry loop.
-    pub fn note_retry(&self, rank: usize) {
-        self.retries_of_rank[rank].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record that `rank` survived a degradation: it was re-sharded
-    /// onto this (smaller) geometry after another rank was lost.
-    pub fn note_degrade_survived(&self, rank: usize) {
-        self.degrades_of_rank[rank].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-rank escalation counters: retry attempts charged and
-    /// degradations survived. Ranks with no escalation history are
-    /// omitted.
-    pub fn escalation_stats(&self) -> Vec<EscalationStat> {
-        (0..self.ranks)
-            .filter_map(|rank| {
-                let retries = self.retries_of_rank[rank].load(Ordering::Relaxed);
-                let degrades_survived = self.degrades_of_rank[rank].load(Ordering::Relaxed);
-                (retries > 0 || degrades_survived > 0).then_some(EscalationStat {
-                    rank,
-                    retries,
-                    degrades_survived,
-                })
-            })
-            .collect()
     }
 
     /// Per-rank integrity counters: payloads verified and rejected by

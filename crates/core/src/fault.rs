@@ -401,26 +401,10 @@ pub struct IntegrityStat {
     pub last_bad: Option<BadPayload>,
 }
 
-/// Per-rank escalation counters: how many supervised retry attempts were
-/// charged to failures pinned on this rank, and how many geometry
-/// degradations the rank has survived (been re-sharded through). A
-/// degraded run's report carries these so it can explain *why* it shrank
-/// — which rank exhausted the retry budget — instead of just that it did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EscalationStat {
-    /// The rank the counters describe (within its geometry segment).
-    pub rank: usize,
-    /// Supervised retry attempts charged to failures on this rank.
-    pub retries: u32,
-    /// Geometry degradations this rank has been carried through.
-    pub degrades_survived: u32,
-}
-
 /// A structured snapshot of the whole fabric, taken when a receive hits
 /// the watchdog: every blocked receive (rank, awaited `(src, tag)`, time
-/// blocked), every non-empty queue, each rank's integrity counters, and
-/// each rank's escalation counters — the native plane's counterpart of
-/// the timed machine's deadlock report.
+/// blocked), every non-empty queue, and each rank's integrity counters —
+/// the native plane's counterpart of the timed machine's deadlock report.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FabricDiagnostic {
     /// Receives blocked at snapshot time, the watchdog's own first.
@@ -429,9 +413,6 @@ pub struct FabricDiagnostic {
     pub queues: Vec<QueueStat>,
     /// Per-rank payload-verification counters (ranks with activity only).
     pub integrity: Vec<IntegrityStat>,
-    /// Per-rank escalation counters (ranks with recorded retries or
-    /// survived degrades only).
-    pub escalations: Vec<EscalationStat>,
 }
 
 impl fmt::Display for FabricDiagnostic {
@@ -471,16 +452,6 @@ impl fmt::Display for FabricDiagnostic {
                     )?;
                 }
                 writeln!(f)?;
-            }
-        }
-        if !self.escalations.is_empty() {
-            writeln!(f, "escalation history:")?;
-            for e in &self.escalations {
-                writeln!(
-                    f,
-                    "  rank {}: {} retry attempt(s) charged, {} degrade(s) survived",
-                    e.rank, e.retries, e.degrades_survived
-                )?;
             }
         }
         Ok(())
@@ -685,11 +656,6 @@ mod tests {
                     seq: 4,
                 }),
             }],
-            escalations: vec![EscalationStat {
-                rank: 1,
-                retries: 3,
-                degrades_survived: 1,
-            }],
         };
         let text = d.to_string();
         assert!(text.contains("recv(src=0, tag=77)"), "{text}");
@@ -700,10 +666,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("last bad: src 0, tag 3, seq 4"), "{text}");
-        assert!(
-            text.contains("rank 1: 3 retry attempt(s) charged, 1 degrade(s) survived"),
-            "{text}"
-        );
     }
 
     /// Clean diagnostics do not mention corruption at all.

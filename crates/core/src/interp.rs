@@ -538,6 +538,24 @@ fn join_slots<R>(
         .collect()
 }
 
+/// Every slot's result in slot order, or the rank's worst slot failure:
+/// the lowest `(severity, slot)`. A rank whose slot 1 panicked reports
+/// the panic, not slot 0's watchdog expiry while it waited on slot 1.
+fn worst_of_slots<R>(
+    outcomes: impl IntoIterator<Item = Result<R, RankFailure>>,
+) -> Result<Vec<R>, RankFailure> {
+    let (done, failed): (Vec<_>, Vec<_>) = outcomes.into_iter().partition(Result::is_ok);
+    // `min_by_key` keeps the first of equal keys: the lowest slot.
+    match failed
+        .into_iter()
+        .filter_map(Result::err)
+        .min_by_key(|f| f.kind.severity())
+    {
+        Some(worst) => Err(worst),
+        None => Ok(done.into_iter().flatten().collect()),
+    }
+}
+
 /// A fleet of peer endpoints: each program on its own thread with its
 /// own grids and its own communication, synchronized only at the
 /// `ThreadBarrier` op.
@@ -595,8 +613,7 @@ fn run_endpoints<T: Scalar>(
     // Interleave back into the rank's grid order.
     let mut results = Vec::with_capacity(programs.len());
     let mut grids = Vec::with_capacity(programs.len());
-    for outcome in outcomes {
-        let (g, r) = outcome?;
+    for (g, r) in worst_of_slots(outcomes)? {
         results.push(r);
         grids.push(g.into_iter());
     }
@@ -772,10 +789,7 @@ fn run_master_pool<T: Scalar>(
         (w.finish(), join_slots(handles, rank, 1))
     });
 
-    let mut results = vec![master?];
-    for worker in workers {
-        results.push(worker?);
-    }
+    let results = worst_of_slots(std::iter::once(master).chain(workers))?;
     Ok((ins, results))
 }
 
@@ -857,6 +871,23 @@ mod tests {
             .map(|f| (f.kind.severity(), f.rank))
             .collect();
         assert_eq!(order, vec![(0, 2), (1, 3), (2, 1), (2, 3), (3, 2)]);
+    }
+
+    #[test]
+    fn a_rank_reports_its_worst_slot_not_its_first() {
+        // Slot 0 timed out waiting on slot 1, which panicked.
+        let outcomes = [
+            Err(RankFailure::recv(1, RecvError::Timeout(timeout()))),
+            Err(RankFailure::slot_panic(1, 1, &"boom")),
+            Ok(2),
+        ];
+        let worst = worst_of_slots(outcomes).expect_err("two slots failed");
+        assert!(matches!(worst.kind, FailureKind::Panic(ref m) if m == "slot 1: boom"));
+        // Equal severity: the lower slot wins.
+        let panic = |phase| Err(RankFailure::panic(1, phase, "boom".into()));
+        let worst = worst_of_slots([Ok(1), panic("slot-1"), panic("slot-2")]);
+        assert_eq!(worst.expect_err("two slots failed").phase, "slot-1");
+        assert_eq!(worst_of_slots::<u8>([Ok(4), Ok(5)]).ok(), Some(vec![4, 5]));
     }
 
     #[test]

@@ -143,12 +143,6 @@ impl Decomposition {
         Subdomain { start, ext }
     }
 
-    /// Largest subdomain (the critical-path rank).
-    pub fn max_subdomain(&self) -> Subdomain {
-        // The leading corner always holds the ceiling extents.
-        self.subdomain([0, 0, 0])
-    }
-
     /// Iterate `(process coordinate, subdomain)` pairs, z fastest.
     pub fn iter(&self) -> impl Iterator<Item = ([usize; 3], Subdomain)> + '_ {
         let [px, py, pz] = self.proc_dims;
@@ -245,16 +239,6 @@ mod tests {
             }
         }
         assert!(owned.iter().all(|&o| o), "grid must be fully covered");
-    }
-
-    #[test]
-    fn max_subdomain_is_the_ceiling() {
-        let d = Decomposition::new([10, 10, 10], [3, 3, 3]);
-        let m = d.max_subdomain();
-        assert_eq!(m.ext, [4, 4, 4]);
-        for (_, s) in d.iter() {
-            assert!(s.points() <= m.points());
-        }
     }
 
     #[test]

@@ -70,12 +70,6 @@ impl<T: Scalar> Grid3<T> {
         self.n[0] * self.n[1] * self.n[2]
     }
 
-    /// Number of contiguous interior pencils (x·y rows along z) — the
-    /// quantity the timed plane's per-row cost is charged on.
-    pub fn interior_rows(&self) -> usize {
-        self.n[0] * self.n[1]
-    }
-
     /// Bytes of interior payload.
     pub fn interior_bytes(&self) -> u64 {
         (self.interior_points() * T::BYTES) as u64
@@ -237,7 +231,6 @@ mod tests {
         assert_eq!(g.n(), [4, 5, 6]);
         assert_eq!(g.padded(), [8, 9, 10]);
         assert_eq!(g.interior_points(), 120);
-        assert_eq!(g.interior_rows(), 20);
         assert_eq!(g.interior_bytes(), 960);
         assert_eq!(g.data().len(), 720);
     }

@@ -94,11 +94,6 @@ impl<T: Scalar> GridSet<T> {
         &mut self.grids
     }
 
-    /// Total interior points across the set.
-    pub fn total_points(&self) -> usize {
-        self.len() * self.n[0] * self.n[1] * self.n[2]
-    }
-
     /// The grid indices assigned to thread `t` of `threads` under the
     /// *hybrid multiple* distribution: whole grids, round-robin — no grid is
     /// split, so threads need no synchronization until the whole sweep is
@@ -141,7 +136,6 @@ mod tests {
         let s: GridSet<f64> = GridSet::zeros(5, [4, 4, 4], 2);
         assert_eq!(s.len(), 5);
         assert!(!s.is_empty());
-        assert_eq!(s.total_points(), 5 * 64);
         assert_eq!(s.grid(0).n(), [4, 4, 4]);
     }
 

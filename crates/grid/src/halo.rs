@@ -35,12 +35,6 @@ impl Side {
     }
 }
 
-/// Points in one face of `g` along `axis` (halo-depth planes × the two
-/// other interior extents).
-pub fn face_points<T: Scalar>(g: &Grid3<T>, axis: usize) -> usize {
-    face_points_depth(g, axis, g.halo())
-}
-
 /// Points in one depth-`h` face of `g` along `axis`.
 pub fn face_points_depth<T: Scalar>(g: &Grid3<T>, axis: usize, h: usize) -> usize {
     face_points_region(g, axis, h, [0; 3])
@@ -139,31 +133,13 @@ impl FaceRuns {
     }
 }
 
-/// Append the `halo` interior planes adjacent to the `side` boundary of
-/// `axis` to `buf`, in ascending global order.
-pub fn pack_face<T: Scalar>(g: &Grid3<T>, axis: usize, side: Side, buf: &mut Vec<T>) {
-    pack_face_depth(g, axis, side, g.halo(), buf);
-}
-
-/// Append the `h` interior planes adjacent to the `side` boundary of
-/// `axis` to `buf`, in ascending global order. `h` may be any depth up to
-/// the grid's allocated halo; a depth-`h` exchange fills `h` ghost planes
-/// on the receiving side.
-pub fn pack_face_depth<T: Scalar>(
-    g: &Grid3<T>,
-    axis: usize,
-    side: Side,
-    h: usize,
-    buf: &mut Vec<T>,
-) {
-    pack_face_region(g, axis, side, h, [0; 3], buf);
-}
-
 /// Append a depth-`h`, `wide`-cross-section face region adjacent to the
-/// `side` boundary of `axis` to `buf`, in ascending global order. The
-/// cross-section reaches `wide[b]` *ghost* planes beyond the interior on
-/// the other axes, so a sender whose earlier-axis ghosts are current
-/// forwards edge and corner data to its neighbor.
+/// `side` boundary of `axis` to `buf`, in ascending global order. `h` may
+/// be any depth up to the grid's allocated halo; a depth-`h` exchange
+/// fills `h` ghost planes on the receiving side. The cross-section
+/// reaches `wide[b]` *ghost* planes beyond the interior on the other
+/// axes, so a sender whose earlier-axis ghosts are current forwards edge
+/// and corner data to its neighbor.
 pub fn pack_face_region<T: Scalar>(
     g: &Grid3<T>,
     axis: usize,
@@ -185,33 +161,11 @@ pub fn pack_face_region<T: Scalar>(
     });
 }
 
-/// Write a face received *from* the `from` side of `axis` into the ghost
-/// planes beyond that boundary. Returns the number of points consumed from
-/// `buf`.
-///
-/// Data from the `High` neighbor fills the ghost planes above the interior
-/// (`n .. n+h`); data from the `Low` neighbor fills `-h .. 0`.
-pub fn unpack_face<T: Scalar>(g: &mut Grid3<T>, axis: usize, from: Side, buf: &[T]) -> usize {
-    unpack_face_depth(g, axis, from, g.halo(), buf)
-}
-
-/// Write a depth-`h` face received *from* the `from` side of `axis` into
-/// the `h` ghost planes nearest that boundary. Returns the number of
-/// points consumed from `buf`.
-pub fn unpack_face_depth<T: Scalar>(
-    g: &mut Grid3<T>,
-    axis: usize,
-    from: Side,
-    h: usize,
-    buf: &[T],
-) -> usize {
-    unpack_face_region(g, axis, from, h, [0; 3], buf)
-}
-
 /// Write a depth-`h`, `wide`-cross-section face region received *from*
-/// the `from` side of `axis` into the ghost planes beyond that boundary
-/// (the exact mirror of [`pack_face_region`] on the sender). Returns the
-/// number of points consumed from `buf`.
+/// the `from` side of `axis` into the `h` ghost planes nearest that
+/// boundary (the exact mirror of [`pack_face_region`] on the sender):
+/// data from the `High` neighbor fills `n .. n+h`, data from the `Low`
+/// neighbor `-h .. 0`. Returns the number of points consumed from `buf`.
 pub fn unpack_face_region<T: Scalar>(
     g: &mut Grid3<T>,
     axis: usize,
@@ -241,19 +195,6 @@ pub fn unpack_face_region<T: Scalar>(
     points
 }
 
-/// Pack one face of several grids (a batch) into a single buffer.
-pub fn pack_batch<T: Scalar>(
-    grids: &[Grid3<T>],
-    ids: &[usize],
-    axis: usize,
-    side: Side,
-    buf: &mut Vec<T>,
-) {
-    for &g in ids {
-        pack_face(&grids[g], axis, side, buf);
-    }
-}
-
 /// Pack one depth-`h` face of several grids into a single buffer.
 pub fn pack_batch_depth<T: Scalar>(
     grids: &[Grid3<T>],
@@ -263,9 +204,7 @@ pub fn pack_batch_depth<T: Scalar>(
     h: usize,
     buf: &mut Vec<T>,
 ) {
-    for &g in ids {
-        pack_face_depth(&grids[g], axis, side, h, buf);
-    }
+    pack_batch_region(grids, ids, axis, side, h, [0; 3], buf);
 }
 
 /// Pack one depth-`h`, `wide`-cross-section face region of several grids
@@ -282,21 +221,6 @@ pub fn pack_batch_region<T: Scalar>(
     for &g in ids {
         pack_face_region(&grids[g], axis, side, h, wide, buf);
     }
-}
-
-/// Unpack a batched face buffer into several grids' ghost planes.
-pub fn unpack_batch<T: Scalar>(
-    grids: &mut [Grid3<T>],
-    ids: &[usize],
-    axis: usize,
-    from: Side,
-    buf: &[T],
-) {
-    let mut off = 0;
-    for &g in ids {
-        off += unpack_face(&mut grids[g], axis, from, &buf[off..]);
-    }
-    assert_eq!(off, buf.len(), "batched buffer length mismatch");
 }
 
 /// Unpack a batched depth-`h` face buffer into several grids' ghosts.
@@ -329,18 +253,9 @@ pub fn unpack_batch_region<T: Scalar>(
     assert_eq!(off, buf.len(), "batched buffer length mismatch");
 }
 
-/// Zero the ghost planes beyond one boundary (non-periodic global edges).
-pub fn zero_face<T: Scalar>(g: &mut Grid3<T>, axis: usize, from: Side) {
-    zero_face_depth(g, axis, from, g.halo());
-}
-
-/// Zero the `h` ghost planes nearest one boundary.
-pub fn zero_face_depth<T: Scalar>(g: &mut Grid3<T>, axis: usize, from: Side, h: usize) {
-    zero_face_region(g, axis, from, h, [0; 3]);
-}
-
 /// Zero a depth-`h`, `wide`-cross-section ghost region beyond one
-/// boundary (the no-neighbor arm of a widened exchange).
+/// boundary (non-periodic global edges; the no-neighbor arm of an
+/// exchange).
 pub fn zero_face_region<T: Scalar>(
     g: &mut Grid3<T>,
     axis: usize,
@@ -358,6 +273,9 @@ pub fn zero_face_region<T: Scalar>(
 mod tests {
     use super::*;
 
+    /// No cross-section widening: the plain face of a star exchange.
+    const FLAT: [usize; 3] = [0; 3];
+
     fn grid(n: [usize; 3]) -> Grid3<f64> {
         Grid3::from_fn(n, 2, |i, j, k| (i * 10_000 + j * 100 + k) as f64)
     }
@@ -365,9 +283,9 @@ mod tests {
     #[test]
     fn face_point_counts() {
         let g = grid([4, 5, 6]);
-        assert_eq!(face_points(&g, 0), 2 * 5 * 6);
-        assert_eq!(face_points(&g, 1), 2 * 4 * 6);
-        assert_eq!(face_points(&g, 2), 2 * 4 * 5);
+        assert_eq!(face_points_region(&g, 0, 2, FLAT), 2 * 5 * 6);
+        assert_eq!(face_points_region(&g, 1, 2, FLAT), 2 * 4 * 6);
+        assert_eq!(face_points_region(&g, 2, 2, FLAT), 2 * 4 * 5);
     }
 
     #[test]
@@ -376,9 +294,9 @@ mod tests {
         let a = grid([4, 3, 3]);
         let mut b = grid([4, 3, 3]);
         let mut buf = Vec::new();
-        pack_face(&a, 0, Side::High, &mut buf);
-        assert_eq!(buf.len(), face_points(&a, 0));
-        let consumed = unpack_face(&mut b, 0, Side::Low, &buf);
+        pack_face_region(&a, 0, Side::High, a.halo(), FLAT, &mut buf);
+        assert_eq!(buf.len(), face_points_region(&a, 0, a.halo(), FLAT));
+        let consumed = unpack_face_region(&mut b, 0, Side::Low, a.halo(), FLAT, &buf);
         assert_eq!(consumed, buf.len());
         // b's ghost plane -1 must equal a's interior plane 3; -2 ↔ 2.
         for j in 0..3isize {
@@ -397,13 +315,14 @@ mod tests {
         let mut g = grid([5, 4, 4]);
         let mut reference = g.clone();
         reference.fill_halo_periodic();
+        let h = g.halo();
 
         for axis in 0..3 {
             for side in Side::BOTH {
                 let mut buf = Vec::new();
-                pack_face(&g, axis, side, &mut buf);
+                pack_face_region(&g, axis, side, h, FLAT, &mut buf);
                 // Our own low face arrives "from the high side" (wrap).
-                unpack_face(&mut g, axis, side.opposite(), &buf);
+                unpack_face_region(&mut g, axis, side.opposite(), h, FLAT, &buf);
             }
         }
         // Compare face-ghost cells (star stencil never reads edge/corner
@@ -432,10 +351,10 @@ mod tests {
     fn batched_pack_is_concatenation() {
         let grids = vec![grid([3, 3, 3]), grid([3, 3, 3]), grid([3, 3, 3])];
         let mut batched = Vec::new();
-        pack_batch(&grids, &[0, 2], 1, Side::Low, &mut batched);
+        pack_batch_region(&grids, &[0, 2], 1, Side::Low, 2, FLAT, &mut batched);
         let mut manual = Vec::new();
-        pack_face(&grids[0], 1, Side::Low, &mut manual);
-        pack_face(&grids[2], 1, Side::Low, &mut manual);
+        pack_face_region(&grids[0], 1, Side::Low, 2, FLAT, &mut manual);
+        pack_face_region(&grids[2], 1, Side::Low, 2, FLAT, &mut manual);
         assert_eq!(batched, manual);
     }
 
@@ -447,8 +366,8 @@ mod tests {
             Grid3::zeros([3, 3, 3], 2),
         ];
         let mut buf = Vec::new();
-        pack_batch(&src, &[0, 1], 2, Side::High, &mut buf);
-        unpack_batch(&mut dst, &[0, 1], 2, Side::Low, &buf);
+        pack_batch_region(&src, &[0, 1], 2, Side::High, 2, FLAT, &mut buf);
+        unpack_batch_region(&mut dst, &[0, 1], 2, Side::Low, 2, FLAT, &buf);
         for g in 0..2 {
             for i in 0..3isize {
                 for j in 0..3isize {
@@ -463,7 +382,7 @@ mod tests {
     fn zero_face_clears_ghosts() {
         let mut g = grid([3, 3, 3]);
         g.fill_halo_periodic();
-        zero_face(&mut g, 0, Side::Low);
+        zero_face_region(&mut g, 0, Side::Low, 2, FLAT);
         for j in 0..3isize {
             for k in 0..3isize {
                 assert_eq!(g.get(-1, j, k), 0.0);
@@ -479,18 +398,25 @@ mod tests {
     fn short_buffer_is_rejected() {
         let mut g = grid([3, 3, 3]);
         let buf = vec![0.0; 3];
-        unpack_face(&mut g, 0, Side::Low, &buf);
+        unpack_face_region(&mut g, 0, Side::Low, 2, FLAT, &buf);
     }
 
     #[test]
-    fn depth_variants_at_full_halo_match_the_classics() {
-        let g = grid([4, 3, 3]);
-        let mut classic = Vec::new();
-        pack_face(&g, 0, Side::High, &mut classic);
+    fn depth_variants_match_the_flat_regions() {
+        let grids = vec![grid([4, 3, 3]), grid([4, 3, 3])];
+        let mut region = Vec::new();
+        pack_batch_region(&grids, &[1, 0], 0, Side::High, 1, FLAT, &mut region);
         let mut depth = Vec::new();
-        pack_face_depth(&g, 0, Side::High, g.halo(), &mut depth);
-        assert_eq!(classic, depth);
-        assert_eq!(face_points(&g, 0), face_points_depth(&g, 0, g.halo()));
+        pack_batch_depth(&grids, &[1, 0], 0, Side::High, 1, &mut depth);
+        assert_eq!(region, depth);
+        let g = &grids[0];
+        assert_eq!(
+            face_points_depth(g, 0, 1),
+            face_points_region(g, 0, 1, FLAT)
+        );
+        let mut sinks = vec![Grid3::<f64>::zeros([4, 3, 3], 2); 2];
+        unpack_batch_depth(&mut sinks, &[0, 1], 0, Side::Low, 1, &depth);
+        assert_eq!(sinks[0].get(-1, 1, 2), grids[1].get(3, 1, 2));
     }
 
     #[test]
@@ -501,9 +427,9 @@ mod tests {
         let a = Grid3::from_fn([4, 3, 3], 4, |i, j, k| (i * 100 + j * 10 + k) as f64);
         let mut b = Grid3::<f64>::zeros([4, 3, 3], 4);
         let mut buf = Vec::new();
-        pack_face_depth(&a, 0, Side::High, 1, &mut buf);
-        assert_eq!(buf.len(), face_points_depth(&a, 0, 1));
-        let consumed = unpack_face_depth(&mut b, 0, Side::Low, 1, &buf);
+        pack_face_region(&a, 0, Side::High, 1, FLAT, &mut buf);
+        assert_eq!(buf.len(), face_points_region(&a, 0, 1, FLAT));
+        let consumed = unpack_face_region(&mut b, 0, Side::Low, 1, FLAT, &buf);
         assert_eq!(consumed, buf.len());
         for j in 0..3isize {
             for k in 0..3isize {
@@ -514,10 +440,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_face_depth_clears_only_the_nearest_planes() {
+    fn a_shallow_zero_clears_only_the_nearest_planes() {
         let mut g = Grid3::from_fn([3, 3, 3], 4, |_, _, _| 1.0);
         g.fill_halo_periodic();
-        zero_face_depth(&mut g, 0, Side::Low, 2);
+        zero_face_region(&mut g, 0, Side::Low, 2, FLAT);
         for j in 0..3isize {
             for k in 0..3isize {
                 assert_eq!(g.get(-1, j, k), 0.0);
@@ -532,7 +458,7 @@ mod tests {
     fn depth_beyond_the_allocated_halo_is_rejected() {
         let g = grid([3, 3, 3]);
         let mut buf = Vec::new();
-        pack_face_depth(&g, 0, Side::Low, 3, &mut buf);
+        pack_face_region(&g, 0, Side::Low, 3, FLAT, &mut buf);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! it runs on: it sleeps on the run's [`CheckpointStore`] until a deposit
 //! advances the consistent epoch a stride past the last spill, then
 //! streams that epoch — borrowed from the store's shared snapshots, never
-//! copied — into a [`DurableStore`] directory: atomic write-rename
-//! frames, per-record CRCs, a manifest pointing at the newest complete
-//! epoch (`gpaw_fd::durable` has the format). Once an epoch is on disk,
+//! copied — into a [`DurableStore`] directory: one atomic write-rename
+//! epoch file per spill, with per-record CRCs (`gpaw_fd::durable` has
+//! the format). Once an epoch is on disk,
 //! older in-memory snapshots are pruned, so RAM holds only the staging
 //! window.
 //!

@@ -13,7 +13,7 @@
 use gpaw_bgp_hw::MapError;
 use gpaw_fd::config::Approach;
 use gpaw_fd::durable::DurableError;
-use gpaw_fd::interp::RankFailure;
+use gpaw_fd::interp::{FailureKind, RankFailure};
 use std::fmt;
 
 /// Why a whole native run failed.
@@ -51,25 +51,15 @@ pub enum RunError {
         cores: Vec<usize>,
     },
     /// One or more ranks failed; every failure is listed, worst first
-    /// (panics before timeouts, then by rank).
+    /// (panics before timeouts, then by rank). A failure that proves
+    /// silent data corruption makes the whole error an integrity failure
+    /// ([`RunError::is_integrity`]).
     Failed {
         /// The strategy that was running.
         strategy: &'static str,
-        /// Every rank failure observed, ordered worst-first.
-        failures: Vec<RankFailure>,
-    },
-    /// One or more ranks detected silent data corruption — a payload
-    /// whose checksum did not match at receive. Shaped like [`Failed`]
-    /// (every failure listed, worst first) but typed separately so
-    /// callers and the supervisor can classify integrity failures
-    /// without string matching.
-    ///
-    /// [`Failed`]: RunError::Failed
-    Integrity {
-        /// The strategy that was running.
-        strategy: &'static str,
-        /// Every rank failure observed, ordered worst-first; at least
-        /// one is a [`FailureKind::Corrupt`](gpaw_fd::interp::FailureKind::Corrupt).
+        /// Attempts made before giving up, the failed one included.
+        attempts: u32,
+        /// Every rank failure of the last attempt, ordered worst-first.
         failures: Vec<RankFailure>,
     },
     /// The durable checkpoint layer failed in a way recovery cannot paper
@@ -90,11 +80,17 @@ impl RunError {
     /// a retry or a shrink can act on. `None` for errors no rerun can fix.
     pub(crate) fn rank_failures(&self) -> Option<&[RankFailure]> {
         match self {
-            RunError::Failed { failures, .. } | RunError::Integrity { failures, .. } => {
-                Some(failures)
-            }
+            RunError::Failed { failures, .. } => Some(failures),
             _ => None,
         }
+    }
+
+    /// Whether a rank proved silent data corruption — a payload whose
+    /// checksum did not match at receive. Lets callers and the supervisor
+    /// classify integrity failures without string matching.
+    pub fn is_integrity(&self) -> bool {
+        (self.rank_failures().unwrap_or_default().iter())
+            .any(|f| matches!(f.kind, FailureKind::Corrupt(_)))
     }
 
     /// The process exit code every soak binary maps this error to — one
@@ -106,14 +102,14 @@ impl RunError {
     ///   missing `--restore` dir, unwritable spill target, geometry
     ///   contradiction), distinguishable so kill/restore harnesses can
     ///   tell a typed durability refusal from a mid-run crash;
-    /// * **4** — proven silent data corruption ([`RunError::Integrity`]),
-    ///   distinguishable so integrity gates can tell "detected and
-    ///   refused" from any other failure;
+    /// * **4** — proven silent data corruption
+    ///   ([`RunError::is_integrity`]), distinguishable so integrity gates
+    ///   can tell "detected and refused" from any other failure;
     /// * **1** — everything else (geometry rejections, rank failures).
     pub fn exit_code(&self) -> i32 {
         match self {
             RunError::Durable(_) => 3,
-            RunError::Integrity { .. } => 4,
+            _ if self.is_integrity() => 4,
             _ => 1,
         }
     }
@@ -148,19 +144,16 @@ impl fmt::Display for RunError {
                 "{} over {n_grids} grid(s) leaves core(s) {cores:?} with no grid to sweep",
                 approach.label()
             ),
-            RunError::Failed { strategy, failures } => {
-                write!(f, "{strategy}: {} rank(s) failed", failures.len())?;
-                for fail in failures {
-                    write!(f, "\n{fail}")?;
+            RunError::Failed {
+                strategy,
+                attempts,
+                failures,
+            } => {
+                write!(f, "{strategy}: ")?;
+                if self.is_integrity() {
+                    write!(f, "silent data corruption detected; ")?;
                 }
-                Ok(())
-            }
-            RunError::Integrity { strategy, failures } => {
-                write!(
-                    f,
-                    "{strategy}: silent data corruption detected; {} rank(s) failed",
-                    failures.len()
-                )?;
+                write!(f, "{} rank(s) failed on attempt {attempts}", failures.len())?;
                 for fail in failures {
                     write!(f, "\n{fail}")?;
                 }
@@ -231,10 +224,13 @@ mod tests {
     fn run_error_display_names_rank_strategy_and_pending_recv() {
         let e = RunError::Failed {
             strategy: "Hybrid multiple",
+            attempts: 3,
             failures: vec![timed_out()],
         };
         let text = e.to_string();
         assert!(text.contains("Hybrid multiple"), "{text}");
+        assert!(text.contains("on attempt 3"), "{text}");
+        assert!(!text.contains("corruption"), "{text}");
         assert!(text.contains("rank 1"), "{text}");
         assert!(text.contains("recv(src=0, tag=42)"), "{text}");
     }
@@ -248,28 +244,36 @@ mod tests {
         use std::path::PathBuf;
         let durable = RunError::Durable(DurableError::MissingDir(PathBuf::from("/nope")));
         assert_eq!(durable.exit_code(), 3);
-        let integrity = RunError::Integrity {
+        // Integrity is derived: any corrupt failure, wherever it sorts.
+        let integrity = RunError::Failed {
             strategy: "Hybrid multiple",
-            failures: vec![corrupted()],
+            attempts: 1,
+            failures: vec![timed_out(), corrupted()],
         };
+        assert!(integrity.is_integrity());
         assert_eq!(integrity.exit_code(), 4);
         let failed = RunError::Failed {
             strategy: "Hybrid multiple",
+            attempts: 1,
             failures: vec![timed_out()],
         };
+        assert!(!failed.is_integrity());
         assert_eq!(failed.exit_code(), 1);
+        assert!(!durable.is_integrity());
         assert_eq!(RunError::NoGrids.exit_code(), 1);
         assert_eq!(RunError::UnsupportedNodeCount { nodes: 3 }.exit_code(), 1);
     }
 
     #[test]
     fn integrity_error_display_names_corruption_and_identity() {
-        let e = RunError::Integrity {
+        let e = RunError::Failed {
             strategy: "Hybrid multiple",
+            attempts: 2,
             failures: vec![corrupted()],
         };
         let text = e.to_string();
         assert!(text.contains("silent data corruption detected"), "{text}");
+        assert!(text.contains("on attempt 2"), "{text}");
         assert!(text.contains("rank 1"), "{text}");
         assert!(text.contains("halo-verify"), "{text}");
         assert!(text.contains("checksum mismatch"), "{text}");

@@ -10,9 +10,8 @@
 //!
 //! The launcher contains every rank failure — a panicking rank, a
 //! receive that hits the deadlock watchdog, an undrained fabric; this
-//! module turns them into a [`RunError::Failed`] (or, when a payload was
-//! proven corrupt, [`RunError::Integrity`]) listing every rank's failure
-//! worst first. The fault plane is wired in through
+//! module turns them into a [`RunError::Failed`] listing every rank's
+//! failure worst first. The fault plane is wired in through
 //! [`NativeJob::with_fault`] and [`NativeJob::with_recv_timeout_ms`].
 //!
 //! This module holds the two halves of a run: *geometry resolution*
@@ -31,7 +30,7 @@ use gpaw_fd::config::{Approach, FdConfig};
 use gpaw_fd::exec::SyntheticFill;
 use gpaw_fd::fabric::NativeFabric;
 use gpaw_fd::fault::FaultPlan;
-use gpaw_fd::interp::{launch, FailureKind, Launch, RankFailure};
+use gpaw_fd::interp::{launch, Launch, RankFailure};
 use gpaw_fd::plan::{decomposition_shortfall, rank_assignment};
 use gpaw_fd::progcache::{JobPrograms, ProgramCache};
 use gpaw_fd::trace::{ThreadResult, ThreadSpans};
@@ -258,17 +257,19 @@ impl JobGeometry {
     }
 }
 
-/// One attempt at `job`: launch every rank from `start_epoch` and
-/// collect either a [`NativeRun`] or the worst-first failure list. The
-/// driver calls it against one fabric (and, when the policy can roll
-/// back, one checkpoint store) per geometry, rolling both back to a
-/// consistent epoch between attempts.
+/// Attempt number `attempt` of the run (1-based, counted across every
+/// geometry): launch every rank from `start_epoch` and collect either a
+/// [`NativeRun`] or the worst-first failure list. The driver calls it
+/// against one fabric (and, when the policy can roll back, one
+/// checkpoint store) per geometry, rolling both back to a consistent
+/// epoch between attempts.
 pub(crate) fn run_attempt<T: SyntheticFill>(
     job: &NativeJob,
     geo: &JobGeometry,
     fabric: &NativeFabric<T>,
     ckpt: Option<&CheckpointStore<T>>,
     start_epoch: usize,
+    attempt: u32,
 ) -> Result<NativeRun<T>, RunError> {
     let epoch = Instant::now();
     let outcomes = launch(&Launch {
@@ -298,18 +299,10 @@ pub(crate) fn run_attempt<T: SyntheticFill>(
     }
     if !failures.is_empty() {
         failures.sort_by_key(|f| (f.kind.severity(), f.rank));
-        let strategy = geo.cfg.approach.label();
-        // Any proven checksum mismatch makes the whole run an integrity
-        // failure: the typed variant is what lets the supervisor (and the
-        // soaks' exit codes) treat corruption as its own class, not a
-        // generic stall.
-        let corrupt = failures
-            .iter()
-            .any(|f| matches!(f.kind, FailureKind::Corrupt(_)));
-        return Err(if corrupt {
-            RunError::Integrity { strategy, failures }
-        } else {
-            RunError::Failed { strategy, failures }
+        return Err(RunError::Failed {
+            strategy: geo.cfg.approach.label(),
+            attempts: attempt,
+            failures,
         });
     }
 
@@ -337,6 +330,7 @@ mod tests {
     use super::*;
     use crate::supervisor::{execute, RunPolicy};
     use gpaw_bgp_hw::MapError;
+    use gpaw_fd::interp::FailureKind;
 
     /// The error a bare hybrid-multiple run of `job` fails with.
     fn bare_error(job: &NativeJob) -> RunError {
@@ -384,7 +378,7 @@ mod tests {
         let geo = JobGeometry::resolve(&job, Approach::HybridMultiple, &cache, f64::BYTES)
             .expect("valid geometry");
         let fabric: NativeFabric<f64> = NativeFabric::new(&geo.map);
-        let err = run_attempt(&job, &geo, &fabric, None, 1)
+        let err = run_attempt(&job, &geo, &fabric, None, 1, 1)
             .err()
             .expect("nothing to restore from");
         let RunError::Failed { failures, .. } = err else {

@@ -130,8 +130,8 @@ pub struct ServiceConfig {
     pub retry: RetryPolicy,
     /// Escalation policy past exhausted retries: jobs whose geometry
     /// keeps failing — durable ones included — shrink onto fewer ranks
-    /// (reporting [`JobResult::degraded_to_ranks`]) instead of failing the
-    /// tenant. [`DegradePolicy::disabled`] restores fail-fast behavior.
+    /// (reporting the geometry walk in its `recovery.degradation`) instead
+    /// of failing the tenant. [`DegradePolicy::disabled`] restores fail-fast behavior.
     pub degrade: DegradePolicy,
     /// Keep each job's final grids in its outcome. Off by default: the
     /// digest already pins the result bitwise, and grids are the one
@@ -179,16 +179,14 @@ pub struct JobResult<T: Scalar> {
     pub messages: u64,
     /// Logical network payload bytes (retransmissions excluded).
     pub network_bytes: u64,
-    /// Supervision overhead: attempts, replays, retransmissions.
+    /// Supervision overhead: attempts, replays, retransmissions — and,
+    /// when the job only completed by degrading onto a smaller geometry
+    /// (an escalated shrink, or a durable restore onto a different
+    /// partition), the geometry walk in `recovery.degradation`.
     pub recovery: RecoveryReport,
     /// For a durable job, the epoch it resumed from (0 = ran from the
     /// start). Always 0 for plain submissions.
     pub resumed_from_epoch: usize,
-    /// `Some(ranks)` when the job only completed by degrading onto a
-    /// smaller geometry (an escalated shrink, or a durable restore onto
-    /// a different partition); the tenant still gets a completed,
-    /// bit-identical result. `None` for a run that kept its geometry.
-    pub degraded_to_ranks: Option<usize>,
     /// The final grids, kept only under [`ServiceConfig::keep_grids`].
     pub sets: Option<Vec<GridSet<T>>>,
 }
@@ -564,7 +562,6 @@ fn worker_loop<T: SyntheticFill>(shared: &Shared<T>) {
             digest: run_digest(&sup.run.sets),
             messages: sup.run.report.messages,
             network_bytes: sup.run.report.total_network_bytes,
-            degraded_to_ranks: sup.recovery.degradation.as_ref().map(|d| d.to_ranks),
             recovery: sup.recovery,
             resumed_from_epoch: sup.durable.resumed_from,
             sets: shared.keep_grids.then_some(sup.run.sets),

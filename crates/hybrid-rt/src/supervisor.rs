@@ -7,8 +7,7 @@
 //! policy can roll back (more than one attempt, a shrink budget, or a
 //! disk) does it also build a [`CheckpointStore`] and turn on the
 //! fabric's rollback ledger, so a bare run pays for neither. When an
-//! attempt fails with [`RunError::Failed`] or [`RunError::Integrity`],
-//! the driver
+//! attempt fails with [`RunError::Failed`], the driver
 //!
 //! 1. **classifies** each rank failure (panic, detected payload
 //!    corruption, starved receive — the black-hole shape, where the
@@ -59,11 +58,12 @@ use gpaw_fd::config::Approach;
 use gpaw_fd::durable::{DurableStore, SnapshotRecord};
 use gpaw_fd::exec::SyntheticFill;
 use gpaw_fd::fabric::NativeFabric;
-use gpaw_fd::fault::{EscalationStat, FabricConfig, FaultPlan};
+use gpaw_fd::fault::{FabricConfig, FaultPlan};
 use gpaw_fd::interp::{FailureKind, RankFailure};
 use gpaw_fd::progcache::ProgramCache;
 use gpaw_fd::program::predicted_logical_span;
 use gpaw_grid::scalar::Scalar;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// How hard the supervisor tries before giving up.
@@ -94,27 +94,18 @@ pub struct DegradePolicy {
     /// Geometry shrinks allowed per supervised run. 0 disables
     /// escalation entirely — exhausted retries fail as before.
     pub max_degrades: u32,
-    /// Never degrade below this many ranks; a candidate geometry with
-    /// fewer is skipped (and the run fails if none remains).
-    pub min_ranks: usize,
 }
 
 impl Default for DegradePolicy {
     fn default() -> DegradePolicy {
-        DegradePolicy {
-            max_degrades: 1,
-            min_ranks: 1,
-        }
+        DegradePolicy { max_degrades: 1 }
     }
 }
 
 impl DegradePolicy {
     /// No escalation: exhausted retries fail the run.
     pub fn disabled() -> DegradePolicy {
-        DegradePolicy {
-            max_degrades: 0,
-            min_ranks: 1,
-        }
+        DegradePolicy { max_degrades: 0 }
     }
 }
 
@@ -232,19 +223,45 @@ pub struct GeometrySegment {
 /// rank count to the one that completed, with per-segment traffic.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DegradationReport {
-    /// Ranks the run started with.
-    pub from_ranks: usize,
-    /// Ranks of the geometry that completed.
-    pub to_ranks: usize,
-    /// Geometry changes: shrinks, plus a restore onto a geometry other
-    /// than the one that wrote the spill.
-    pub degrades: u32,
     /// The rank failures that triggered each shrink (their
     /// `resumed_from` is the epoch the next geometry resumed at).
     pub triggers: Vec<FailureSummary>,
     /// Every geometry the run executed on, in order; the last one
     /// completed the job.
     pub segments: Vec<GeometrySegment>,
+}
+
+impl DegradationReport {
+    /// Ranks the run started with.
+    pub fn from_ranks(&self) -> usize {
+        self.segments.first().map_or(0, |s| s.ranks)
+    }
+
+    /// Ranks of the geometry that completed.
+    pub fn to_ranks(&self) -> usize {
+        self.segments.last().map_or(0, |s| s.ranks)
+    }
+
+    /// Geometry changes: shrinks, plus a restore onto a geometry other
+    /// than the one that wrote the spill.
+    pub fn degrades(&self) -> u32 {
+        self.segments.len().saturating_sub(1) as u32
+    }
+}
+
+/// Per-rank escalation counters: how many supervised retry attempts were
+/// charged to failures pinned on this rank, and how many geometry
+/// degradations the rank has survived (been re-sharded through). They
+/// explain *why* a degraded run shrank — which rank exhausted the retry
+/// budget — instead of just that it did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EscalationStat {
+    /// The rank the counters describe (within its geometry segment).
+    pub rank: usize,
+    /// Supervised retry attempts charged to failures on this rank.
+    pub retries: u32,
+    /// Geometry degradations this rank has been carried through.
+    pub degrades_survived: u32,
 }
 
 /// Recovery overhead of a run that completed.
@@ -270,15 +287,34 @@ pub struct RecoveryReport {
     pub snapshot_digest_failures: u64,
     /// Every rank failure absorbed on the way to completion.
     pub failures: Vec<FailureSummary>,
-    /// Per-rank escalation counters: retry attempts charged against each
-    /// rank and degradations each rank survived, merged across every
-    /// geometry the run executed on (rank indices refer to the geometry
-    /// active when the counter was charged).
-    pub rank_escalations: Vec<EscalationStat>,
     /// The geometry walk, when the run completed on a geometry other than
     /// the one it (or the spill it restored) started on. `None` for a run
     /// that kept its geometry.
     pub degradation: Option<DegradationReport>,
+}
+
+impl RecoveryReport {
+    /// Per-rank escalation counters, derived from the report: one retry
+    /// per absorbed failure, keyed by its rank, and one survived degrade
+    /// for every rank of every geometry that took over from another. Rank
+    /// indices refer to the geometry active at the time, so one index's
+    /// counters sum across geometries; ranks with neither are omitted.
+    pub fn rank_escalations(&self) -> Vec<EscalationStat> {
+        let retried = self.failures.iter().map(|f| (f.rank, 1, 0));
+        let survived = (self.degradation.iter())
+            .flat_map(|d| d.segments.iter().skip(1))
+            .flat_map(|s| (0..s.ranks).map(|rank| (rank, 0, 1)));
+        let mut by_rank = BTreeMap::new();
+        for (rank, retries, degrades) in retried.chain(survived) {
+            let e = by_rank.entry(rank).or_insert(EscalationStat {
+                rank,
+                ..EscalationStat::default()
+            });
+            e.retries += retries;
+            e.degrades_survived += degrades;
+        }
+        by_rank.into_values().collect()
+    }
 }
 
 /// A completed run: the ordinary outcome plus what completing it cost.
@@ -387,11 +423,8 @@ pub fn execute<T: SyntheticFill>(
             }
             0
         } else {
-            // A geometry that took over from another: every rank carries
-            // the scar, and the fabric measures only this segment.
-            for r in 0..ranks {
-                fabric.note_degrade_survived(r);
-            }
+            // A geometry that took over from another: the fabric measures
+            // only this segment.
             start_epoch
         };
 
@@ -424,20 +457,13 @@ pub fn execute<T: SyntheticFill>(
         recovery.bytes_retransmitted += stats.retransmitted_bytes;
         recovery.corruptions_detected += stats.corruptions_detected;
         recovery.snapshot_digest_failures += store.as_ref().map_or(0, |s| s.digest_failures());
-        merge_escalations(&mut recovery.rank_escalations, &fabric.escalation_stats());
         let charged = (stats.messages_total, stats.bytes_per_node.iter().sum());
 
         let err = match result {
             Ok(run) => {
                 if !segments.is_empty() {
                     segments.push(segment(&geo, (seg_start, job.sweeps), charged, charged));
-                    recovery.degradation = Some(DegradationReport {
-                        from_ranks: segments[0].ranks,
-                        to_ranks: ranks,
-                        degrades: segments.len() as u32 - 1,
-                        triggers,
-                        segments,
-                    });
+                    recovery.degradation = Some(DegradationReport { triggers, segments });
                 }
                 return Ok(SupervisedRun {
                     run,
@@ -455,8 +481,7 @@ pub fn execute<T: SyntheticFill>(
         if shrinks >= policy.degrade.max_degrades {
             return Err(err);
         }
-        let target = shrink_target(&job, approach, &policy.degrade, &resolve);
-        let Some((next_job, next_geo)) = target else {
+        let Some((next_job, next_geo)) = shrink_target(&job, &resolve) else {
             return Err(err);
         };
         // Hand the last verified epoch over; anything unverifiable
@@ -467,19 +492,7 @@ pub fn execute<T: SyntheticFill>(
             .flatten()
             .and_then(|records| regrid(&records, &geo, &next_geo, &job).ok());
         let resumed_from = if handed.is_some() { epoch } else { 0 };
-        for f in failures {
-            let summary = FailureSummary {
-                attempt: recovery.attempts,
-                rank: f.rank,
-                class: classify(f),
-                resumed_from,
-            };
-            triggers.push(summary);
-            recovery.failures.push(summary);
-        }
-        for r in 0..ranks {
-            recovery.epochs_replayed += store.rank_epoch(r).saturating_sub(resumed_from);
-        }
+        triggers.extend_from_slice(absorb(&mut recovery, failures, store, ranks, resumed_from));
         let committed = predicted_logical_span(&geo.programs, seg_start, resumed_from);
         segments.push(segment(&geo, (seg_start, resumed_from), committed, charged));
         resume = handed.map(|records| (resumed_from, records));
@@ -565,7 +578,7 @@ fn retry_loop<T: SyntheticFill>(
     loop {
         attempt += 1;
         recovery.attempts += 1;
-        let err = match run_attempt(job, geo, fabric, store, start_epoch) {
+        let err = match run_attempt(job, geo, fabric, store, start_epoch, recovery.attempts) {
             Ok(run) => return Ok(run),
             Err(err) => err,
         };
@@ -574,11 +587,6 @@ fn retry_loop<T: SyntheticFill>(
         let Some(failures) = err.rank_failures() else {
             return Err(err);
         };
-        // Every failed attempt is charged against its ranks, whether the
-        // next step is a retry here or an escalation in the caller.
-        for f in failures {
-            fabric.note_retry(f.rank);
-        }
         let Some(store) = store.filter(|_| attempt < max_attempts) else {
             return Err(err);
         };
@@ -586,17 +594,7 @@ fn retry_loop<T: SyntheticFill>(
         // rollback target — the walk purges it and degrades, possibly to
         // the synthetic fill (epoch 0, full replay).
         let epoch = store.verified_consistent_epoch();
-        for r in 0..geo.map.ranks() {
-            recovery.epochs_replayed += store.rank_epoch(r).saturating_sub(epoch);
-        }
-        for f in failures {
-            recovery.failures.push(FailureSummary {
-                attempt: recovery.attempts,
-                rank: f.rank,
-                class: classify(f),
-                resumed_from: epoch,
-            });
-        }
+        absorb(recovery, failures, store, geo.map.ranks(), epoch);
         // All rank threads have been joined; the fabric is quiescent, so
         // rollback is safe.
         store.rollback(epoch);
@@ -648,29 +646,48 @@ fn segment(
 
 /// The largest geometry strictly below `job.nodes` that resolves
 /// (standard partition, valid thread split, subdomains no shallower than
-/// the exchange depth) with at least `degrade.min_ranks` ranks. A
-/// candidate below the floor is never resolved and a rejected one fails
-/// before compiling, so neither reaches the program cache. The shrunken
-/// job runs with the permanent lethal fault stripped — the dead rank's
-/// hardware is not part of the surviving partition.
+/// the exchange depth). A rejected candidate fails before compiling, so
+/// it never reaches the program cache. The shrunken job runs with the
+/// permanent lethal fault stripped — the dead rank's hardware is not part
+/// of the surviving partition.
 fn shrink_target(
     job: &NativeJob,
-    approach: Approach,
-    degrade: &DegradePolicy,
     resolve: &impl Fn(&NativeJob) -> Result<JobGeometry, RunError>,
 ) -> Option<(NativeJob, JobGeometry)> {
-    let ranks_per_node = approach.exec_mode().processes_per_node();
-    (1..job.nodes)
-        .rev()
-        .filter(|&nodes| nodes * ranks_per_node >= degrade.min_ranks.max(1))
-        .find_map(|nodes| {
-            let smaller = NativeJob {
-                nodes,
-                fault: job.fault.map(FaultPlan::without_lethal),
-                ..*job
-            };
-            Some((smaller, resolve(&smaller).ok()?))
-        })
+    (1..job.nodes).rev().find_map(|nodes| {
+        let smaller = NativeJob {
+            nodes,
+            fault: job.fault.map(FaultPlan::without_lethal),
+            ..*job
+        };
+        Some((smaller, resolve(&smaller).ok()?))
+    })
+}
+
+/// Absorb one failed attempt's `failures` into `recovery`: classify each
+/// and record its [`FailureSummary`] as resuming from `resumed_from`, and
+/// count every one of the geometry's `ranks` sweeps past that epoch as
+/// replayed. Returns the summaries it recorded — the triggers of a shrink.
+fn absorb<'r, T: Scalar>(
+    recovery: &'r mut RecoveryReport,
+    failures: &[RankFailure],
+    store: &CheckpointStore<T>,
+    ranks: usize,
+    resumed_from: usize,
+) -> &'r [FailureSummary] {
+    for r in 0..ranks {
+        recovery.epochs_replayed += store.rank_epoch(r).saturating_sub(resumed_from);
+    }
+    let (first, attempt) = (recovery.failures.len(), recovery.attempts);
+    recovery
+        .failures
+        .extend(failures.iter().map(|f| FailureSummary {
+            attempt,
+            rank: f.rank,
+            class: classify(f),
+            resumed_from,
+        }));
+    &recovery.failures[first..]
 }
 
 /// Classify one rank failure for the [`RecoveryReport`].
@@ -693,19 +710,6 @@ fn classify(f: &RankFailure) -> FailureClass {
         }
         FailureKind::Undrained => FailureClass::Undrained,
     }
-}
-
-/// Merge per-rank escalation counters, summing where ranks collide.
-fn merge_escalations(into: &mut Vec<EscalationStat>, from: &[EscalationStat]) {
-    for s in from {
-        if let Some(e) = into.iter_mut().find(|e| e.rank == s.rank) {
-            e.retries += s.retries;
-            e.degrades_survived += s.degrades_survived;
-        } else {
-            into.push(*s);
-        }
-    }
-    into.sort_unstable_by_key(|e| e.rank);
 }
 
 #[cfg(test)]
@@ -790,6 +794,83 @@ mod tests {
             kind: FailureKind::Undrained,
         };
         assert_eq!(classify(&u), FailureClass::Undrained);
+    }
+
+    fn segment_of(ranks: usize, (start_epoch, end_epoch): (usize, usize)) -> GeometrySegment {
+        GeometrySegment {
+            nodes: 1,
+            ranks,
+            proc_dims: [ranks, 1, 1],
+            start_epoch,
+            end_epoch,
+            logical_messages: 0,
+            logical_bytes: 0,
+            messages_discarded: 0,
+            bytes_discarded: 0,
+        }
+    }
+
+    fn failed(attempt: u32, rank: usize, resumed_from: usize) -> FailureSummary {
+        FailureSummary {
+            attempt,
+            rank,
+            class: FailureClass::Panic,
+            resumed_from,
+        }
+    }
+
+    #[test]
+    fn rank_escalations_derive_from_failures_and_segments() {
+        let stat = |rank, retries, degrades_survived| EscalationStat {
+            rank,
+            retries,
+            degrades_survived,
+        };
+        // Retries alone, without a geometry change.
+        let retried = RecoveryReport {
+            attempts: 3,
+            failures: vec![failed(1, 2, 0), failed(2, 2, 1), failed(2, 0, 1)],
+            ..RecoveryReport::default()
+        };
+        assert_eq!(
+            retried.rank_escalations(),
+            vec![stat(0, 1, 0), stat(2, 2, 0)]
+        );
+        // A restore onto 4 ranks of a spill an 8-rank geometry wrote
+        // (segment 0 never ran in this process), then a shrink from 4
+        // ranks to 2: rank 1 failed on both geometries, so its counters
+        // sum across them; the writer's ranks 4..8 earn nothing.
+        let triggers = vec![failed(3, 1, 4), failed(3, 3, 4)];
+        let mut failures = vec![failed(1, 1, 3), failed(2, 1, 4)];
+        failures.extend_from_slice(&triggers);
+        failures.push(failed(4, 1, 5));
+        let degradation = DegradationReport {
+            triggers,
+            segments: vec![
+                segment_of(8, (0, 2)),
+                segment_of(4, (2, 4)),
+                segment_of(2, (4, 6)),
+            ],
+        };
+        assert_eq!(
+            (
+                degradation.from_ranks(),
+                degradation.to_ranks(),
+                degradation.degrades()
+            ),
+            (8, 2, 2)
+        );
+        let report = RecoveryReport {
+            attempts: 5,
+            failures,
+            degradation: Some(degradation),
+            ..RecoveryReport::default()
+        };
+        assert_eq!(
+            report.rank_escalations(),
+            vec![stat(0, 0, 2), stat(1, 4, 2), stat(2, 0, 1), stat(3, 1, 1)]
+        );
+        assert!(RecoveryReport::default().rank_escalations().is_empty());
     }
 
     #[test]

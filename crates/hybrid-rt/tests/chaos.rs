@@ -94,9 +94,13 @@ fn a_black_holed_message_fails_the_run_with_a_diagnostic() {
     let err = execute::<f64>(&job, Approach::HybridMultiple, &RunPolicy::bare())
         .err()
         .expect("a black hole must fail the run");
-    let RunError::Failed { strategy, failures } = &err else {
+    let RunError::Failed {
+        strategy, failures, ..
+    } = &err
+    else {
         panic!("expected RunError::Failed, got {err:?}");
     };
+    assert!(!err.is_integrity(), "a black hole is not corruption: {err}");
     assert_eq!(*strategy, Approach::HybridMultiple.label());
     let timeout = failures
         .iter()

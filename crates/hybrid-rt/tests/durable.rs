@@ -16,6 +16,9 @@
 //!   from scratch), still bit-identical, with the damage reported in the
 //!   [`DurableReport::degraded`] trail; only a caller mistake (missing
 //!   directory, wrong geometry) is a typed [`RunError::Durable`];
+//! * **one record** — the epoch files are all recovery reads: a
+//!   `MANIFEST` an older build left beside them is an unknown file that
+//!   changes neither the resume point nor the degradation trail;
 //! * **service restart** — a durable job resubmitted under its name to a
 //!   fresh [`JobService`] sharing the same `durable_root` resumes from
 //!   the dead server's newest durable epoch instead of starting over.
@@ -23,7 +26,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gpaw_fd::config::Approach;
-use gpaw_fd::durable::DurableStore;
+use gpaw_fd::durable::{crc32, DurableStore, MAGIC, SCHEMA_VERSION};
 use gpaw_hybrid_rt::{
     execute, run_digest, AdmissionError, DurabilityConfig, JobService, NativeJob, NativeRun,
     Priority, RetryPolicy, RunError, RunPolicy, ServiceConfig, SupervisedRun,
@@ -162,6 +165,72 @@ fn restore_of_a_completed_run_rebuilds_the_report_without_rerunning() {
         "a finished job restores at its final epoch and has nothing to re-run"
     );
     assert_bit_identical("restore-after-complete", &again, &clean);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The 20-byte `MANIFEST` older builds wrote beside the epoch files:
+/// magic · schema · epoch u64 · CRC-32 of the 16 bytes before it.
+fn legacy_manifest(epoch: usize) -> Vec<u8> {
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&(epoch as u64).to_le_bytes());
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// A directory an older build wrote — the epoch files plus a `MANIFEST`
+/// naming the newest — restores from its newest valid epoch file, and
+/// nothing is skipped on the manifest's account, whatever it says.
+#[test]
+fn a_leftover_manifest_is_an_unknown_file_and_changes_nothing() {
+    let job = base_job(2, 4);
+    let clean = clean_run(&job, Approach::HybridMultiple);
+    let dir = tmpdir("legacy");
+    run_durable(&job, Approach::HybridMultiple, &DurabilityConfig::new(&dir));
+    let epochs = DurableStore::open(&dir).unwrap().epochs_on_disk().unwrap();
+    assert_eq!(
+        epochs.last(),
+        Some(&job.sweeps),
+        "the final epoch is spilled"
+    );
+    // The spiller coalesces epochs it falls behind on, so whether an older
+    // one is kept (and which) depends on timing; 0 is the synthetic fill.
+    let older = epochs.len().checked_sub(2).map_or(0, |i| epochs[i]);
+    // Valid and current, valid but stale, valid but naming no file, then
+    // garbage.
+    for manifest in [
+        legacy_manifest(job.sweeps),
+        legacy_manifest(older),
+        legacy_manifest(99),
+        b"not a manifest".to_vec(),
+    ] {
+        std::fs::write(dir.join("MANIFEST"), &manifest).unwrap();
+        let store = DurableStore::open(&dir).unwrap();
+        let rec = store.recover::<f64>().unwrap();
+        assert_eq!(rec.epoch, job.sweeps);
+        assert!(rec.skipped.is_empty(), "skipped {:?}", rec.skipped);
+        let restored = run_durable(
+            &job,
+            Approach::HybridMultiple,
+            &DurabilityConfig::new(&dir).with_restore(true),
+        );
+        assert_eq!(restored.durable.resumed_from, job.sweeps);
+        assert!(
+            restored.durable.degraded.is_empty(),
+            "{:?}",
+            restored.durable.degraded
+        );
+        assert_bit_identical("leftover manifest", &restored, &clean);
+    }
+    // A corrupt newest epoch still falls back, and only it is skipped.
+    std::fs::write(newest_epoch_file(&dir), b"zzzz").unwrap();
+    let rec = DurableStore::open(&dir).unwrap().recover::<f64>().unwrap();
+    assert_eq!((rec.epoch, rec.skipped.len()), (older, 1));
+    assert!(
+        dir.join("MANIFEST").exists(),
+        "a foreign file is left alone"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -12,8 +12,8 @@
 //!   rollback time and the supervisor degrades past it (down to the
 //!   synthetic fill when nothing verifiable remains), still completing
 //!   bit-identical;
-//! * an **unsupervised** corrupt run fails with the typed
-//!   [`RunError::Integrity`] naming the rejected message's exact
+//! * an **unsupervised** corrupt run fails as a typed integrity failure
+//!   (`RunError::is_integrity`) naming the rejected message's exact
 //!   `(src, tag, seq)` — never a generic stall;
 //! * with verification always on and **no injection**, runs report zero
 //!   detections and zero digest failures.
@@ -24,7 +24,7 @@ use gpaw_fd::config::Approach;
 use gpaw_fd::plan::RankPlan;
 use gpaw_hybrid_rt::{
     execute, run_digest, FailureClass, FailureKind, FaultPlan, NativeJob, NativeRun, RetryPolicy,
-    RunError, RunPolicy, SupervisedRun,
+    RunPolicy, SupervisedRun,
 };
 use std::time::Duration;
 
@@ -160,8 +160,8 @@ fn unsupervised_corruption_is_a_typed_integrity_error() {
                 )
             });
         assert!(
-            matches!(err, RunError::Integrity { .. }),
-            "{}: expected RunError::Integrity, got: {err}",
+            err.is_integrity() && err.exit_code() == 4,
+            "{}: expected an integrity failure, got: {err}",
             approach.label()
         );
         let first = err.first_failure().expect("integrity errors list failures");

@@ -12,7 +12,7 @@ use gpaw_repro::des::{EventQueue, SimDuration, SplitMix64};
 use gpaw_repro::grid::decomp::{best_dims, factor_triples, surface_points, Decomposition};
 use gpaw_repro::grid::grid3::Grid3;
 use gpaw_repro::grid::gridset::{batch_indices, growing_batches};
-use gpaw_repro::grid::halo::{pack_face, unpack_face, Side};
+use gpaw_repro::grid::halo::{pack_face_region, unpack_face_region, Side};
 use gpaw_repro::grid::norms::max_abs_diff;
 use gpaw_repro::grid::stencil::{apply, apply_sequential, BoundaryCond, StencilCoeffs};
 
@@ -140,8 +140,9 @@ fn halo_round_trip() {
         };
         let mut b: Grid3<f64> = Grid3::zeros(ext, 2);
         let mut buf = Vec::new();
-        pack_face(&a, axis, Side::High, &mut buf);
-        unpack_face(&mut b, axis, Side::Low, &buf);
+        let (h, wide) = (a.halo(), [0; 3]);
+        pack_face_region(&a, axis, Side::High, h, wide, &mut buf);
+        unpack_face_region(&mut b, axis, Side::Low, h, wide, &buf);
         // b's low ghost planes must equal a's high interior planes.
         let n = ext[axis];
         for p in 0..2usize {
