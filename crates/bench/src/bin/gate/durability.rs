@@ -117,8 +117,9 @@ fn corruption_cases(root: &Path) -> Result<u64, SoakFailure> {
             std::fs::write(&path, b"not a checkpoint").expect("garble a file");
         }
     };
-    // The CRC catches a flip or a torn write and recovery falls back to the
-    // retained previous epoch; with every file garbled, to a fresh start.
+    // A record digest catches a flip and the framing a torn write, and
+    // recovery falls back to the retained previous epoch; with every file
+    // garbled, to a fresh start.
     let cases: [(&str, Damage, usize); 3] = [
         ("bit-flip", &|dir| newest_epoch(dir, flip), SWEEPS - 1),
         ("truncation", &|dir| newest_epoch(dir, truncate), SWEEPS - 1),

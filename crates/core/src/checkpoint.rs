@@ -80,12 +80,15 @@ impl<T> SharedSnapshot<T> {
         &self.snap.grids
     }
 
-    /// This snapshot as the borrowed record a durable spill frames.
+    /// This snapshot as the borrowed record a durable spill frames,
+    /// carrying the deposit-time digest the handle was verified against —
+    /// so the spill writes it instead of digesting the grids again.
     pub fn as_record_ref(&self) -> RecordRef<'_, T> {
         RecordRef {
             rank: self.rank,
             slot: self.slot,
             grids: &self.snap.grids,
+            digest: self.snap.digest,
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Durable, versioned, checksummed on-disk checkpoints.
+//! Durable, versioned, digest-checked on-disk checkpoints.
 //!
 //! [`CheckpointStore`](crate::checkpoint::CheckpointStore) snapshots live
 //! only as long as the process; this module is where they go to survive a
@@ -13,13 +13,19 @@
 //!
 //! ```text
 //! header   magic "GPWD" (4) · schema u32 · epoch u64 · record_count u32
-//!          · header_crc u32 (CRC-32 over the 20 bytes before it)
-//! records  payload_len u64 · payload_crc u32 · payload bytes
+//!          · header_digest u64 (over the 20 bytes before it)
+//! records  payload_len u64 · payload bytes · record_digest u64
 //! payload  rank u64 · slot u64 · n_grids u64, then per grid:
 //!          n0 n1 n2 halo words data_words (u64 each) · data_words × u64
 //!          bit-pattern words (the grid's full padded storage, halos
 //!          included, `words` words per point: 1 for f64, 2 for C64)
 //! ```
+//!
+//! `record_digest` folds rank and slot into the record's [`grids_digest`]
+//! — the digest the checkpoint store recorded at deposit — and
+//! `header_digest` is the same fold over the header's words. Every other
+//! field is checked against the rest on load, so a single flipped bit
+//! anywhere in a file is rejected exactly.
 //!
 //! # One file per epoch, and crash consistency
 //!
@@ -31,10 +37,11 @@
 //! leftover `.tmp` (never read, and reclaimed: a failed write removes its
 //! own, and the next [`DurableStore::create`] or [`DurableStore::open`] of
 //! the directory sweeps a killed writer's). Recovery
-//! ([`DurableStore::recover`]) trusts only checksums: it tries every
+//! ([`DurableStore::recover`]) trusts only digests: it tries every
 //! on-disk epoch newest-first, skipping any file that fails validation
-//! (torn, truncated, bit-flipped, wrong schema), and falls back as far as
-//! epoch 0 — the synthetic fill, always re-derivable from the seed —
+//! (torn, truncated, bit-flipped, another schema — version 1 included),
+//! and falls back as far as epoch 0 — the synthetic fill, always
+//! re-derivable from the seed —
 //! rather than ever panicking. Any other file name in the directory is
 //! ignored. Durability is against process death (the page cache survives
 //! a SIGKILL); powering off the machine mid-spill would additionally need
@@ -45,19 +52,19 @@
 //! An epoch is tens of MB, so [`DurableStore::spill_records`] never holds
 //! it in memory a second time: header and records stream through one
 //! 64 KiB chunk buffer straight into the `.tmp` file — grid storage is
-//! converted to little-endian words a chunk at a time, the chunk feeds the
-//! incremental [`Crc32`] while it is still in cache, and goes to the file.
-//! `payload_crc` precedes its payload in the frame, so it is written as a
-//! placeholder and back-patched by seek once the record has streamed
-//! past — all before the rename, so no reader can see the placeholder.
+//! converted to little-endian words a chunk at a time and goes to the
+//! file. The writer hashes only the header: each [`RecordRef`] carries
+//! its snapshot's already-verified digest, written after the payload, so
+//! the file goes out front to back. Recovery decodes each record and
+//! re-derives its digest in one pass over the grids.
 
 use crate::checkpoint::Epoch;
-use crate::integrity::Crc32;
+use crate::integrity::{fill_grids_digest, grids_digest, words_digest};
 use gpaw_grid::grid3::Grid3;
 use gpaw_grid::scalar::Scalar;
 use std::fmt;
 use std::fs;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// First four bytes of every durable file.
@@ -65,25 +72,23 @@ pub const MAGIC: [u8; 4] = *b"GPWD";
 
 /// On-disk schema version; files from a different version are rejected
 /// (forward compat is an explicit re-encode, never a silent misparse).
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
-/// magic + schema + epoch + record_count + header crc.
-const HEADER_LEN: usize = 4 + 4 + 8 + 4 + 4;
+/// magic + schema + epoch + record_count: what `header_digest` covers.
+const HEADER_FIELDS_LEN: usize = 4 + 4 + 8 + 4;
+/// The header fields + header digest.
+const HEADER_LEN: usize = HEADER_FIELDS_LEN + 8;
 /// Suffix of the write-then-rename staging sibling of every durable file.
 const TMP_SUFFIX: &str = ".tmp";
-/// Bytes converted, checksummed and written per step of the streaming
-/// writer: L2-resident, and a whole number of both scalar widths.
+/// Bytes converted and written per step of the streaming writer:
+/// L2-resident, and a whole number of both scalar widths.
 const CHUNK_BYTES: usize = 64 << 10;
-/// A record's frame header: payload_len u64 · payload_crc u32.
-const FRAME_LEN: usize = 8 + 4;
+/// A record's framing around its payload: payload_len u64 · record_digest u64.
+const FRAME_LEN: usize = 8 + 8;
 /// A record payload's leading fields: rank · slot · n_grids.
 const RECORD_FIELDS_LEN: usize = 3 * 8;
 /// A grid's leading fields: n0 n1 n2 · halo · words · data_words.
 const GRID_FIELDS_LEN: usize = 6 * 8;
-
-/// The on-disk checksum, re-exported from the shared integrity module so
-/// the frame format and its callers are unchanged.
-pub use crate::integrity::crc32;
 
 /// Why a durable read or write failed. Every corruption mode is a value,
 /// not a panic: callers degrade to an older epoch (or the synthetic
@@ -111,7 +116,7 @@ pub enum DurableError {
         /// The only version this reader supports.
         supported: u32,
     },
-    /// Structurally invalid or checksum-failing content: truncation, a
+    /// Structurally invalid or digest-failing content: truncation, a
     /// torn frame, a bit flip, or fields that contradict each other.
     Corrupt {
         /// The offending file.
@@ -174,13 +179,15 @@ pub struct SnapshotRecord<T> {
     pub grids: Vec<Grid3<T>>,
 }
 
-impl<T> SnapshotRecord<T> {
-    /// This record's borrowed form — what the writer consumes.
+impl<T: Scalar> SnapshotRecord<T> {
+    /// This record's borrowed form — what the writer consumes — with its
+    /// grids digested here, since nothing has digested them before.
     pub fn as_record_ref(&self) -> RecordRef<'_, T> {
         RecordRef {
             rank: self.rank,
             slot: self.slot,
             grids: &self.grids,
+            digest: grids_digest(&self.grids),
         }
     }
 }
@@ -196,6 +203,10 @@ pub struct RecordRef<'a, T> {
     pub slot: usize,
     /// The thread's input grids in its own local order.
     pub grids: &'a [Grid3<T>],
+    /// [`grids_digest`] of `grids`, as whoever made the reference
+    /// verified it. The writer stores it as is; if the grids changed
+    /// since, the file fails its digest on load.
+    pub digest: u64,
 }
 
 /// What [`DurableStore::recover`] salvaged from a directory.
@@ -296,7 +307,7 @@ impl DurableStore {
     }
 
     /// Spill one complete consistent epoch: every registered key's
-    /// snapshot, framed and checksummed, atomically renamed into place.
+    /// snapshot, framed and digested, atomically renamed into place.
     /// The owned-record form
     /// of [`DurableStore::spill_records`].
     pub fn spill_epoch<T: Scalar>(
@@ -338,7 +349,7 @@ impl DurableStore {
     }
 
     /// Load and fully validate one epoch file. Every failure mode —
-    /// truncation, bad magic, bumped schema, checksum mismatch,
+    /// truncation, bad magic, another schema, digest mismatch,
     /// self-contradictory geometry — is a typed error.
     pub fn load_epoch<T: Scalar>(
         &self,
@@ -353,27 +364,7 @@ impl DurableStore {
             path: path.clone(),
             detail,
         };
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt(format!(
-                "truncated header: {} bytes, need {HEADER_LEN}",
-                bytes.len()
-            )));
-        }
-        if bytes[..4] != MAGIC {
-            return Err(DurableError::BadMagic(path));
-        }
-        let schema = read_u32(&bytes, 4);
-        if schema != SCHEMA_VERSION {
-            return Err(DurableError::SchemaMismatch {
-                path,
-                found: schema,
-                supported: SCHEMA_VERSION,
-            });
-        }
-        if crc32(&bytes[..20]) != read_u32(&bytes, 20) {
-            return Err(corrupt("header checksum mismatch".to_string()));
-        }
-        let file_epoch = read_u64(&bytes, 8) as Epoch;
+        let (file_epoch, count) = read_header(&bytes, &path)?;
         if file_epoch != epoch {
             return Err(corrupt(format!(
                 "file claims epoch {file_epoch}, name says {epoch}"
@@ -381,8 +372,7 @@ impl DurableStore {
         }
         // Every size read from the file is checked against the bytes that
         // remain before anything is allocated by it: a frame with valid
-        // checksums can still claim anything.
-        let count = read_u32(&bytes, 16) as usize;
+        // digests can still claim anything.
         let mut rest = Reader(&bytes[HEADER_LEN..]);
         let room = rest.0.len() / (FRAME_LEN + RECORD_FIELDS_LEN);
         if count > room {
@@ -390,29 +380,22 @@ impl DurableStore {
                 "header claims {count} records, the file has room for {room}"
             )));
         }
-        let words = T::BYTES / 8;
         let mut records = Vec::with_capacity(count);
         for i in 0..count {
-            let frame = rest
-                .take(FRAME_LEN)
-                .ok_or_else(|| corrupt(format!("truncated frame header for record {i}")))?;
-            let len = read_u64(frame, 0);
-            let stored_crc = read_u32(frame, 8);
-            let have = rest.0.len();
-            let payload = rest.take_u64(len).ok_or_else(|| {
-                corrupt(format!(
-                    "truncated payload for record {i}: need {len} bytes, have {have}"
-                ))
-            })?;
-            if crc32(payload) != stored_crc {
-                return Err(corrupt(format!("checksum mismatch on record {i}")));
+            let truncated = || corrupt(format!("record {i} is truncated"));
+            let len = rest.take(8).map(|b| read_u64(b, 0)).ok_or_else(truncated)?;
+            let payload = rest.take_u64(len).ok_or_else(truncated)?;
+            let stored = rest.take(8).map(|b| read_u64(b, 0)).ok_or_else(truncated)?;
+            let (record, digest) = parse_record::<T>(payload, i, &corrupt)?;
+            if digest != stored {
+                return Err(corrupt(format!("digest mismatch on record {i}")));
             }
-            records.push(parse_record::<T>(payload, words, i, &corrupt)?);
+            records.push(record);
         }
         Ok(records)
     }
 
-    /// Salvage the newest valid epoch, trusting only checksums. Tries
+    /// Salvage the newest valid epoch, trusting only digests. Tries
     /// every on-disk epoch newest-first; each rejected
     /// file's typed error lands in [`Recovered::skipped`]. Never panics —
     /// a directory with nothing valid recovers to epoch 0, the synthetic
@@ -442,18 +425,12 @@ impl DurableStore {
     /// `(rank, slot)` keys it frames, which is this store's geometry
     /// discriminator: shrinking onto fewer ranks always changes it.
     /// `None` when the header is unreadable or fails validation.
-    fn header_record_count(&self, epoch: Epoch) -> Option<u32> {
+    fn header_record_count(&self, epoch: Epoch) -> Option<usize> {
         let path = self.epoch_path(epoch);
         let mut header = [0u8; HEADER_LEN];
         let mut f = fs::File::open(&path).ok()?;
         std::io::Read::read_exact(&mut f, &mut header).ok()?;
-        if header[..4] != MAGIC
-            || read_u32(&header, 4) != SCHEMA_VERSION
-            || crc32(&header[..20]) != read_u32(&header, 20)
-        {
-            return None;
-        }
-        Some(read_u32(&header, 16))
+        read_header(&header, &path).ok().map(|(_, count)| count)
     }
 
     /// Keep only the newest `keep` epoch files **per geometry** (the
@@ -467,7 +444,7 @@ impl DurableStore {
     /// delete failure is returned but the newer files are already safe.
     pub fn retain_newest(&self, keep: usize) -> Result<(), DurableError> {
         let epochs = self.epochs_on_disk()?;
-        let mut by_geometry: std::collections::BTreeMap<u32, Vec<Epoch>> =
+        let mut by_geometry: std::collections::BTreeMap<usize, Vec<Epoch>> =
             std::collections::BTreeMap::new();
         for &e in &epochs {
             if let Some(count) = self.header_record_count(e) {
@@ -496,28 +473,71 @@ fn epoch_of_file_name(name: &str) -> Option<Epoch> {
         .ok()
 }
 
-/// Stream one epoch's frame into `file` (see the module docs for the
+/// Validate a file's header and return the epoch and record count it
+/// claims. Magic and schema are judged first: another schema's header
+/// may be shorter than this one's.
+fn read_header(bytes: &[u8], path: &Path) -> Result<(Epoch, usize), DurableError> {
+    let corrupt = |detail: String| DurableError::Corrupt {
+        path: path.to_path_buf(),
+        detail,
+    };
+    let truncated = || corrupt(format!("truncated header: {} bytes", bytes.len()));
+    if bytes.len() < 8 {
+        return Err(truncated());
+    }
+    if bytes[..4] != MAGIC {
+        return Err(DurableError::BadMagic(path.to_path_buf()));
+    }
+    let found = read_u32(bytes, 4);
+    if found != SCHEMA_VERSION {
+        return Err(DurableError::SchemaMismatch {
+            path: path.to_path_buf(),
+            found,
+            supported: SCHEMA_VERSION,
+        });
+    }
+    if bytes.len() < HEADER_LEN {
+        return Err(truncated());
+    }
+    if header_digest(bytes) != read_u64(bytes, HEADER_FIELDS_LEN) {
+        return Err(corrupt("header digest mismatch".to_string()));
+    }
+    Ok((read_u64(bytes, 8) as Epoch, read_u32(bytes, 16) as usize))
+}
+
+/// The digest of a header's fields (its first [`HEADER_FIELDS_LEN`]
+/// bytes, as little-endian words, the last one zero-padded).
+fn header_digest(header: &[u8]) -> u64 {
+    words_digest(&[
+        read_u64(header, 0),
+        read_u64(header, 8),
+        u64::from(read_u32(header, 16)),
+    ])
+}
+
+/// A record's digest: its key folded into its grids' digest.
+fn record_digest(rank: usize, slot: usize, grids_digest: u64) -> u64 {
+    words_digest(&[rank as u64, slot as u64, grids_digest])
+}
+
+/// Stream one epoch's frame into `out` (see the module docs for the
 /// layout and the write path).
 fn stream_epoch<T: Scalar>(
-    file: &mut fs::File,
+    out: impl Write,
     epoch: Epoch,
     records: &[RecordRef<'_, T>],
 ) -> io::Result<()> {
     let words = T::BYTES / 8;
-    let mut out = BufWriter::with_capacity(CHUNK_BYTES, &mut *file);
+    let mut out = BufWriter::with_capacity(CHUNK_BYTES, out);
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(&MAGIC);
     push_u32(&mut header, SCHEMA_VERSION);
     push_u64(&mut header, epoch as u64);
     push_u32(&mut header, records.len() as u32);
-    let hcrc = crc32(&header);
-    push_u32(&mut header, hcrc);
+    let digest = header_digest(&header);
+    push_u64(&mut header, digest);
     out.write_all(&header)?;
 
-    // Where each record's `payload_crc` placeholder sits, and what
-    // belongs there once the payload has streamed past.
-    let mut patches: Vec<(u64, u32)> = Vec::with_capacity(records.len());
-    let mut at = HEADER_LEN as u64;
     let mut chunk = vec![0u8; CHUNK_BYTES];
     let mut fields = Vec::with_capacity(GRID_FIELDS_LEN);
     for rec in records {
@@ -527,14 +547,11 @@ fn stream_epoch<T: Scalar>(
                 .iter()
                 .map(|g| GRID_FIELDS_LEN + g.data().len() * T::BYTES)
                 .sum::<usize>();
-        out.write_all(&(payload_len as u64).to_le_bytes())?;
-        out.write_all(&[0u8; 4])?;
-        let mut crc = Crc32::new();
         fields.clear();
+        push_u64(&mut fields, payload_len as u64);
         push_u64(&mut fields, rec.rank as u64);
         push_u64(&mut fields, rec.slot as u64);
         push_u64(&mut fields, rec.grids.len() as u64);
-        crc.update(&fields);
         out.write_all(&fields)?;
         for g in rec.grids {
             fields.clear();
@@ -544,7 +561,6 @@ fn stream_epoch<T: Scalar>(
             push_u64(&mut fields, g.halo() as u64);
             push_u64(&mut fields, words as u64);
             push_u64(&mut fields, (g.data().len() * words) as u64);
-            crc.update(&fields);
             out.write_all(&fields)?;
             for values in g.data().chunks(CHUNK_BYTES / T::BYTES) {
                 let bytes = &mut chunk[..values.len() * T::BYTES];
@@ -554,20 +570,13 @@ fn stream_epoch<T: Scalar>(
                         le.copy_from_slice(&word.to_le_bytes());
                     }
                 }
-                crc.update(bytes);
                 out.write_all(bytes)?;
             }
         }
-        patches.push((at + 8, crc.finish()));
-        at += (FRAME_LEN + payload_len) as u64;
+        let digest = record_digest(rec.rank, rec.slot, rec.digest);
+        out.write_all(&digest.to_le_bytes())?;
     }
-    out.flush()?;
-    drop(out);
-    for (crc_at, crc) in patches {
-        file.seek(SeekFrom::Start(crc_at))?;
-        file.write_all(&crc.to_le_bytes())?;
-    }
-    Ok(())
+    out.flush()
 }
 
 /// A bounds-checked cursor over a frame: every read either fits in the
@@ -588,12 +597,15 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Decode one record's payload, checking every size it claims before
+/// allocating by it, and return the record with its [`record_digest`],
+/// re-derived while the grids are decoded.
 fn parse_record<T: Scalar>(
     payload: &[u8],
-    words: usize,
     index: usize,
     corrupt: &dyn Fn(String) -> DurableError,
-) -> Result<SnapshotRecord<T>, DurableError> {
+) -> Result<(SnapshotRecord<T>, u64), DurableError> {
+    let words = T::BYTES / 8;
     let mut rest = Reader(payload);
     let fields = rest
         .take(RECORD_FIELDS_LEN)
@@ -606,6 +618,7 @@ fn parse_record<T: Scalar>(
         )));
     }
     let mut grids = Vec::with_capacity(n_grids as usize);
+    let mut stored = Vec::with_capacity(n_grids as usize);
     for gi in 0..n_grids {
         let fields = rest
             .take(GRID_FIELDS_LEN)
@@ -636,7 +649,7 @@ fn parse_record<T: Scalar>(
                 expected.map_or("more than 2^64".into(), |e| e.to_string())
             )));
         }
-        let stored = data_words
+        let data = data_words
             .checked_mul(8)
             .and_then(|bytes| rest.take_u64(bytes))
             .ok_or_else(|| {
@@ -644,15 +657,8 @@ fn parse_record<T: Scalar>(
                     "record {index} grid {gi}: payload truncated inside grid data"
                 ))
             })?;
-        let mut g = Grid3::<T>::zeros(n.map(|d| d as usize), halo as usize);
-        for (v, cell) in g.data_mut().iter_mut().zip(stored.chunks_exact(T::BYTES)) {
-            let mut w = [0u64; 2];
-            for (word, le) in w.iter_mut().zip(cell.chunks_exact(8)) {
-                *word = read_u64(le, 0);
-            }
-            *v = T::from_bit_pattern(w);
-        }
-        grids.push(g);
+        grids.push(Grid3::<T>::zeros(n.map(|d| d as usize), halo as usize));
+        stored.push(data);
     }
     if !rest.0.is_empty() {
         return Err(corrupt(format!(
@@ -660,8 +666,19 @@ fn parse_record<T: Scalar>(
             rest.0.len()
         )));
     }
+    let digest = fill_grids_digest(&mut grids, |g, at, chunk| {
+        let bytes = &stored[g][at * T::BYTES..];
+        for (v, cell) in chunk.iter_mut().zip(bytes.chunks_exact(T::BYTES)) {
+            let mut w = [0u64; 2];
+            for (word, le) in w.iter_mut().zip(cell.chunks_exact(8)) {
+                *word = read_u64(le, 0);
+            }
+            *v = T::from_bit_pattern(w);
+        }
+    });
     let (rank, slot) = (rank as usize, slot as usize);
-    Ok(SnapshotRecord { rank, slot, grids })
+    let digest = record_digest(rank, slot, digest);
+    Ok((SnapshotRecord { rank, slot, grids }, digest))
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -747,7 +764,8 @@ mod tests {
     }
 
     /// The in-memory serialiser the streaming writer replaced — kept as
-    /// the format's reference: build every payload, then the whole file.
+    /// the format's reference: build every payload, then the whole file,
+    /// digesting each record's grids itself.
     fn reference_frame<T: Scalar>(epoch: Epoch, records: &[SnapshotRecord<T>]) -> Vec<u8> {
         let words = T::BYTES / 8;
         let mut file = Vec::new();
@@ -755,8 +773,8 @@ mod tests {
         push_u32(&mut file, SCHEMA_VERSION);
         push_u64(&mut file, epoch as u64);
         push_u32(&mut file, records.len() as u32);
-        let hcrc = crc32(&file);
-        push_u32(&mut file, hcrc);
+        let digest = header_digest(&file);
+        push_u64(&mut file, digest);
         for rec in records {
             let mut payload = Vec::new();
             push_u64(&mut payload, rec.rank as u64);
@@ -778,8 +796,11 @@ mod tests {
                 }
             }
             push_u64(&mut file, payload.len() as u64);
-            push_u32(&mut file, crc32(&payload));
             file.extend_from_slice(&payload);
+            push_u64(
+                &mut file,
+                record_digest(rec.rank, rec.slot, grids_digest(&rec.grids)),
+            );
         }
         file
     }
@@ -797,10 +818,6 @@ mod tests {
 
     #[test]
     fn streamed_file_is_byte_identical_to_the_reference_serialiser() {
-        assert_eq!(
-            SCHEMA_VERSION, 1,
-            "the streaming writer is not a format change"
-        );
         let dir = tmpdir("stream");
         let store = DurableStore::create(&dir).unwrap();
         // Mixed shapes, one grid larger than a streaming chunk, one
@@ -904,11 +921,22 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// The writer trusts the digest a reference carries: grids that
+    /// changed after their digest was taken make a file recovery rejects.
     #[test]
-    fn crc32_matches_known_vectors() {
-        // The IEEE check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF43926);
-        assert_eq!(crc32(b""), 0);
+    fn a_stale_record_digest_is_caught_on_load() {
+        let dir = tmpdir("stale");
+        let store = DurableStore::create(&dir).unwrap();
+        let recs = sample_records(19);
+        let mut refs: Vec<_> = recs.iter().map(SnapshotRecord::as_record_ref).collect();
+        refs[1].digest ^= 1;
+        store.spill_records(1, &refs).unwrap();
+        let err = store.load_epoch::<f64>(1).unwrap_err();
+        assert!(
+            matches!(&err, DurableError::Corrupt { detail, .. } if detail.contains("record 1")),
+            "got {err}"
+        );
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -984,15 +1012,30 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// One flipped bit at every byte of a small file — header, framing,
+    /// every record's rank, slot, geometry and data, and the digests
+    /// themselves — is rejected.
     #[test]
-    fn bit_flips_anywhere_fail_the_crc() {
+    fn bit_flips_anywhere_fail_the_digest() {
         let dir = tmpdir("flip");
         let store = DurableStore::create(&dir).unwrap();
-        let path = store.spill_epoch(4, &sample_records(13)).unwrap();
+        let recs = vec![
+            SnapshotRecord {
+                rank: 0,
+                slot: 1,
+                grids: vec![filled_grid([1, 1, 2], 1, 13)],
+            },
+            SnapshotRecord {
+                rank: 3,
+                slot: 0,
+                grids: vec![filled_grid([2, 1, 1], 0, 14), filled_grid([1, 1, 1], 1, 15)],
+            },
+        ];
+        let path = store.spill_epoch(4, &recs).unwrap();
         let full = fs::read(&path).unwrap();
-        for at in [6, 9, 17, HEADER_LEN + 2, HEADER_LEN + 40, full.len() - 3] {
+        for at in 0..full.len() {
             let mut bad = full.clone();
-            bad[at] ^= 0x40;
+            bad[at] ^= 1 << (at % 8);
             fs::write(&path, &bad).unwrap();
             assert!(
                 store.load_epoch::<f64>(4).is_err(),
@@ -1010,22 +1053,36 @@ mod tests {
         let dir = tmpdir("schema");
         let store = DurableStore::create(&dir).unwrap();
         let path = store.spill_epoch(1, &sample_records(17)).unwrap();
-        let mut bytes = fs::read(&path).unwrap();
-        // A future writer: schema bumped, header checksum recomputed so
-        // only the version check can reject it.
-        let future = SCHEMA_VERSION + 1;
-        bytes[4..8].copy_from_slice(&future.to_le_bytes());
-        let hcrc = crc32(&bytes[..20]);
-        bytes[20..24].copy_from_slice(&hcrc.to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        match store.load_epoch::<f64>(1).unwrap_err() {
-            DurableError::SchemaMismatch {
-                found, supported, ..
-            } => {
-                assert_eq!(found, future);
-                assert_eq!(supported, SCHEMA_VERSION);
+        let spilled = fs::read(&path).unwrap();
+        // A version-1 file (CRC-32 frames, a 24-byte header) and a future
+        // writer's: the header digest is re-stamped, so only the version
+        // check can reject them.
+        for version in [1, SCHEMA_VERSION + 1] {
+            let mut bytes = spilled.clone();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let digest = header_digest(&bytes);
+            bytes[HEADER_FIELDS_LEN..HEADER_LEN].copy_from_slice(&digest.to_le_bytes());
+            // Down to a record-less version-1 header, shorter than ours.
+            for len in [bytes.len(), 24] {
+                fs::write(&path, &bytes[..len]).unwrap();
+                match store.load_epoch::<f64>(1).unwrap_err() {
+                    DurableError::SchemaMismatch {
+                        found, supported, ..
+                    } => {
+                        assert_eq!(found, version);
+                        assert_eq!(supported, SCHEMA_VERSION);
+                    }
+                    other => panic!("version {version}: expected SchemaMismatch, got {other}"),
+                }
+                let rec = store.recover::<f64>().unwrap();
+                assert_eq!(rec.epoch, 0, "version {version} was parsed");
+                let named = rec.skipped[0].to_string();
+                assert!(
+                    named.contains(&format!("schema version {version} "))
+                        && named.contains(&format!("reads version {SCHEMA_VERSION}")),
+                    "{named}"
+                );
             }
-            other => panic!("expected SchemaMismatch, got {other}"),
         }
         fs::remove_dir_all(&dir).ok();
     }
@@ -1129,8 +1186,9 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// An epoch file whose every checksum is valid but whose one record
-    /// claims `n_grids = u64::MAX` (rank 0, slot 0).
+    /// An epoch file with a valid header digest whose one record claims
+    /// `n_grids = u64::MAX` (rank 0, slot 0). Its record digest is never
+    /// reached: the parser rejects the claim first.
     fn endless_record_frame() -> Vec<u8> {
         let mut payload = Vec::new();
         for field in [0, 0, u64::MAX] {
@@ -1141,16 +1199,16 @@ mod tests {
         push_u32(&mut file, SCHEMA_VERSION);
         push_u64(&mut file, 1);
         push_u32(&mut file, 1);
-        let hcrc = crc32(&file);
-        push_u32(&mut file, hcrc);
+        let digest = header_digest(&file);
+        push_u64(&mut file, digest);
         push_u64(&mut file, payload.len() as u64);
-        push_u32(&mut file, crc32(&payload));
         file.extend_from_slice(&payload);
+        push_u64(&mut file, 0);
         file
     }
 
     #[test]
-    fn a_hostile_grid_count_with_valid_checksums_is_corrupt_not_a_panic() {
+    fn a_hostile_grid_count_with_a_valid_header_is_corrupt_not_a_panic() {
         let dir = tmpdir("hostile");
         let store = DurableStore::create(&dir).unwrap();
         fs::write(store.epoch_path(1), endless_record_frame()).unwrap();
@@ -1165,30 +1223,35 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// Re-stamp the header checksum and every record checksum the frame
-    /// structure still reaches, so a mutation is judged by the parser
-    /// rather than stopped at a checksum.
-    fn restamp(bytes: &mut [u8]) {
+    /// Re-stamp the header digest and the digest of every record the
+    /// frame structure still reaches and that still decodes as `T`, so a
+    /// mutation is judged by the parser rather than stopped at a digest.
+    fn restamp<T: Scalar>(bytes: &mut [u8]) {
         if bytes.len() < HEADER_LEN {
             return;
         }
-        let hcrc = crc32(&bytes[..20]);
-        bytes[20..24].copy_from_slice(&hcrc.to_le_bytes());
+        let digest = header_digest(bytes);
+        bytes[HEADER_FIELDS_LEN..HEADER_LEN].copy_from_slice(&digest.to_le_bytes());
+        let corrupt = |detail: String| DurableError::Corrupt {
+            path: PathBuf::new(),
+            detail,
+        };
         let mut at = HEADER_LEN;
-        for _ in 0..read_u32(bytes, 16) {
-            let Some(start) = at.checked_add(FRAME_LEN).filter(|&e| e <= bytes.len()) else {
+        for i in 0..read_u32(bytes, 16) as usize {
+            let Some(start) = at.checked_add(8).filter(|&e| e <= bytes.len()) else {
                 return;
             };
             let end = usize::try_from(read_u64(bytes, at))
                 .ok()
                 .and_then(|len| start.checked_add(len))
-                .filter(|&e| e <= bytes.len());
+                .filter(|&e| e.checked_add(8).is_some_and(|d| d <= bytes.len()));
             let Some(end) = end else {
                 return;
             };
-            let crc = crc32(&bytes[start..end]);
-            bytes[at + 8..start].copy_from_slice(&crc.to_le_bytes());
-            at = end;
+            if let Ok((_, digest)) = parse_record::<T>(&bytes[start..end], i, &corrupt) {
+                bytes[end..end + 8].copy_from_slice(&digest.to_le_bytes());
+            }
+            at = end + 8;
         }
     }
 
@@ -1272,7 +1335,11 @@ mod tests {
             for _ in 0..1 + rng.next_below(3) {
                 mutate(&mut bytes, &mut rng);
             }
-            restamp(&mut bytes);
+            if case % 2 == 0 {
+                restamp::<f64>(&mut bytes);
+            } else {
+                restamp::<C64>(&mut bytes);
+            }
             let path = store.epoch_path(*epoch);
             fs::write(&path, &bytes).unwrap();
             // Read as the spilled scalar and as the other one.
@@ -1290,7 +1357,7 @@ mod tests {
             fs::remove_file(&path).unwrap();
         }
         // Some mutations (a flipped data bit, extended trailing bytes) leave
-        // a file that still parses: the fuzz reached past the checksums.
+        // a file that still parses: the fuzz reached past the digests.
         assert!(loaded > 0, "no mutated file ever parsed");
         fs::remove_dir_all(&dir).ok();
     }

@@ -65,7 +65,7 @@ pub use checkpoint::{
 pub use chrome::ChromeTrace;
 pub use config::{Approach, FdConfig};
 pub use durable::{DurableError, DurableStore, Recovered, SnapshotRecord};
-pub use integrity::{crc32, flip_bit, grids_digest, payload_digest, run_digest};
+pub use integrity::{flip_bit, grids_digest, payload_digest, run_digest};
 pub use plan::{decomposition_shortfall, decomposition_supports, RankPlan};
 pub use progcache::{CacheStats, JobPrograms, ProgramCache, ProgramKey};
 pub use program::{

@@ -486,39 +486,35 @@ impl SweepProgram {
             .sum()
     }
 
-    /// Messages one replay of `ops` sends from this rank (this thread's
-    /// share): one per `SendFace` direction that has a neighbor.
-    pub fn messages_per_sweep(&self) -> u64 {
+    /// Every message one replay of `ops` sends from this rank (this
+    /// thread's share), as `(neighbor rank, bytes)`: one per `SendFace`
+    /// direction that has a neighbor, of the plan's static size. All of
+    /// the program's traffic arithmetic derives from this walk.
+    pub fn sends(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.ops
             .iter()
-            .map(|op| match *op {
-                SweepOp::SendFace { dirs, .. } => dirs
-                    .dirs()
-                    .iter()
-                    .filter(|ld| self.plan.neighbors[ld.index()].is_some())
-                    .count() as u64,
-                _ => 0,
+            .filter_map(|op| match *op {
+                SweepOp::SendFace { batch, dirs, .. } => Some((self.batches.size(batch), dirs)),
+                _ => None,
             })
-            .sum()
+            .flat_map(move |(grids, dirs)| {
+                dirs.dirs().iter().filter_map(move |ld| {
+                    let nb = self.plan.neighbors[ld.index()]?;
+                    Some((nb, self.plan.msg_bytes(ld.axis, grids)))
+                })
+            })
+    }
+
+    /// Messages one replay of `ops` sends from this rank (this thread's
+    /// share).
+    pub fn messages_per_sweep(&self) -> u64 {
+        self.sends().count() as u64
     }
 
     /// Bytes one replay of `ops` sends from this rank (this thread's
     /// share).
     pub fn bytes_per_sweep(&self) -> u64 {
-        self.ops
-            .iter()
-            .map(|op| match *op {
-                SweepOp::SendFace { batch, dirs, .. } => {
-                    let grids = self.batches.size(batch);
-                    dirs.dirs()
-                        .iter()
-                        .filter(|ld| self.plan.neighbors[ld.index()].is_some())
-                        .map(|ld| self.plan.msg_bytes(ld.axis, grids))
-                        .sum()
-                }
-                _ => 0,
-            })
-            .sum()
+        self.sends().map(|(_, bytes)| bytes).sum()
     }
 
     /// Total messages over the whole run ([`SweepProgram::replays`]

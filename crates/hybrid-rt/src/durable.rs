@@ -7,13 +7,13 @@
 //! advances the consistent epoch a stride past the last spill, then
 //! streams that epoch — borrowed from the store's shared snapshots, never
 //! copied — into a [`DurableStore`] directory: one atomic write-rename
-//! epoch file per spill, with per-record CRCs (`gpaw_fd::durable` has
-//! the format). Once an epoch is on disk,
-//! older in-memory snapshots are pruned, so RAM holds only the staging
-//! window.
+//! epoch file per spill, each record carrying the digest its snapshot
+//! was verified against (`gpaw_fd::durable` has the format). Once an
+//! epoch is on disk, older in-memory snapshots are pruned, so RAM holds
+//! only the staging window.
 //!
 //! The restore path (`DurabilityConfig::restore`) inverts it: recover
-//! the newest epoch that passes its checksums (corrupt or torn files
+//! the newest epoch that passes its digests (corrupt or torn files
 //! degrade to the previous durable epoch — worst case the synthetic
 //! fill — with typed errors reported, never a panic) and validate it
 //! against the geometry that wrote it. The driver then rehydrates a fresh
@@ -33,7 +33,6 @@ use gpaw_fd::checkpoint::CheckpointStore;
 use gpaw_fd::durable::{DurableError, DurableStore, RecordRef, SnapshotRecord};
 use gpaw_fd::fabric::NativeFabric;
 use gpaw_fd::progcache::JobPrograms;
-use gpaw_fd::program::SweepOp;
 use gpaw_grid::scalar::Scalar;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -170,7 +169,7 @@ pub(crate) struct Restored<T> {
     pub writer: Option<JobGeometry>,
 }
 
-/// Recover the newest epoch on `disk` that passes its checksums and
+/// Recover the newest epoch on `disk` that passes its digests and
 /// validate it against the geometry that wrote it: `geo` itself when the
 /// rank counts match, otherwise the writer's geometry rebuilt from its
 /// rank count through `resolve`. Epochs rejected on the way (corrupt or
@@ -345,12 +344,12 @@ fn validate_restored<T: Scalar>(
 }
 
 /// Charge the fabric for the traffic of sweeps `0..epochs`, which the
-/// killed process already sent: per compiled `SendFace` direction with a
-/// neighbor, one message of the plan's static size per *replay* of the
-/// program — `epochs` replays classically, `epochs / block` when the
-/// program fuses `block` sweeps per exchange. Per-tag sequence state
-/// needs no seeding — resuming at `start_sweep = epochs` means those
-/// tags are never used again.
+/// killed process already sent: every message of
+/// [`SweepProgram::sends`](gpaw_fd::program::SweepProgram::sends) once
+/// per *replay* of the program — `epochs` replays classically,
+/// `epochs / block` when the program fuses `block` sweeps per exchange.
+/// Per-tag sequence state needs no seeding — resuming at `start_sweep =
+/// epochs` means those tags are never used again.
 pub(crate) fn seed_restored_traffic<T: Scalar>(
     fabric: &NativeFabric<T>,
     programs: &JobPrograms,
@@ -359,16 +358,8 @@ pub(crate) fn seed_restored_traffic<T: Scalar>(
     for (rank, progs) in programs.iter().enumerate() {
         for prog in progs {
             let replays = (epochs / prog.block()) as u64;
-            for op in &prog.ops {
-                if let SweepOp::SendFace { batch, dirs, .. } = *op {
-                    let grids = prog.batches.size(batch);
-                    for ld in dirs.dirs() {
-                        if let Some(nb) = prog.plan.neighbors[ld.index()] {
-                            let bytes = prog.plan.msg_bytes(ld.axis, grids);
-                            fabric.credit_logical(rank, nb, replays, bytes * replays);
-                        }
-                    }
-                }
+            for (nb, bytes) in prog.sends() {
+                fabric.credit_logical(rank, nb, replays, bytes * replays);
             }
         }
     }

@@ -30,9 +30,9 @@
 //!   names the retries, the geometry shrinks, the disk and the program
 //!   cache; a bare policy runs one attempt with no checkpoints. Epoch
 //!   checkpoints (`gpaw_fd::checkpoint`, deposited at every sweep's
-//!   `AdvanceBuffer` boundary) plus the fabric's send-side retransmission
-//!   buffers let a failed attempt roll back to the newest consistent
-//!   epoch and resume mid-program; exhausted retries shrink the job onto
+//!   `AdvanceBuffer` boundary) let a failed attempt roll back to the
+//!   newest consistent epoch and resume mid-program, every rank resending
+//!   its own traffic from there; exhausted retries shrink the job onto
 //!   fewer ranks. Completed runs are bitwise identical to fault-free
 //!   ones, with retries, retransmissions and geometry changes itemized
 //!   in a [`RecoveryReport`]. [`run_native`], [`supervise`] and
@@ -40,7 +40,7 @@
 //!   returns) are one-line wrappers kept for the benchmark package;
 //! * [`durable`] — the durability plane's disk side. A background
 //!   spiller serializes every consistent epoch to disk
-//!   (`gpaw_fd::durable`'s checksummed, atomically-renamed format);
+//!   (`gpaw_fd::durable`'s digest-checked, atomically-renamed format);
 //!   `restore` recovers the newest valid epoch — degrading past corrupt
 //!   files with typed errors, never a panic — and the driver seeds the
 //!   fabric with the killed process's statically-known logical traffic

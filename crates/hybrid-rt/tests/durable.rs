@@ -26,7 +26,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gpaw_fd::config::Approach;
-use gpaw_fd::durable::{crc32, DurableStore, MAGIC, SCHEMA_VERSION};
+use gpaw_fd::durable::{DurableStore, MAGIC};
+use gpaw_fd::integrity::crc32;
 use gpaw_hybrid_rt::{
     execute, run_digest, AdmissionError, DurabilityConfig, JobService, NativeJob, NativeRun,
     Priority, RetryPolicy, RunError, RunPolicy, ServiceConfig, SupervisedRun,
@@ -169,10 +170,10 @@ fn restore_of_a_completed_run_rebuilds_the_report_without_rerunning() {
 }
 
 /// The 20-byte `MANIFEST` older builds wrote beside the epoch files:
-/// magic · schema · epoch u64 · CRC-32 of the 16 bytes before it.
+/// magic · schema 1 · epoch u64 · CRC-32 of the 16 bytes before it.
 fn legacy_manifest(epoch: usize) -> Vec<u8> {
     let mut bytes = MAGIC.to_vec();
-    bytes.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&1u32.to_le_bytes());
     bytes.extend_from_slice(&(epoch as u64).to_le_bytes());
     let crc = crc32(&bytes);
     bytes.extend_from_slice(&crc.to_le_bytes());
