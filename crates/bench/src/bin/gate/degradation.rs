@@ -107,8 +107,11 @@ pub fn run(ledger: &mut Ledger) -> Result<(), SoakFailure> {
             }
             degrades += u64::from(deg.degrades());
             segments += n as u64;
-            let charged = sup.recovery.rank_escalations();
-            retries += charged.iter().map(|e| u64::from(e.retries)).sum::<u64>();
+            let escalations = sup.recovery.rank_escalations();
+            retries += escalations
+                .iter()
+                .map(|e| u64::from(e.retries))
+                .sum::<u64>();
             runs += 1;
             last = Some(sup.run.report);
         }

@@ -424,11 +424,11 @@ impl<T: Scalar> CheckpointStore<T> {
 
     /// Atomically take a shared handle on *every* registered key's
     /// snapshot of `epoch`, sorted by `(rank, slot)` — the unit a durable
-    /// spill serializes, without copying it. `None` if any key lacks that
-    /// epoch (not yet consistent, or already pruned) **or fails its
-    /// digest check** (the poisoned snapshot is purged), so a spill is
-    /// always all-keys-or-nothing and never writes silently-corrupted
-    /// state to disk.
+    /// spill serializes and a shrink gathers, without copying it. `None`
+    /// if any key lacks that epoch (not yet consistent, or already
+    /// pruned) **or fails its digest check** (the poisoned snapshot is
+    /// purged), so a spill or a shrink is always all-keys-or-nothing and
+    /// never hands on silently-corrupted state.
     pub fn epoch_snapshots(&self, epoch: Epoch) -> Option<Vec<SharedSnapshot<T>>> {
         let held: Vec<SharedSnapshot<T>> = {
             let st = self.lock();
@@ -444,28 +444,6 @@ impl<T: Scalar> CheckpointStore<T> {
         held.iter()
             .all(|s| self.verify((s.rank, s.slot, epoch), &s.snap))
             .then_some(held)
-    }
-
-    /// [`epoch_snapshots`](CheckpointStore::epoch_snapshots) cloned out
-    /// into owned records, for callers that outlive or reshape them.
-    pub fn epoch_records(&self, epoch: Epoch) -> Option<Vec<SnapshotRecord<T>>> {
-        let held = self.epoch_snapshots(epoch)?;
-        Some(
-            held.iter()
-                .map(|s| SnapshotRecord {
-                    rank: s.rank,
-                    slot: s.slot,
-                    grids: s.grids().to_vec(),
-                })
-                .collect(),
-        )
-    }
-
-    /// Drop every snapshot strictly below `epoch` — called once a spill
-    /// has made `epoch` durable on disk, so memory never retains what
-    /// the disk already guarantees.
-    pub fn prune_below(&self, epoch: Epoch) {
-        self.lock().prune(|e| e >= epoch);
     }
 }
 
@@ -653,7 +631,9 @@ impl fmt::Display for RegridError {
 
 impl std::error::Error for RegridError {}
 
-/// Assemble one epoch's per-shard snapshots into full global grids.
+/// Assemble one epoch's per-shard snapshots, each a borrowed `(rank,
+/// slot, grids)` — from a store's [`SharedSnapshot`]s or from records a
+/// restore read — into full global grids.
 ///
 /// Grid state at an epoch boundary is geometry-independent in the
 /// *interior* (ghosts are refilled by the halo exchange that opens every
@@ -661,33 +641,35 @@ impl std::error::Error for RegridError {}
 /// zero. Coverage is checked exactly: every interior point of every
 /// grid must be written once, which catches a layout/record mismatch
 /// before it can become a silent bitwise diff on the shrunken geometry.
-pub fn gather_epoch<T: Scalar>(
-    records: &[SnapshotRecord<T>],
+pub fn gather_epoch<'a, T: Scalar>(
+    records: impl IntoIterator<Item = (usize, usize, &'a [Grid3<T>])>,
     layout: &[ShardSpec],
     grid_ext: [usize; 3],
     n_grids: usize,
     halo: usize,
 ) -> Result<Vec<Grid3<T>>, RegridError> {
-    let by_key: HashMap<(usize, usize), &SnapshotRecord<T>> =
-        records.iter().map(|r| ((r.rank, r.slot), r)).collect();
+    let by_key: HashMap<(usize, usize), &[Grid3<T>]> = records
+        .into_iter()
+        .map(|(rank, slot, grids)| ((rank, slot), grids))
+        .collect();
     let mut global: Vec<Grid3<T>> = (0..n_grids).map(|_| Grid3::zeros(grid_ext, halo)).collect();
     let mut covered = vec![0usize; n_grids];
     for spec in layout {
-        let rec = by_key
+        let grids = by_key
             .get(&(spec.rank, spec.slot))
             .ok_or(RegridError::MissingRecord {
                 rank: spec.rank,
                 slot: spec.slot,
             })?;
-        if rec.grids.len() != spec.grid_ids.len() {
+        if grids.len() != spec.grid_ids.len() {
             return Err(RegridError::GridCountMismatch {
                 rank: spec.rank,
                 slot: spec.slot,
-                got: rec.grids.len(),
+                got: grids.len(),
                 want: spec.grid_ids.len(),
             });
         }
-        for (g, &id) in rec.grids.iter().zip(&spec.grid_ids) {
+        for (g, &id) in grids.iter().zip(&spec.grid_ids) {
             if g.n() != spec.sub.ext {
                 return Err(RegridError::ExtentMismatch {
                     rank: spec.rank,
@@ -863,15 +845,16 @@ mod tests {
     }
 
     #[test]
-    fn epoch_records_is_all_keys_or_nothing() {
+    fn epoch_snapshots_is_all_keys_or_nothing() {
         let s = store();
         s.deposit(0, 0, 1, vec![grid(1.0)]);
         assert!(
-            s.epoch_records(1).is_none(),
+            s.epoch_snapshots(1).is_none(),
             "epoch 1 is not consistent yet — a spill now would tear"
         );
         s.deposit(1, 0, 1, vec![grid(2.0)]);
-        let recs = s.epoch_records(1).expect("both keys deposited");
+        let snaps = s.epoch_snapshots(1).expect("both keys deposited");
+        let recs: Vec<_> = snaps.iter().map(SharedSnapshot::as_record_ref).collect();
         assert_eq!(recs.len(), 2);
         assert_eq!(
             (recs[0].rank, recs[0].slot),
@@ -879,19 +862,6 @@ mod tests {
             "sorted by (rank, slot)"
         );
         assert_eq!(recs[1].grids[0].data()[0], 2.0);
-    }
-
-    #[test]
-    fn prune_below_drops_spilled_epochs_but_keeps_the_floor() {
-        let s = store();
-        s.deposit(0, 0, 1, vec![grid(1.0)]);
-        s.deposit(0, 0, 2, vec![grid(2.0)]);
-        // Only rank 0 progressed, so the consistent floor has not moved
-        // and both snapshots are live. A durable spill of epoch 2 for
-        // rank 0's key lets us drop epoch 1 from memory explicitly.
-        s.prune_below(2);
-        assert!(s.restore(0, 0, 1).is_none());
-        assert!(s.restore(0, 0, 2).is_some());
     }
 
     #[test]
@@ -951,13 +921,13 @@ mod tests {
     }
 
     #[test]
-    fn epoch_records_refuse_to_spill_a_poisoned_epoch() {
+    fn epoch_snapshots_refuse_to_hand_over_a_poisoned_epoch() {
         let s = store();
         s.deposit(0, 0, 1, vec![grid(1.0)]);
         s.deposit(1, 0, 1, vec![grid(2.0)]);
         assert!(s.corrupt_snapshot(0, 0, 1));
         assert!(
-            s.epoch_records(1).is_none(),
+            s.epoch_snapshots(1).is_none(),
             "a spill must never serialize corrupted state"
         );
         assert!(s.digest_failures() >= 1);
@@ -1029,7 +999,7 @@ mod tests {
 
     #[test]
     fn a_deposit_never_waits_for_a_reader_mid_epoch() {
-        // A reader mid-`epoch_records` / mid-spill is exactly a thread
+        // A reader mid-gather / mid-spill is exactly a thread
         // holding the epoch's handles and no lock. Hold them here for the
         // whole test: deposits from another thread must still complete,
         // prune the epoch out from under the reader, and leave the

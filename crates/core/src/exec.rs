@@ -1,7 +1,7 @@
 //! The functional plane: the compiled sweep programs on real data.
 //!
 //! One OS thread per MPI process, real packed faces through a clean
-//! [`NativeFabric`] (no fault plan, no rollback ledger), and the real
+//! [`NativeFabric`] (no fault plan, never rolled back), and the real
 //! stencil kernel — launched by [`interp::launch`], the same launcher and
 //! interpreter the native plane runs. For the hybrid approaches the
 //! interpreter gives each process its inner threads (four, the paper's

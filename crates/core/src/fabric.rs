@@ -5,31 +5,34 @@
 //! `Vec<T>` of packed face data matched on `(source, tag)` with FIFO
 //! ordering per pair. Sends never block (buffered, like eager-protocol
 //! MPI); receives block until a match arrives. The functional plane runs
-//! it clean — no fault plan, no rollback ledger — and the native plane
-//! adds both. What makes it a *measured*, *survivable* transport:
+//! it clean, with no fault plan; the native plane adds one and rolls it
+//! back between supervised attempts. What makes it a *measured*,
+//! *survivable* transport:
 //!
 //! * **sharded mailboxes** — one mutex per `(destination, source)` pair,
 //!   so the four concurrent endpoints of *hybrid multiple* never contend
 //!   on senders from different ranks (lock-free between distinct pairs; a
 //!   mutex only orders one pair's FIFO);
-//! * **state sized by the traffic in flight** — a shard keeps one record
-//!   per tag (queue, both sequence cursors and the exactly-once ledger),
-//!   and a message's payload lives only until it is consumed. Without a
-//!   rollback ledger the record is retired as soon as the tag goes quiet
-//!   (everything sent on it consumed), so a drained fabric holds no tag
-//!   state however many sweeps it carried;
+//! * **delivery state sized by the traffic in flight** — a shard keeps
+//!   one record per tag (its queue and both sequence cursors), and a
+//!   message's payload lives only until it is consumed. The record is
+//!   retired as soon as the tag goes quiet (everything sent on it
+//!   consumed), so a drained fabric holds no tag state however many
+//!   sweeps it carried, supervised or not;
 //! * **wake-ups only for receivers that sleep** — a receive that finds
 //!   its message never registers, reads the clock or sleeps; one that
 //!   must wait parks its thread, and a send unparks only the receivers
 //!   asleep on its tag (every sleeper on the shard only when the fault
 //!   plan parks a message, so they switch to redelivery polls);
-//! * **traffic accounting** — per-pair counters, charged under the
-//!   shard lock the send already holds, classify every message as
-//!   intra-node (shared-memory on a real Blue Gene/P) or inter-node
-//!   (torus traffic), giving real-data runs the same `bytes_per_node` /
-//!   `network_bytes_per_node` split the timed machine reports. Counters
-//!   are charged once per *logical* message, so fault injection
-//!   (duplicates, redelivery) never changes the counts;
+//! * **traffic accounting per sweep** — each shard charges its logical
+//!   messages and bytes to the sweep the tag names
+//!   ([`sweep_of_tag`]), under the shard lock the send already holds.
+//!   [`NativeFabric::stats`] folds the sweeps and classifies every pair as
+//!   intra-node (shared-memory on a real Blue Gene/P) or inter-node (torus
+//!   traffic), giving real-data runs the same `bytes_per_node` /
+//!   `network_bytes_per_node` split the timed machine reports. A message
+//!   is charged once however the fault plan delivers it (duplicates,
+//!   redelivery);
 //! * **the fault plane** — an optional seeded
 //!   [`FaultPlan`](crate::fault::FaultPlan) perturbs
 //!   delivery (delay, duplicate-then-dedup, drop-with-redelivery) within
@@ -45,13 +48,17 @@
 //!   at send over the intact bits and verified at recv *before* the
 //!   per-tag sequence cursor advances. A flipped bit — injected by the
 //!   fault plane or otherwise — surfaces as [`RecvError::Corrupt`]
-//!   instead of propagating into a grid. Injected flips touch only a
-//!   message's first, logical send, so after a supervised rollback the
-//!   replaying sender's resend carries the true bits;
-//! * **recovery by replay** — a rollback resets every rolled-back tag's
-//!   queue and cursors and keeps nothing else: every rank re-runs from the
-//!   restored epoch, so each rolled-back message is sent again by its own
-//!   sender, and charged as a retransmission, not as logical traffic.
+//!   instead of propagating into a grid. The injector is one-shot, so
+//!   after a supervised rollback the replaying sender's resend carries
+//!   the true bits;
+//! * **recovery by replay** — [`NativeFabric::rollback`] deletes every
+//!   rolled-back tag's record and parked envelopes, and moves the charges
+//!   of the rolled-back sweeps into the retransmission counters: every
+//!   rank re-runs from the restored epoch, so each rolled-back message is
+//!   sent again by its own sender and charged as logical traffic once
+//!   more. A fabric that starts mid-run ([`NativeFabric::resume`]) counts
+//!   sends of sweeps below its start epoch as retransmissions, since those
+//!   sweeps were charged before it existed.
 //!
 //! Bytes are charged to the *sending* node (injection accounting, matching
 //! the interconnect model's per-node injection counters).
@@ -114,9 +121,9 @@ struct Waiter {
     thread: Thread,
 }
 
-/// Everything one `(src, tag)` stream of a shard needs. Created by the
-/// first send on the tag; retired by [`ShardState::take_next`] once the
-/// tag goes quiet, unless the fabric keeps the rollback ledger.
+/// The delivery state of one `(src, tag)` stream of a shard. Created by
+/// the first send on the tag; retired by [`ShardState::take_next`] once
+/// the tag goes quiet, and by a rollback of the tag's sweep.
 struct TagRecord<T> {
     /// Envelopes in arrival order; delivery goes by sequence number.
     queue: VecDeque<Envelope<T>>,
@@ -124,11 +131,6 @@ struct TagRecord<T> {
     next_send: u64,
     /// Next sequence number the receiver expects.
     next_recv: u64,
-    /// Sequence high-water already charged to the *logical* traffic
-    /// counters. A send below it is a retransmission (a replayed send
-    /// after rollback) and is charged to the retransmission counters
-    /// instead — logical counts stay exact across any number of retries.
-    charged: u64,
 }
 
 impl<T> Default for TagRecord<T> {
@@ -137,8 +139,21 @@ impl<T> Default for TagRecord<T> {
             queue: VecDeque::new(),
             next_send: 0,
             next_recv: 0,
-            charged: 0,
         }
+    }
+}
+
+/// Messages and payload bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Traffic {
+    messages: u64,
+    bytes: u64,
+}
+
+impl Traffic {
+    fn add(&mut self, other: Traffic) {
+        self.messages += other.messages;
+        self.bytes += other.bytes;
     }
 }
 
@@ -156,8 +171,7 @@ impl<T> TagRecord<T> {
 /// traffic in flight, parked messages, sleeping receivers, and the
 /// pair's traffic and integrity counters.
 struct ShardState<T> {
-    /// tag → its stream. Without the rollback ledger only tags with
-    /// traffic in flight have a record; with it, every tag sent on.
+    /// tag → its stream; only tags with traffic in flight have one.
     tags: HashMap<u64, TagRecord<T>>,
     /// Fault-plan holdbacks, any tag.
     parked: Vec<ParkedMsg<T>>,
@@ -169,14 +183,14 @@ struct ShardState<T> {
     /// Monotonic across rollbacks, which is what makes one-shot lethal
     /// faults stay one-shot under replay.
     sent_count: u64,
-    /// Logical messages charged on this pair, each once.
-    messages: u64,
-    /// Payload bytes of the logical messages.
-    bytes: u64,
-    /// Replayed sends below a tag's charged high-water.
-    retrans_messages: u64,
-    /// Payload bytes of the replayed sends.
-    retrans_bytes: u64,
+    /// Logical traffic on this pair by the sweep its tags name (index =
+    /// sweep): one slot per sweep sent on, so bounded by the job's
+    /// sweeps. Traffic a resumed fabric is credited with sits in slot 0,
+    /// below the start epoch, where no rollback reaches.
+    by_sweep: Vec<Traffic>,
+    /// Logical sends a rollback discarded, plus sends of sweeps below the
+    /// fabric's start epoch: recovery overhead, never logical traffic.
+    retrans: Traffic,
     /// Payloads whose checksum verified at this shard's receives.
     verified: u64,
     /// Payloads this shard's receives rejected as corrupted.
@@ -202,10 +216,8 @@ impl<T> Default for ShardState<T> {
             waiters: Vec::new(),
             wakeups: 0,
             sent_count: 0,
-            messages: 0,
-            bytes: 0,
-            retrans_messages: 0,
-            retrans_bytes: 0,
+            by_sweep: Vec::new(),
+            retrans: Traffic::default(),
             verified: 0,
             corrupted: 0,
             last_bad: None,
@@ -222,13 +234,11 @@ impl<T: Scalar> ShardState<T> {
     /// rollback resets it, and the sender's replayed intact resend
     /// satisfies the same sequence number.
     ///
-    /// With `retire`, a tag that goes quiet here — every sequence number
-    /// sent on it consumed — loses its record, and a later send on it
-    /// starts a fresh stream at sequence 0. Only a fabric without the
-    /// rollback ledger may retire: with it, the record's charged
-    /// high-water is what a replay is counted against. A parked envelope
-    /// is its message's only copy, so a quiet tag has none parked.
-    fn take_next(&mut self, tag: u64, retire: bool, detections: &AtomicU64) -> Take<T> {
+    /// A tag that goes quiet here — every sequence number sent on it
+    /// consumed — loses its record, and a later send on it starts a fresh
+    /// stream at sequence 0. A parked envelope is its message's only
+    /// copy, so a quiet tag has none parked.
+    fn take_next(&mut self, tag: u64, detections: &AtomicU64) -> Take<T> {
         let Entry::Occupied(mut slot) = self.tags.entry(tag) else {
             return Take::Pending;
         };
@@ -252,7 +262,7 @@ impl<T: Scalar> ShardState<T> {
         }
         self.verified += 1;
         rec.next_recv = next + 1;
-        if retire && rec.next_recv == rec.next_send {
+        if rec.next_recv == rec.next_send {
             slot.remove();
         }
         Take::Ready(env.payload)
@@ -301,22 +311,47 @@ impl<T> ShardState<T> {
         self.parked.is_empty() && self.tags.values().all(|r| r.live_depth() == 0)
     }
 
+    /// Charge one send of `bytes` on a tag of `sweep`: logical traffic of
+    /// that sweep, or a retransmission below the fabric's start epoch
+    /// `floor`.
+    fn charge(&mut self, sweep: usize, floor: usize, bytes: u64) {
+        let sent = Traffic { messages: 1, bytes };
+        if sweep < floor {
+            self.retrans.add(sent);
+            return;
+        }
+        if self.by_sweep.len() <= sweep {
+            self.by_sweep.resize(sweep + 1, Traffic::default());
+        }
+        self.by_sweep[sweep].add(sent);
+    }
+
     /// Reset this shard to the epoch boundary `epoch`. Tags of committed
-    /// sweeps (`sweep < epoch`) keep their state — their messages are
-    /// already reflected in the checkpointed grids. Tags of rolled-back
-    /// sweeps lose their queued and parked envelopes and restart at
-    /// sequence 0: every rank replays from `epoch`, so each rolled-back
-    /// message is sent again by its own sender. `charged` survives
-    /// untouched: it is the exactly-once high-water that counts those
-    /// resends as retransmissions.
-    fn rollback_to(&mut self, epoch: usize) {
+    /// sweeps (`sweep < epoch`) went quiet before the epoch committed, so
+    /// they hold no record. Tags of rolled-back sweeps lose their record
+    /// and parked envelopes: every rank replays from `epoch`, so each
+    /// rolled-back message is sent again by its own sender, on a fresh
+    /// stream. The logical charges of the rolled-back sweeps become
+    /// retransmissions, and the replay charges its sends again; sweeps
+    /// below the start epoch `floor` were charged before this fabric
+    /// existed and stay as they are.
+    fn rollback_to(&mut self, epoch: usize, floor: usize) {
         let rolled = |tag: u64| sweep_of_tag(tag) >= epoch;
         self.parked.retain(|p| !rolled(p.tag));
-        for (_, rec) in self.tags.iter_mut().filter(|(&tag, _)| rolled(tag)) {
-            rec.queue.clear();
-            rec.next_send = 0;
-            rec.next_recv = 0;
+        self.tags.retain(|&tag, _| !rolled(tag));
+        let keep = epoch.max(floor).min(self.by_sweep.len());
+        for discarded in self.by_sweep.drain(keep..) {
+            self.retrans.add(discarded);
         }
+    }
+
+    /// Logical traffic over every sweep.
+    fn logical(&self) -> Traffic {
+        let mut total = Traffic::default();
+        for t in &self.by_sweep {
+            total.add(*t);
+        }
+        total
     }
 }
 
@@ -342,9 +377,11 @@ pub struct FabricStats {
     pub network_bytes_per_node: Vec<u64>,
     /// Inter-node messages injected per node.
     pub network_messages_per_node: Vec<u64>,
-    /// Replayed sends whose sequence number was already charged before a
-    /// rollback — recovery overhead, kept out of every logical counter
-    /// above so exact-traffic checks hold for recovered runs too.
+    /// Logical sends a rollback discarded, plus sends of sweeps below the
+    /// start epoch of a resumed fabric — recovery overhead, kept out of
+    /// every logical counter above so exact-traffic checks hold for
+    /// recovered runs too. In a completed run it is every send beyond the
+    /// logical ones.
     pub retransmitted_messages: u64,
     /// Payload bytes of the retransmitted sends.
     pub retransmitted_bytes: u64,
@@ -398,6 +435,9 @@ pub struct NativeFabric<T> {
     nodes: usize,
     elem_bytes: u64,
     config: FabricConfig,
+    /// The epoch the fabric started at: sweeps below it were charged
+    /// before it existed ([`resume`](NativeFabric::resume)).
+    floor: usize,
     /// Completed sends per source rank (panic-injection ordinal).
     sends_of_rank: Vec<AtomicU64>,
     /// Fabric-wide corruption-detection ordinal, stamped onto each
@@ -412,7 +452,7 @@ impl<T: Scalar> NativeFabric<T> {
         Self::with_config(map, FabricConfig::default())
     }
 
-    /// A fabric with explicit watchdog/fault-plan/ledger knobs.
+    /// A fabric with an explicit watchdog and fault plan.
     pub fn with_config(map: &CartMap, config: FabricConfig) -> NativeFabric<T> {
         let ranks = map.ranks();
         let shape = map.partition.node_shape;
@@ -425,6 +465,7 @@ impl<T: Scalar> NativeFabric<T> {
             nodes,
             elem_bytes: T::BYTES as u64,
             config,
+            floor: 0,
             sends_of_rank: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             detections: AtomicU64::new(0),
         }
@@ -435,7 +476,7 @@ impl<T: Scalar> NativeFabric<T> {
         self.ranks
     }
 
-    /// The active configuration (watchdog, fault plan, ledger).
+    /// The active configuration (watchdog, fault plan).
     pub fn config(&self) -> &FabricConfig {
         &self.config
     }
@@ -445,8 +486,9 @@ impl<T: Scalar> NativeFabric<T> {
     }
 
     /// Deliver `payload` to `dst`, stamped as coming from `src` with `tag`.
-    /// Never blocks; charges the payload to `src`'s node (once per logical
-    /// message, whatever the fault plan does to its delivery).
+    /// Never blocks; charges the payload to `src`'s node and the tag's
+    /// sweep (once per send, whatever the fault plan does to its
+    /// delivery).
     ///
     /// # Panics
     /// Panics when the fault plan's [`PanicInjection`](crate::fault::PanicInjection)
@@ -488,27 +530,14 @@ impl<T: Scalar> NativeFabric<T> {
         let st = &mut *guard;
         st.sent_count += 1;
         let sent_count = st.sent_count;
+        st.charge(sweep_of_tag(tag), self.floor, bytes);
         let rec = st.tags.entry(tag).or_default();
         let seq = rec.next_send;
         rec.next_send += 1;
 
-        // Exactly-once logical accounting: a sequence number below the
-        // charged high-water was counted before a rollback replayed this
-        // send — it is a *retransmission*, charged to its own counters so
-        // exact-traffic checks keep holding for recovered runs.
-        let replayed = seq < rec.charged;
-        if replayed {
-            st.retrans_messages += 1;
-            st.retrans_bytes += bytes;
-        } else {
-            rec.charged = seq + 1;
-            st.messages += 1;
-            st.bytes += bytes;
-        }
-
         let mut env = Envelope { seq, sum, payload };
 
-        let mut action = match self.config.plan.as_ref() {
+        let action = match self.config.plan.as_ref() {
             None => FaultAction::Deliver,
             Some(plan) => {
                 if plan
@@ -519,36 +548,21 @@ impl<T: Scalar> NativeFabric<T> {
                     // number stays consumed (and charged), so the receiver
                     // starves on exactly this (src, tag) and the watchdog
                     // names it. `sent_count` is monotonic across rollbacks,
-                    // so the replayed send passes through — and lands in
-                    // the retransmission counters, not the logical ones.
+                    // so the replayed send passes through.
                     return;
+                }
+                // Payload corruption flips one seeded bit of the delivered
+                // copy. Keyed on the same monotonic send count, it fires
+                // once, so a replayed send delivers the true bits.
+                if plan
+                    .corrupt_payload
+                    .is_some_and(|cp| cp.src == src && cp.dst == dst && cp.nth == sent_count)
+                {
+                    flip_bit(&mut env.payload, plan.corrupt_raw(src, dst, tag, seq));
                 }
                 plan.action(src, dst, tag, seq)
             }
         };
-
-        // Corruption resolves to a seeded bit flip of the delivered
-        // payload, and only on a logical send: the identity-keyed Corrupt
-        // draw would re-fire on a replayed send, and a replay must deliver
-        // the true bits. The targeted injector is also keyed on the
-        // shard's monotonic send count, like the black hole, so it fires
-        // once.
-        let mut flip: Option<u64> = None;
-        if let FaultAction::Corrupt { raw } = action {
-            flip = Some(raw);
-            action = FaultAction::Deliver;
-        }
-        if let Some(plan) = self.config.plan.as_ref() {
-            if plan
-                .corrupt_payload
-                .is_some_and(|cp| cp.src == src && cp.dst == dst && cp.nth == sent_count)
-            {
-                flip = Some(plan.corrupt_raw(src, dst, tag, seq));
-            }
-        }
-        if let Some(raw) = flip.filter(|_| !replayed) {
-            flip_bit(&mut env.payload, raw);
-        }
 
         let woken = match action {
             FaultAction::Deliver => {
@@ -575,8 +589,6 @@ impl<T: Scalar> NativeFabric<T> {
                 // watchdog sleep to tick-length redelivery polls.
                 st.sleepers_on(|_| true)
             }
-            // Normalized to Deliver above; the flip already happened.
-            FaultAction::Corrupt { .. } => unreachable!("corrupt draws are resolved to a flip"),
         };
         // Unpark once the lock is released, so the woken receiver finds it
         // free.
@@ -596,13 +608,12 @@ impl<T: Scalar> NativeFabric<T> {
     /// watchdog wait — the corruption is already proven). Either carries
     /// a fabric-wide [`FabricDiagnostic`].
     pub fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Vec<T>, RecvError> {
-        let retire = !self.config.keep_ledger;
         let mut st = self.shard(me, src);
         // Set when the receive first has to sleep. A receive whose message
         // is already there never reads the clock or registers as a waiter.
         let mut asleep_since: Option<Instant> = None;
         loop {
-            match st.take_next(tag, retire, &self.detections) {
+            match st.take_next(tag, &self.detections) {
                 Take::Ready(payload) => {
                     if let Some(start) = asleep_since {
                         Self::remove_waiter(&mut st, tag, start);
@@ -790,7 +801,7 @@ impl<T: Scalar> NativeFabric<T> {
     pub fn try_recv(&self, me: usize, src: usize, tag: u64) -> Option<Vec<T>> {
         let mut st = self.shard(me, src);
         st.tick_parked();
-        match st.take_next(tag, !self.config.keep_ledger, &self.detections) {
+        match st.take_next(tag, &self.detections) {
             Take::Ready(payload) => Some(payload),
             Take::Corrupt { .. } | Take::Pending => None,
         }
@@ -804,41 +815,50 @@ impl<T: Scalar> NativeFabric<T> {
         (0..self.ranks).all(|src| self.shard(me, src).is_drained())
     }
 
-    /// Roll every shard back to the epoch boundary `epoch`: drop the
-    /// queued and parked traffic of rolled-back sweeps' tags and restart
-    /// their sequence cursors. Nothing is re-queued — the caller replays
-    /// every rank from `epoch`, so each rolled-back message is sent again
-    /// by its own sender. Traffic counters are untouched, and the per-tag
-    /// charged high-water counts the resends as retransmissions, keeping
-    /// the logical counts exactly-once across replays.
+    /// Roll every shard back to the epoch boundary `epoch`: delete the
+    /// records and parked envelopes of rolled-back sweeps' tags, and move
+    /// those sweeps' logical charges into the retransmission counters.
+    /// Nothing is re-queued — the caller replays every rank from `epoch`,
+    /// so each rolled-back message is sent again by its own sender and
+    /// charged as logical traffic again. A completed run therefore counts
+    /// every message once, whatever it took to complete. Sweeps below the
+    /// start epoch of a [`resume`](NativeFabric::resume)d fabric are never
+    /// un-charged.
     ///
     /// Callers must quiesce the fabric first (no rank threads running);
-    /// the supervisor only rolls back between attempts. Only a fabric
-    /// configured with `keep_ledger` can be rolled back: one without it
-    /// retires quiet tags, and with them their charged high-water.
+    /// the supervisor only rolls back between attempts.
     pub fn rollback(&self, epoch: usize) {
-        debug_assert!(
-            self.config.keep_ledger,
-            "rollback needs a fabric that keeps the rollback ledger"
-        );
         for shard in &self.shards {
-            lock(shard).rollback_to(epoch);
+            lock(shard).rollback_to(epoch, self.floor);
         }
     }
 
-    /// Credit `messages` logical messages of `bytes` total payload from
-    /// `src` to `dst` without moving any data — the durable-restore path
-    /// seeds a fresh process's counters with the traffic the killed
-    /// process already sent for sweeps `0..restore_epoch`. That traffic
-    /// is *statically known* (each compiled program sends the same
-    /// messages every sweep), so a restored run's final report carries
-    /// exactly an uninterrupted run's logical counts. Charged like
-    /// [`send`](NativeFabric::send): to the sending node, with the
-    /// network counters only when the pair crosses nodes.
-    pub fn credit_logical(&self, src: usize, dst: usize, messages: u64, bytes: u64) {
-        let mut st = self.shard(dst, src);
-        st.messages += messages;
-        st.bytes += bytes;
+    /// Start the fabric at epoch `epoch`: sweeps below it were run before
+    /// this fabric existed, by a killed process or by a geometry this one
+    /// took over from. A later send on such a sweep — a rollback can land
+    /// below `epoch` — is a retransmission. Each `(src, dst, messages,
+    /// bytes)` of `credits` charges logical traffic of those earlier
+    /// sweeps without moving any data, like a send on the same pair: the
+    /// durable-restore path credits the traffic the killed process already
+    /// sent, which is *statically known* (each compiled program sends the
+    /// same messages every sweep), so a restored run's final report
+    /// carries exactly an uninterrupted run's logical counts. Called once,
+    /// before any rank runs.
+    pub fn resume(
+        &mut self,
+        epoch: usize,
+        credits: impl IntoIterator<Item = (usize, usize, u64, u64)>,
+    ) {
+        self.floor = epoch;
+        for (src, dst, messages, bytes) in credits {
+            let st = self.shards[dst * self.ranks + src]
+                .get_mut()
+                .unwrap_or_else(|e| e.into_inner());
+            if st.by_sweep.is_empty() {
+                st.by_sweep.push(Traffic::default());
+            }
+            st.by_sweep[0].add(Traffic { messages, bytes });
+        }
     }
 
     /// Snapshot the traffic counters, folding each pair's counts into
@@ -862,15 +882,16 @@ impl<T: Scalar> NativeFabric<T> {
             for src in 0..self.ranks {
                 let st = self.shard(dst, src);
                 let node = self.node_of[src];
-                s.messages_total += st.messages;
-                s.bytes_per_node[node] += st.bytes;
+                let logical = st.logical();
+                s.messages_total += logical.messages;
+                s.bytes_per_node[node] += logical.bytes;
                 if node != self.node_of[dst] {
-                    s.network_messages_total += st.messages;
-                    s.network_bytes_per_node[node] += st.bytes;
-                    s.network_messages_per_node[node] += st.messages;
+                    s.network_messages_total += logical.messages;
+                    s.network_bytes_per_node[node] += logical.bytes;
+                    s.network_messages_per_node[node] += logical.messages;
                 }
-                s.retransmitted_messages += st.retrans_messages;
-                s.retransmitted_bytes += st.retrans_bytes;
+                s.retransmitted_messages += st.retrans.messages;
+                s.retransmitted_bytes += st.retrans.bytes;
                 s.messages_verified += st.verified;
                 s.corruptions_detected += st.corrupted;
             }
@@ -955,12 +976,6 @@ mod tests {
         assert_eq!(s.network_bytes_total(), 80);
         assert_eq!(s.network_messages_per_node_max(), 2);
         assert_eq!(s.bytes_per_node, s.network_bytes_per_node);
-        // A credited restore is charged like a send on the same pair.
-        f.credit_logical(1, 0, 2, 24);
-        let s = f.stats();
-        assert_eq!(s.messages_total, 5);
-        assert_eq!(s.network_bytes_per_node, vec![64, 40]);
-        assert_eq!(s.network_messages_per_node, vec![2, 3]);
     }
 
     /// Tag records held across every shard.
@@ -1021,42 +1036,84 @@ mod tests {
             .sum()
     }
 
-    /// A fabric that can be rolled back: it keeps the ledger.
-    fn ledger_fabric(plan: Option<FaultPlan>) -> NativeFabric<f64> {
+    /// Two SMP ranks, a 5 s watchdog and `plan`.
+    fn watched_fabric(plan: Option<FaultPlan>) -> NativeFabric<f64> {
         let cfg = FabricConfig {
             recv_timeout: Duration::from_secs(5),
             plan,
-            keep_ledger: true,
         };
         NativeFabric::with_config(&map(2, ExecMode::Smp), cfg)
     }
 
+    /// Per-sweep counter slots of the `(dst 1, src 0)` shard.
+    fn sweep_slots(f: &NativeFabric<f64>) -> usize {
+        lock(&f.shards[2]).by_sweep.len()
+    }
+
     #[test]
-    fn a_fabric_with_the_ledger_keeps_every_record_and_counts_replays_against_it() {
-        let f = ledger_fabric(None);
-        for tag in 0..3u64 {
-            f.send(0, 1, tag, vec![tag as f64]);
-            assert_eq!(recv_ok(&f, 1, 0, tag), vec![tag as f64]);
+    fn a_rolled_back_fabric_holds_state_only_for_traffic_in_flight() {
+        let f = watched_fabric(Some(FaultPlan::benign(5)));
+        let tag = |sweep: u64| (sweep << 40) | 3;
+        // Sweeps 0 and 1 complete; sweep 2's message is still in flight
+        // when the attempt fails.
+        for sweep in 0..2u64 {
+            f.send(0, 1, tag(sweep), vec![sweep as f64]);
+            assert_eq!(recv_ok(&f, 1, 0, tag(sweep)), vec![sweep as f64]);
+        }
+        f.send(0, 1, tag(2), vec![2.0]);
+        assert_eq!(tag_records(&f), 1, "only the tag in flight has a record");
+        // Roll back to epoch 1 and replay sweeps 1 and 2 to completion.
+        f.rollback(1);
+        assert_eq!(tag_records(&f), 0, "the rolled-back tag's record is gone");
+        assert_eq!(held_elements(&f), 0, "and so is its payload");
+        for sweep in 1..3u64 {
+            f.send(0, 1, tag(sweep), vec![sweep as f64]);
+            assert_eq!(recv_ok(&f, 1, 0, tag(sweep)), vec![sweep as f64]);
         }
         assert!(f.is_drained(1));
-        assert_eq!(tag_records(&f), 3, "quiet tags keep their records");
-        // The records are what tells the replay's resends apart from new
-        // traffic.
-        f.rollback(0);
-        for tag in 0..3u64 {
-            f.send(0, 1, tag, vec![tag as f64]);
-            assert_eq!(recv_ok(&f, 1, 0, tag), vec![tag as f64]);
-        }
+        assert_eq!(tag_records(&f), 0, "no record outlives a completed replay");
+        // What remains is one counter slot per sweep sent on.
+        assert_eq!(sweep_slots(&f), 3);
         let s = f.stats();
-        assert_eq!(s.messages_total, 3, "logical count is exactly-once");
-        assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (3, 24));
-        assert!(f.is_drained(1));
-        assert_eq!(tag_records(&f), 3);
+        assert_eq!(s.messages_total, 3, "every sweep counted once");
+        assert_eq!(
+            (s.retransmitted_messages, s.retransmitted_bytes),
+            (2, 16),
+            "the discarded sends of sweeps 1 and 2"
+        );
+    }
+
+    #[test]
+    fn a_resumed_fabric_is_credited_and_never_recharges_below_its_start() {
+        // Two SMP nodes: rank == node. The fabric starts at epoch 2, with
+        // sweeps 0 and 1 credited to the 1 -> 0 pair.
+        let mut f = watched_fabric(None);
+        f.resume(2, [(1, 0, 2, 48)]);
+        let s = f.stats();
+        assert_eq!(s.messages_total, 2);
+        assert_eq!(s.network_bytes_per_node, vec![0, 48]);
+        assert_eq!(s.network_messages_per_node, vec![0, 2]);
+        let tag = |sweep: u64| (sweep << 40) | 7;
+        f.send(1, 0, tag(2), vec![2.0; 3]);
+        assert_eq!(recv_ok(&f, 0, 1, tag(2)), vec![2.0; 3]);
+        // A rollback below the start epoch discards sweep 2's charge but
+        // keeps the credit; the replay's sweeps 0 and 1 are resends of
+        // traffic charged before the fabric existed.
+        f.rollback(0);
+        for sweep in 0..3u64 {
+            f.send(1, 0, tag(sweep), vec![sweep as f64; 3]);
+            assert_eq!(recv_ok(&f, 0, 1, tag(sweep)), vec![sweep as f64; 3]);
+        }
+        assert_eq!(tag_records(&f), 0);
+        let s = f.stats();
+        assert_eq!(s.messages_total, 3, "the credit plus sweep 2, once");
+        assert_eq!(s.network_bytes_per_node, vec![0, 72]);
+        assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (3, 72));
     }
 
     #[test]
     fn a_rollback_capable_fabric_holds_no_payload_once_everything_is_consumed() {
-        let f = ledger_fabric(None);
+        let f = watched_fabric(None);
         let tag = |sweep: u64| (sweep << 40) | 7;
         for sweep in 0..3u64 {
             f.send(0, 1, tag(sweep), vec![sweep as f64; 4]);
@@ -1075,6 +1132,7 @@ mod tests {
         }
         assert_eq!(held_elements(&f), 0, "a consumed resend is not kept");
         assert!(f.is_drained(1));
+        assert_eq!(tag_records(&f), 0);
         let s = f.stats();
         assert_eq!(s.messages_total, 3);
         assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (2, 64));
@@ -1177,13 +1235,7 @@ mod tests {
 
     #[test]
     fn fifo_holds_under_concurrent_senders_with_faults() {
-        let cfg = FabricConfig {
-            recv_timeout: Duration::from_secs(5),
-            plan: Some(FaultPlan::benign(1234)),
-            ..FabricConfig::default()
-        };
-        let f: Arc<NativeFabric<f64>> =
-            Arc::new(NativeFabric::with_config(&map(2, ExecMode::Smp), cfg));
+        let f = Arc::new(watched_fabric(Some(FaultPlan::benign(1234))));
         const N: usize = 60;
         let senders: Vec<_> = [10u64, 20u64]
             .into_iter()
@@ -1286,7 +1338,6 @@ mod tests {
         let cfg = FabricConfig {
             recv_timeout: Duration::from_millis(150),
             plan: Some(FaultPlan::quiet(0).with_black_hole(0, 1, 1)),
-            ..FabricConfig::default()
         };
         let f: NativeFabric<f64> = NativeFabric::with_config(&map(2, ExecMode::Smp), cfg);
         f.send(0, 1, 7, vec![1.0]); // swallowed
@@ -1298,12 +1349,7 @@ mod tests {
 
     #[test]
     fn corrupted_payload_is_detected_at_recv_with_exact_identity() {
-        let cfg = FabricConfig {
-            recv_timeout: Duration::from_secs(5),
-            plan: Some(FaultPlan::quiet(3).with_corrupt_payload(0, 1, 2)),
-            ..FabricConfig::default()
-        };
-        let f: NativeFabric<f64> = NativeFabric::with_config(&map(2, ExecMode::Smp), cfg);
+        let f = watched_fabric(Some(FaultPlan::quiet(3).with_corrupt_payload(0, 1, 2)));
         f.send(0, 1, 7, vec![1.0, 2.0]);
         f.send(0, 1, 7, vec![3.0, 4.0]); // the 2nd src→dst message: corrupted
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0, 2.0]);
@@ -1332,11 +1378,10 @@ mod tests {
 
     #[test]
     fn corruption_does_not_advance_the_cursor_and_replay_delivers_true_bits() {
-        // Supervised-style fabric. The rejected receive leaves its cursor
-        // where it was; a rollback resets it and the replaying sender's
-        // resend satisfies the same receive — detection is fail-stop,
-        // never data loss.
-        let f = ledger_fabric(Some(FaultPlan::quiet(3).with_corrupt_payload(0, 1, 1)));
+        // The rejected receive leaves its cursor where it was; a rollback
+        // resets it and the replaying sender's resend satisfies the same
+        // receive — detection is fail-stop, never data loss.
+        let f = watched_fabric(Some(FaultPlan::quiet(3).with_corrupt_payload(0, 1, 1)));
         f.send(0, 1, 7, vec![5.0, 6.0]); // corrupted in flight
         let c = expect_corrupt(f.recv(1, 0, 7).expect_err("corrupt first message"));
         assert_eq!(c.seq, 0, "the cursor must still expect seq 0");
@@ -1354,26 +1399,8 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_corruption_is_detected_and_spares_the_replayed_send() {
-        let f = ledger_fabric(Some(FaultPlan::quiet(17).with_corruption(1.0)));
-        f.send(0, 1, 7, vec![1.0]);
-        let c = expect_corrupt(f.recv(1, 0, 7).expect_err("every logical send corrupts"));
-        assert_eq!((c.rank, c.src, c.tag, c.seq), (1, 0, 7, 0));
-        f.rollback(0);
-        // The identity-keyed draw selects this resend too, but a replay
-        // is never corrupted.
-        f.send(0, 1, 7, vec![1.0]);
-        assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0]);
-        assert!(f.is_drained(1));
-        let s = f.stats();
-        assert_eq!(s.messages_total, 1, "logical count is exactly-once");
-        assert_eq!((s.corruptions_detected, s.messages_verified), (1, 1));
-        assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (1, 8));
-    }
-
-    #[test]
     fn rollback_replays_and_resends_count_as_retransmissions() {
-        let f = ledger_fabric(None);
+        let f = watched_fabric(None);
         f.send(0, 1, 7, vec![1.0]);
         f.send(0, 1, 7, vec![2.0]);
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0]);
@@ -1389,8 +1416,8 @@ mod tests {
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0]);
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![2.0]);
 
-        // The resends are retransmissions — the logical counters never
-        // move again for these sequence numbers.
+        // The rolled-back sends became retransmissions and the resends
+        // took their place in the logical counters.
         let s = f.stats();
         assert_eq!(s.messages_total, 2, "logical count is exactly-once");
         assert_eq!((s.retransmitted_messages, s.retransmitted_bytes), (2, 16));
@@ -1401,14 +1428,14 @@ mod tests {
     fn rollback_spares_committed_sweeps() {
         let sweep1_tag = (1u64 << 40) | 7; // sweep_of_tag == 1
         assert_eq!(sweep_of_tag(sweep1_tag), 1);
-        let f = ledger_fabric(None);
+        let f = watched_fabric(None);
         f.send(0, 1, 7, vec![1.0]);
         f.send(0, 1, sweep1_tag, vec![2.0]);
         assert_eq!(recv_ok(&f, 1, 0, 7), vec![1.0]);
         assert_eq!(recv_ok(&f, 1, 0, sweep1_tag), vec![2.0]);
 
-        // Epoch 1 commits sweep 0: its tag keeps its consumed state and
-        // is not replayed; only sweep 1's sender sends again.
+        // Epoch 1 commits sweep 0: its consumed tag is not replayed, and
+        // its charge stays logical; only sweep 1's sender sends again.
         f.rollback(1);
         assert!(
             f.try_recv(1, 0, 7).is_none(),
@@ -1494,7 +1521,6 @@ mod tests {
                 delay_prob: 1.0,
                 ..FaultPlan::quiet(0)
             }),
-            ..FabricConfig::default()
         };
         let f: NativeFabric<f64> = NativeFabric::with_config(&map(2, ExecMode::Smp), cfg);
         f.send(0, 1, 7, vec![3.0]);

@@ -16,19 +16,17 @@
 //!
 //! * **black-hole** one chosen message forever (an unmatched receive),
 //! * **panic** inside one chosen rank's send path (a crashing rank),
-//! * **corrupt** a payload — flip one seeded bit of a message's delivered
-//!   copy ([`CorruptPayload`], or probabilistically via
-//!   [`FaultPlan::corrupt_prob`]), or poison one checkpoint snapshot
-//!   after deposit ([`CorruptSnapshot`]). Only a message's first,
-//!   *logical* send is ever corrupted: after a supervised rollback the
-//!   replaying sender's resend is charged as a retransmission and
-//!   delivers the true payload.
+//! * **corrupt** a payload — flip one seeded bit of one chosen message's
+//!   delivered copy ([`CorruptPayload`]), or poison one checkpoint
+//!   snapshot after deposit ([`CorruptSnapshot`]). Both fire once: after
+//!   a supervised rollback the replaying sender's resend delivers the
+//!   true payload.
 //!
 //! None of the benign actions can break per-`(src, tag)` FIFO order: the
 //! fabric delivers strictly in sequence order, which is exactly the
 //! reordering bound the real torus guarantees. Traffic counters are
-//! charged once per *logical* message, so exact message/byte counts
-//! survive every benign perturbation.
+//! charged once per send, never per delivered copy, so exact
+//! message/byte counts survive every benign perturbation.
 //!
 //! When a receive cannot complete within the watchdog budget, the fabric
 //! snapshots every shard into a [`FabricDiagnostic`] — the native
@@ -53,15 +51,6 @@ pub enum FaultAction {
     Park {
         /// Redelivery ticks the message stays invisible for.
         ticks: u32,
-    },
-    /// Deliver the message with one bit of its payload flipped. `raw`
-    /// (reduced modulo the payload's bit count) selects the bit; it is
-    /// drawn from the same seeded identity chain as the action itself,
-    /// so the same message corrupts the same bit on every run. The
-    /// receive-side checksum detects the flip before any data is used.
-    Corrupt {
-        /// Seeded draw selecting the flipped bit.
-        raw: u64,
     },
 }
 
@@ -89,9 +78,9 @@ pub struct PanicInjection {
 
 /// Flip one seeded bit in the `nth` (1-based) `src → dst` message's
 /// delivered payload — silent data corruption in flight. Keyed on the
-/// shard's monotonic send count (like [`BlackHole`]) and applied only to
-/// logical sends, so the injection is one-shot: the replayed resend after
-/// a supervised rollback carries the true bits.
+/// shard's monotonic send count (like [`BlackHole`]), so the injection
+/// is one-shot: the replayed resend after a supervised rollback carries
+/// the true bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorruptPayload {
     /// Sending rank.
@@ -132,10 +121,6 @@ pub struct FaultPlan {
     pub drop_prob: f64,
     /// Bound on extra redelivery ticks for dropped messages.
     pub drop_retries: u32,
-    /// Probability a message's delivered copy has one seeded bit
-    /// flipped. Detected at recv, contained, and recovered under
-    /// supervision; `0.0` leaves every existing schedule untouched.
-    pub corrupt_prob: f64,
     /// Optional lethal fault: one message that never arrives.
     pub black_hole: Option<BlackHole>,
     /// Optional lethal fault: one send that panics.
@@ -172,7 +157,6 @@ impl FaultPlan {
             dup_prob: 0.10,
             drop_prob: 0.10,
             drop_retries: 3,
-            corrupt_prob: 0.0,
             black_hole: None,
             panic_on_send: None,
             corrupt_payload: None,
@@ -190,7 +174,6 @@ impl FaultPlan {
             dup_prob: 0.0,
             drop_prob: 0.0,
             drop_retries: 0,
-            corrupt_prob: 0.0,
             black_hole: None,
             panic_on_send: None,
             corrupt_payload: None,
@@ -210,12 +193,6 @@ impl FaultPlan {
     /// completed sends.
     pub fn with_panic_on_send(mut self, rank: usize, after_sends: u64) -> FaultPlan {
         self.panic_on_send = Some(PanicInjection { rank, after_sends });
-        self
-    }
-
-    /// Corrupt each message's delivered copy with probability `prob`.
-    pub fn with_corruption(mut self, prob: f64) -> FaultPlan {
-        self.corrupt_prob = prob;
         self
     }
 
@@ -271,19 +248,15 @@ impl FaultPlan {
             FaultAction::Park { ticks: 1 }
         } else if f < self.drop_prob + self.delay_prob + self.dup_prob {
             FaultAction::Duplicate
-        } else if f < self.drop_prob + self.delay_prob + self.dup_prob + self.corrupt_prob {
-            FaultAction::Corrupt {
-                raw: self.corrupt_raw(src, dst, tag, seq),
-            }
         } else {
             FaultAction::Deliver
         }
     }
 
-    /// The seeded draw selecting which payload bit a corruption flips —
-    /// pure in seed + identity like [`FaultPlan::action`], but on a
-    /// decorrelated stream so the flipped bit is independent of the
-    /// action draw.
+    /// The seeded draw selecting which payload bit a [`CorruptPayload`]
+    /// flips (reduced modulo the payload's bit count) — pure in seed +
+    /// identity like [`FaultPlan::action`], but on a decorrelated stream
+    /// so the flipped bit is independent of the action draw.
     pub fn corrupt_raw(&self, src: usize, dst: usize, tag: u64, seq: u64) -> u64 {
         let mut state = self.seed ^ 0x9E37_79B9_7F4A_7C15;
         for v in [src as u64, dst as u64, tag, seq] {
@@ -305,8 +278,9 @@ impl FaultPlan {
 /// parked messages exist.
 pub const REDELIVERY_TICK: Duration = Duration::from_millis(1);
 
-/// Runtime knobs of one [`NativeFabric`](crate::fabric::NativeFabric): the recv watchdog, the
-/// optional fault plan, and (for supervised runs) the rollback ledger.
+/// Runtime knobs of one [`NativeFabric`](crate::fabric::NativeFabric):
+/// the recv watchdog and the optional fault plan. A bare, supervised and
+/// durable run configure it alike; rolling back needs no knob.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
     /// How long a receive may block before the deadlock watchdog declares
@@ -315,12 +289,6 @@ pub struct FabricConfig {
     pub recv_timeout: Duration,
     /// The fault schedule; `None` is the clean fabric.
     pub plan: Option<FaultPlan>,
-    /// Keep every tag record after its tag goes quiet, as the ledger a
-    /// rollback replays against: each record's charged high-water is
-    /// what tells a replayed send (a retransmission) from a logical one.
-    /// Off for plain runs, which retire quiet tags, and turned on by the
-    /// supervisor.
-    pub keep_ledger: bool,
 }
 
 impl Default for FabricConfig {
@@ -328,7 +296,6 @@ impl Default for FabricConfig {
         FabricConfig {
             recv_timeout: Duration::from_secs(30),
             plan: None,
-            keep_ledger: false,
         }
     }
 }
@@ -587,47 +554,20 @@ mod tests {
                     saw_park = true;
                 }
                 FaultAction::Deliver => saw_deliver = true,
-                FaultAction::Corrupt { .. } => {
-                    unreachable!("benign plans have corrupt_prob 0")
-                }
             }
         }
         assert!(saw_dup && saw_park && saw_deliver);
     }
 
-    /// `corrupt_prob: 0` leaves every draw of every pre-existing schedule
-    /// untouched — the corruption arm sits past the old ladder's end.
-    #[test]
-    fn zero_corruption_preserves_existing_schedules() {
-        let old = FaultPlan::benign(7);
-        let extended = FaultPlan {
-            corrupt_prob: 0.0,
-            ..FaultPlan::benign(7)
-        };
-        for seq in 0..400 {
-            assert_eq!(old.action(0, 1, 3, seq), extended.action(0, 1, 3, seq));
-        }
-    }
-
     #[test]
     fn corruption_draws_are_deterministic_and_seeded() {
-        let plan = FaultPlan::quiet(11).with_corruption(1.0);
-        for seq in 0..50 {
-            let a = plan.action(0, 1, 7, seq);
-            assert_eq!(a, plan.action(0, 1, 7, seq));
-            assert!(matches!(a, FaultAction::Corrupt { .. }), "{a:?}");
-        }
-        // The flipped-bit draw is decorrelated from the action stream
-        // and differs across identities.
+        let plan = FaultPlan::quiet(11);
+        // The flipped-bit draw is pure in seed and identity, and differs
+        // across identities and seeds.
         let r0 = plan.corrupt_raw(0, 1, 7, 0);
         assert_eq!(r0, plan.corrupt_raw(0, 1, 7, 0));
         assert_ne!(r0, plan.corrupt_raw(0, 1, 7, 1));
-        assert_ne!(
-            r0,
-            FaultPlan::quiet(12)
-                .with_corruption(1.0)
-                .corrupt_raw(0, 1, 7, 0)
-        );
+        assert_ne!(r0, FaultPlan::quiet(12).corrupt_raw(0, 1, 7, 0));
     }
 
     #[test]

@@ -61,6 +61,11 @@ fn geo_for(approach: Approach, nodes: usize) -> Option<Geo> {
     })
 }
 
+/// `records` as the borrowed `(rank, slot, grids)` a gather reads.
+fn parts(records: &[SnapshotRecord<f64>]) -> impl Iterator<Item = (usize, usize, &[Grid3<f64>])> {
+    records.iter().map(|r| (r.rank, r.slot, r.grids.as_slice()))
+}
+
 /// Each shard's grids filled directly from the global synthetic field —
 /// what a run's epoch-0 state looks like on this geometry.
 fn filled_records(layout: &[ShardSpec], halo: usize, seed: u64) -> Vec<SnapshotRecord<f64>> {
@@ -123,7 +128,7 @@ fn gather_reshard_round_trip_is_bitwise_across_geometries() {
             let halo = geo.cfg.halo_depth();
             let layout = shard_layout(&geo.programs);
             let records = filled_records(&layout, halo, seed);
-            let global = gather_epoch(&records, &layout, GRID_EXT, N_GRIDS, halo)
+            let global = gather_epoch(parts(&records), &layout, GRID_EXT, N_GRIDS, halo)
                 .unwrap_or_else(|e| panic!("{approach:?} @{} nodes: {e}", geo.nodes));
             for (id, g) in global.iter().enumerate() {
                 assert_eq!(
@@ -172,7 +177,7 @@ fn adversarial_bit_patterns_survive_the_round_trip() {
     let halo_a = geo_a.cfg.halo_depth();
     let layout_a = shard_layout(&geo_a.programs);
     let records = filled_records(&layout_a, halo_a, 7);
-    let mut global = gather_epoch(&records, &layout_a, GRID_EXT, N_GRIDS, halo_a).unwrap();
+    let mut global = gather_epoch(parts(&records), &layout_a, GRID_EXT, N_GRIDS, halo_a).unwrap();
     for (id, g) in global.iter_mut().enumerate() {
         g.set(0, 0, 0, f64::from_bits(0x7ff8_0000_0000_0000 | id as u64));
         g.set(1, 2, 3, -0.0);
@@ -186,7 +191,7 @@ fn adversarial_bit_patterns_survive_the_round_trip() {
     let halo_b = geo_b.cfg.halo_depth();
     let layout_b = shard_layout(&geo_b.programs);
     let resharded = reshard_epoch(&global, &layout_b, halo_b);
-    let back = gather_epoch(&resharded, &layout_b, GRID_EXT, N_GRIDS, halo_b).unwrap();
+    let back = gather_epoch(parts(&resharded), &layout_b, GRID_EXT, N_GRIDS, halo_b).unwrap();
     for (a, b) in global.iter().zip(&back) {
         assert_eq!(interior_bits(a), interior_bits(b));
     }
@@ -199,7 +204,7 @@ fn gather_rejects_missing_and_miscovered_records() {
     let layout = shard_layout(&geo.programs);
     let mut records = filled_records(&layout, halo, 3);
     let dropped = records.pop().unwrap();
-    match gather_epoch(&records, &layout, GRID_EXT, N_GRIDS, halo) {
+    match gather_epoch(parts(&records), &layout, GRID_EXT, N_GRIDS, halo) {
         Err(RegridError::MissingRecord { rank, slot }) => {
             assert_eq!((rank, slot), (dropped.rank, dropped.slot));
         }
@@ -208,7 +213,7 @@ fn gather_rejects_missing_and_miscovered_records() {
     // A layout that skips one shard leaves grids under-covered.
     let partial = &layout[..layout.len() - 1];
     let full = filled_records(&layout, halo, 3);
-    match gather_epoch(&full, partial, GRID_EXT, N_GRIDS, halo) {
+    match gather_epoch(parts(&full), partial, GRID_EXT, N_GRIDS, halo) {
         Err(RegridError::Uncovered {
             covered, points, ..
         }) => assert!(covered < points),

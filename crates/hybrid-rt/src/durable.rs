@@ -8,18 +8,20 @@
 //! streams that epoch — borrowed from the store's shared snapshots, never
 //! copied — into a [`DurableStore`] directory: one atomic write-rename
 //! epoch file per spill, each record carrying the digest its snapshot
-//! was verified against (`gpaw_fd::durable` has the format). Once an
-//! epoch is on disk, older in-memory snapshots are pruned, so RAM holds
-//! only the staging window.
+//! was verified against (`gpaw_fd::durable` has the format). A spill
+//! prunes nothing: the store already dropped every snapshot below the
+//! consistent epoch it spills, so RAM holds only the staging window, and
+//! a spill that finishes after a rollback must not take the replay's
+//! fresh snapshots with it.
 //!
 //! The restore path (`DurabilityConfig::restore`) inverts it: recover
 //! the newest epoch that passes its digests (corrupt or torn files
 //! degrade to the previous durable epoch — worst case the synthetic
 //! fill — with typed errors reported, never a panic) and validate it
 //! against the geometry that wrote it. The driver then rehydrates a fresh
-//! checkpoint store, seeds the fabric's *logical* traffic counters with
-//! the statically-known messages of the already-completed sweeps, and
-//! resumes mid-program via
+//! checkpoint store, starts the fabric at the restored epoch with its
+//! *logical* traffic counters credited the statically-known messages of
+//! the already-completed sweeps, and resumes mid-program via
 //! [`Launch::start_sweep`](gpaw_fd::interp::Launch::start_sweep). Because every
 //! sweep's traffic is a pure function of the compiled programs, a
 //! restored run finishes with the same `run_digest` *and* the same
@@ -31,7 +33,6 @@ use crate::error::RunError;
 use crate::runtime::{JobGeometry, NativeJob};
 use gpaw_fd::checkpoint::CheckpointStore;
 use gpaw_fd::durable::{DurableError, DurableStore, RecordRef, SnapshotRecord};
-use gpaw_fd::fabric::NativeFabric;
 use gpaw_fd::progcache::JobPrograms;
 use gpaw_grid::scalar::Scalar;
 use std::path::{Path, PathBuf};
@@ -266,8 +267,6 @@ fn spill_consistent<T: Scalar>(
         Ok(_) => {
             last_spilled.store(ce, Ordering::Relaxed);
             spilled.fetch_add(1, Ordering::Relaxed);
-            // Disk now guarantees `ce`; memory only stages newer epochs.
-            store.prune_below(ce);
             if let Err(e) = dstore.retain_newest(KEEP_EPOCH_FILES) {
                 push_err(e);
             }
@@ -343,24 +342,27 @@ fn validate_restored<T: Scalar>(
     Ok(())
 }
 
-/// Charge the fabric for the traffic of sweeps `0..epochs`, which the
-/// killed process already sent: every message of
-/// [`SweepProgram::sends`](gpaw_fd::program::SweepProgram::sends) once
-/// per *replay* of the program — `epochs` replays classically,
+/// The traffic of sweeps `0..epochs`, which the killed process already
+/// sent, as `(src, dst, messages, bytes)` credits for
+/// [`NativeFabric::resume`](gpaw_fd::fabric::NativeFabric::resume): every
+/// message of [`SweepProgram::sends`](gpaw_fd::program::SweepProgram::sends)
+/// once per *replay* of the program — `epochs` replays classically,
 /// `epochs / block` when the program fuses `block` sweeps per exchange.
-/// Per-tag sequence state needs no seeding — resuming at `start_sweep =
-/// epochs` means those tags are never used again.
-pub(crate) fn seed_restored_traffic<T: Scalar>(
-    fabric: &NativeFabric<T>,
+/// Their tags are used again only if a rollback lands below `epochs`;
+/// the fabric's start epoch then counts those resends as
+/// retransmissions, so the credit is never charged twice.
+pub(crate) fn restored_traffic(
     programs: &JobPrograms,
     epochs: usize,
-) {
+) -> Vec<(usize, usize, u64, u64)> {
+    let mut credits = Vec::new();
     for (rank, progs) in programs.iter().enumerate() {
         for prog in progs {
             let replays = (epochs / prog.block()) as u64;
             for (nb, bytes) in prog.sends() {
-                fabric.credit_logical(rank, nb, replays, bytes * replays);
+                credits.push((rank, nb, replays, bytes * replays));
             }
         }
     }
+    credits
 }

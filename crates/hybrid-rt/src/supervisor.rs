@@ -3,11 +3,11 @@
 //! A bare run, a supervised run, a degradable one and a durable one differ
 //! only in policy. The driver resolves the job's geometry — compiled
 //! programs included, through the policy's [`ProgramCache`] or a one-shot
-//! one — and builds one fabric per geometry it runs on. Only when the
-//! policy can roll back (more than one attempt, a shrink budget, or a
-//! disk) does it also build a [`CheckpointStore`] and turn on the
-//! fabric's rollback ledger, so a bare run pays for neither. When an
-//! attempt fails with [`RunError::Failed`], the driver
+//! one — and builds one fabric per geometry it runs on, the same fabric
+//! whatever the policy. Only when the policy can roll back (more than one
+//! attempt, a shrink budget, or a disk) does it also build a
+//! [`CheckpointStore`], so a bare run pays nothing for checkpoints. When
+//! an attempt fails with [`RunError::Failed`], the driver
 //!
 //! 1. **classifies** each rank failure (panic, detected payload
 //!    corruption, starved receive — the black-hole shape, where the
@@ -35,11 +35,16 @@
 //! gather → re-shard path before the first attempt, so durability and
 //! degradation compose.
 //!
-//! Replayed sends land in the fabric's *retransmission* counters, never
-//! the logical ones, so a recovered run reports exactly the traffic of a
-//! fault-free run plus an explicit [`RecoveryReport`] of the overhead.
-//! Lethal injected faults cannot re-fire on replay: the black-hole and
-//! panic ordinals count monotonically over the fabric's lifetime.
+//! The fabric charges logical traffic per sweep, and a rollback moves the
+//! charges of the rolled-back sweeps into its *retransmission* counters
+//! before the replay charges them again. A fabric that starts mid-run —
+//! after a restore, or on a geometry that took over from another — is
+//! told its start epoch, and a replayed send below it is a
+//! retransmission too. So a recovered run reports exactly the traffic of
+//! a fault-free run plus an explicit [`RecoveryReport`] of the overhead,
+//! however far below its start a rollback lands. Lethal injected faults
+//! cannot re-fire on replay: the black-hole and panic ordinals count
+//! monotonically over the fabric's lifetime.
 //!
 //! One known limitation: the consistency floor is the *deposit* — a
 //! thread that dies between its buffer swap and its deposit simply pins
@@ -49,7 +54,7 @@
 //! fully completed sweep.
 
 use crate::durable::{
-    corrupt, recover_validated, seed_restored_traffic, spilling, DurabilityConfig, DurableReport,
+    corrupt, recover_validated, restored_traffic, spilling, DurabilityConfig, DurableReport,
 };
 use crate::error::RunError;
 use crate::runtime::{run_attempt, JobGeometry, NativeJob, NativeRun};
@@ -62,6 +67,7 @@ use gpaw_fd::fault::{FabricConfig, FaultPlan};
 use gpaw_fd::interp::{FailureKind, RankFailure};
 use gpaw_fd::progcache::ProgramCache;
 use gpaw_fd::program::predicted_logical_span;
+use gpaw_grid::grid3::Grid3;
 use gpaw_grid::scalar::Scalar;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -111,8 +117,7 @@ impl DegradePolicy {
 
 /// How [`execute`] drives a run: retries, shrinks, disk, and where the
 /// compiled programs come from. A policy that cannot roll back — one
-/// attempt, no shrink, no disk — runs with no checkpoints and no
-/// rollback ledger.
+/// attempt, no shrink, no disk — runs with no checkpoints.
 pub struct RunPolicy<'a> {
     /// Attempts per geometry and the backoff between them.
     pub retry: RetryPolicy,
@@ -146,7 +151,8 @@ impl<'a> RunPolicy<'a> {
     }
 
     /// Whether a failure could ever be rolled back — the one condition
-    /// for keeping checkpoints and the fabric's rollback ledger.
+    /// for keeping checkpoints. The fabric needs no such switch: it
+    /// retires quiet tags and rolls back the same way under any policy.
     fn rolls_back(&self) -> bool {
         self.retry.max_attempts > 1 || self.degrade.max_degrades > 0 || self.durable.is_some()
     }
@@ -191,10 +197,10 @@ pub struct FailureSummary {
 /// For a geometry that was degraded away, the logical counts are the
 /// statically-known traffic of its *committed* epochs
 /// ([`gpaw_fd::program::predicted_logical_span`] — the same arithmetic
-/// the durable layer seeds restored fabrics with); sends charged beyond
-/// the gather epoch were rolled back by the shrink and are itemized as
-/// discarded. The final (completing) segment reports the fabric's
-/// measured logical counters, which cover exactly its span.
+/// the durable layer credits restored fabrics with); the final attempt's
+/// sends past the gather epoch were thrown away by the shrink and are
+/// itemized as discarded. The final (completing) segment reports the
+/// fabric's measured logical counters, which cover exactly its span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeometrySegment {
     /// Nodes of the segment's partition.
@@ -212,8 +218,8 @@ pub struct GeometrySegment {
     pub logical_messages: u64,
     /// Logical payload bytes of the committed span.
     pub logical_bytes: u64,
-    /// Messages charged on this geometry beyond the committed span —
-    /// work the shrink threw away. 0 for the final segment.
+    /// The final attempt's sends past the gather epoch — work the shrink
+    /// threw away. 0 for the final segment.
     pub messages_discarded: u64,
     /// Payload bytes of the discarded messages.
     pub bytes_discarded: u64,
@@ -272,8 +278,10 @@ pub struct RecoveryReport {
     /// Completed sweeps discarded by rollbacks, summed over ranks — work
     /// that was done, thrown away, and redone.
     pub epochs_replayed: usize,
-    /// Replayed sends whose sequence number was already charged — kept
-    /// out of the logical traffic counters by the fabric.
+    /// Logical sends a rollback discarded (their replay is what the
+    /// logical counters hold), plus replayed sends of sweeps a fabric's
+    /// start epoch had already covered — kept out of the logical traffic
+    /// counters by the fabric.
     pub messages_retransmitted: u64,
     /// Payload bytes of those retransmissions.
     pub bytes_retransmitted: u64,
@@ -378,7 +386,11 @@ pub fn execute<T: SyntheticFill>(
             let records = match r.writer {
                 None => r.records,
                 Some(writer) => {
-                    let records = regrid(&r.records, &writer, &geo, &job).map_err(|e| {
+                    let parts = r
+                        .records
+                        .iter()
+                        .map(|r| (r.rank, r.slot, r.grids.as_slice()));
+                    let records = regrid(parts, &writer, &geo, &job).map_err(|e| {
                         corrupt(
                             &d.dir,
                             format!("gathering the spilled epoch {} failed: {e}", r.epoch),
@@ -400,9 +412,8 @@ pub fn execute<T: SyntheticFill>(
         let config = FabricConfig {
             recv_timeout: Duration::from_millis(job.recv_timeout_ms),
             plan: job.fault,
-            keep_ledger: rolls_back,
         };
-        let fabric: NativeFabric<T> = NativeFabric::with_config(&geo.map, config);
+        let mut fabric: NativeFabric<T> = NativeFabric::with_config(&geo.map, config);
         let poison = job.fault.and_then(|p| p.corrupt_snapshot);
         let store: Option<CheckpointStore<T>> = rolls_back.then(|| {
             CheckpointStore::new(geo.layout().into_iter().map(|s| (s.rank, s.slot)))
@@ -414,19 +425,18 @@ pub fn execute<T: SyntheticFill>(
                 store.deposit(rec.rank, rec.slot, epoch, rec.grids);
             }
         }
-        let seg_start = if segments.is_empty() {
-            // A fresh run, or a restore onto the geometry that wrote the
-            // spill: this fabric accounts for the whole run, so charge it
-            // the traffic of the sweeps already done.
-            if start_epoch > 0 {
-                seed_restored_traffic(&fabric, &geo.programs, start_epoch);
-            }
-            0
-        } else {
-            // A geometry that took over from another: the fabric measures
-            // only this segment.
-            start_epoch
-        };
+        // A fresh run, or a restore onto the geometry that wrote the
+        // spill, accounts for the whole run: its fabric is credited the
+        // traffic of the sweeps already done. A geometry that took over
+        // from another measures only its own segment.
+        let seg_start = if segments.is_empty() { 0 } else { start_epoch };
+        if start_epoch > 0 {
+            let credits = match seg_start {
+                0 => restored_traffic(&geo.programs, start_epoch),
+                _ => Vec::new(),
+            };
+            fabric.resume(start_epoch, credits);
+        }
 
         let mut attempts = || {
             let store = store.as_ref();
@@ -457,12 +467,12 @@ pub fn execute<T: SyntheticFill>(
         recovery.bytes_retransmitted += stats.retransmitted_bytes;
         recovery.corruptions_detected += stats.corruptions_detected;
         recovery.snapshot_digest_failures += store.as_ref().map_or(0, |s| s.digest_failures());
-        let charged = (stats.messages_total, stats.bytes_per_node.iter().sum());
+        let logical = (stats.messages_total, stats.bytes_per_node.iter().sum());
 
         let err = match result {
             Ok(run) => {
                 if !segments.is_empty() {
-                    segments.push(segment(&geo, (seg_start, job.sweeps), charged, charged));
+                    segments.push(segment(&geo, (seg_start, job.sweeps), logical, logical));
                     recovery.degradation = Some(DegradationReport { triggers, segments });
                 }
                 return Ok(SupervisedRun {
@@ -488,13 +498,19 @@ pub fn execute<T: SyntheticFill>(
         // degrades the resume point to the synthetic fill.
         let epoch = store.verified_consistent_epoch();
         let handed = (epoch > 0)
-            .then(|| store.epoch_records(epoch))
+            .then(|| store.epoch_snapshots(epoch))
             .flatten()
-            .and_then(|records| regrid(&records, &geo, &next_geo, &job).ok());
+            .and_then(|snaps| {
+                let parts = snaps
+                    .iter()
+                    .map(|s| s.as_record_ref())
+                    .map(|r| (r.rank, r.slot, r.grids));
+                regrid(parts, &geo, &next_geo, &job).ok()
+            });
         let resumed_from = if handed.is_some() { epoch } else { 0 };
         triggers.extend_from_slice(absorb(&mut recovery, failures, store, ranks, resumed_from));
         let committed = predicted_logical_span(&geo.programs, seg_start, resumed_from);
-        segments.push(segment(&geo, (seg_start, resumed_from), committed, charged));
+        segments.push(segment(&geo, (seg_start, resumed_from), committed, logical));
         resume = handed.map(|records| (resumed_from, records));
         (job, geo) = (next_job, next_geo);
         shrinks += 1;
@@ -609,11 +625,12 @@ fn retry_loop<T: SyntheticFill>(
 }
 
 /// Carry one epoch's state from geometry `from` to geometry `to`: gather
-/// `records`, laid out as `from`'s threads deposit, into global grids,
-/// then cut those into `to`'s layout for its store. The one path for both
-/// a shrink and a restore of a spill another geometry wrote.
-fn regrid<T: Scalar>(
-    records: &[SnapshotRecord<T>],
+/// `records`, borrowed `(rank, slot, grids)` laid out as `from`'s threads
+/// deposit, into global grids, then cut those into `to`'s layout for its
+/// store. The one path for both a shrink and a restore of a spill another
+/// geometry wrote.
+fn regrid<'a, T: Scalar>(
+    records: impl IntoIterator<Item = (usize, usize, &'a [Grid3<T>])>,
     from: &JobGeometry,
     to: &JobGeometry,
     job: &NativeJob,
@@ -624,12 +641,12 @@ fn regrid<T: Scalar>(
 }
 
 /// `geo`'s segment over the epoch `span`: `committed` logical traffic,
-/// and whatever its fabric `charged` beyond that as discarded.
+/// and whatever its fabric counted as `logical` beyond that as discarded.
 fn segment(
     geo: &JobGeometry,
     span: (usize, usize),
     committed: (u64, u64),
-    charged: (u64, u64),
+    logical: (u64, u64),
 ) -> GeometrySegment {
     GeometrySegment {
         nodes: geo.map.partition.nodes(),
@@ -639,8 +656,8 @@ fn segment(
         end_epoch: span.1,
         logical_messages: committed.0,
         logical_bytes: committed.1,
-        messages_discarded: charged.0.saturating_sub(committed.0),
-        bytes_discarded: charged.1.saturating_sub(committed.1),
+        messages_discarded: logical.0.saturating_sub(committed.0),
+        bytes_discarded: logical.1.saturating_sub(committed.1),
     }
 }
 

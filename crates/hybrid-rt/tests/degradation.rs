@@ -217,6 +217,41 @@ fn degradation_resumes_from_a_mid_run_epoch_not_the_fill() {
     assert_bitwise(&job, approach, &sup);
 }
 
+/// A rollback on the surviving geometry that lands below the epoch it
+/// took over at: the poisoned epoch-3 snapshot leaves only the synthetic
+/// fill, so the survivor replays sweeps the doomed geometry already
+/// committed. Those resends are retransmissions, and the surviving
+/// segment still reports exactly the traffic of its own span.
+#[test]
+fn a_rollback_below_the_segment_start_counts_no_message_twice() {
+    let base = base_job();
+    let approach = Approach::FlatOptimized;
+    let job = base.with_fault(
+        FaultPlan::quiet(3)
+            .with_lethal_rank_from(1, LETHAL_FROM)
+            .with_panic_on_send(0, 8)
+            .with_corrupt_snapshot(0, 0, 3),
+    );
+    let sup = execute::<f64>(&job, approach, &policy(DegradePolicy::default()))
+        .expect("degradation must complete");
+    assert_bitwise(&job, approach, &sup);
+    let deg = sup.recovery.degradation.as_ref().expect("degraded");
+    let new = deg.segments.last().expect("a surviving segment");
+    assert_eq!((new.start_epoch, new.end_epoch), (LETHAL_FROM, SWEEPS));
+    // Failures after the shrink's attempt belong to the survivor.
+    let shrunk_after = deg.triggers.iter().map(|t| t.attempt).max();
+    assert!(
+        (sup.recovery.failures.iter())
+            .any(|f| Some(f.attempt) > shrunk_after && f.resumed_from < LETHAL_FROM),
+        "the survivor must roll back below the epoch it took over at: {:?}",
+        sup.recovery.failures
+    );
+    let (m, b) = predicted_logical_span(&programs_for(&base, approach, 1), LETHAL_FROM, SWEEPS);
+    assert_eq!((new.logical_messages, new.logical_bytes), (m, b));
+    assert_eq!((new.messages_discarded, new.bytes_discarded), (0, 0));
+    assert!(sup.recovery.messages_retransmitted > 0);
+}
+
 /// A disabled policy keeps the old contract: exhausted retries surface
 /// the final attempt's `RunError`.
 #[test]

@@ -29,8 +29,8 @@ use gpaw_fd::config::Approach;
 use gpaw_fd::durable::{DurableStore, MAGIC};
 use gpaw_fd::integrity::crc32;
 use gpaw_hybrid_rt::{
-    execute, run_digest, AdmissionError, DurabilityConfig, JobService, NativeJob, NativeRun,
-    Priority, RetryPolicy, RunError, RunPolicy, ServiceConfig, SupervisedRun,
+    execute, run_digest, AdmissionError, DurabilityConfig, FaultPlan, JobService, NativeJob,
+    NativeRun, Priority, RetryPolicy, RunError, RunPolicy, ServiceConfig, SupervisedRun,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -299,6 +299,56 @@ fn fully_garbled_directory_restores_from_scratch_and_stays_bit_identical() {
     assert!(!restored.durable.degraded.is_empty());
     assert_bit_identical("all-garbled degradation", &restored, &clean);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A rollback that lands below the restore epoch replays sweeps the
+/// killed process already sent, and which the restored fabric was
+/// credited with: their resends are retransmissions, so the completed
+/// run still reports the uninterrupted run's logical traffic. The
+/// poisoned epoch-3 snapshot leaves only the synthetic fill to roll back
+/// to once a failure lands past epoch 3's deposits; the panic ordinal is
+/// scanned upward until one does.
+#[test]
+fn a_rollback_below_the_restore_epoch_counts_no_message_twice() {
+    let approach = Approach::HybridMultiple;
+    let job = base_job(2, 4);
+    let clean = clean_run(&job, approach);
+    let mut below = false;
+    for after_sends in [4u64, 6, 8, 12, 16, 24, 32, 48] {
+        let dir = tmpdir("below");
+        run_durable(&base_job(2, 2), approach, &DurabilityConfig::new(&dir));
+        let faulty = job.with_fault(
+            FaultPlan::quiet(9)
+                .with_panic_on_send(0, after_sends)
+                .with_corrupt_snapshot(0, 0, 3),
+        );
+        let restored = run_durable(
+            &faulty,
+            approach,
+            &DurabilityConfig::new(&dir).with_restore(true),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(restored.durable.resumed_from, 2);
+        assert_bit_identical(
+            &format!("restore@2, panic after {after_sends} sends"),
+            &restored,
+            &clean,
+        );
+        if restored
+            .recovery
+            .failures
+            .iter()
+            .any(|f| f.resumed_from < 2)
+        {
+            assert!(restored.recovery.messages_retransmitted > 0);
+            below = true;
+            break;
+        }
+    }
+    assert!(
+        below,
+        "some panic ordinal must roll the restored run back below epoch 2"
+    );
 }
 
 // ---------------------------------------------------------------------
