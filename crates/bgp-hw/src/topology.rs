@@ -260,25 +260,28 @@ impl Shape {
             .sum()
     }
 
-    /// The dimension-ordered (X, then Y, then Z) route from `a` to `b` as a
-    /// list of `(node, outgoing link)` pairs — the links whose bandwidth the
-    /// message consumes.
-    pub fn route(&self, a: Coord, b: Coord) -> Vec<(Coord, LinkDir)> {
+    /// The dimension-ordered (X, then Y, then Z) route from `a` to `b`, hop
+    /// by hop, as `(node, outgoing link)` pairs — the links whose bandwidth
+    /// the message consumes. The iterator owns a copy of the shape and
+    /// allocates nothing.
+    pub fn route(&self, a: Coord, b: Coord) -> impl Iterator<Item = (Coord, LinkDir)> {
+        let shape = *self;
         let disp = self.displacement(a, b);
-        let mut hops = Vec::with_capacity(self.hop_distance(a, b));
         let mut cur = a;
-        for axis in Axis::ALL {
-            let d = disp[axis.index()];
-            let dir = if d >= 0 { Dir::Plus } else { Dir::Minus };
-            for _ in 0..d.unsigned_abs() {
-                hops.push((cur, LinkDir { axis, dir }));
-                cur = self
-                    .neighbor(cur, axis, dir)
+        Axis::ALL
+            .into_iter()
+            .flat_map(move |axis| {
+                let d = disp[axis.index()];
+                let dir = if d >= 0 { Dir::Plus } else { Dir::Minus };
+                std::iter::repeat_n(LinkDir { axis, dir }, d.unsigned_abs())
+            })
+            .map(move |link| {
+                let node = cur;
+                cur = shape
+                    .neighbor(cur, link.axis, link.dir)
                     .expect("route stepped off the mesh");
-            }
-        }
-        debug_assert_eq!(cur, b, "route must terminate at the destination");
-        hops
+                (node, link)
+            })
     }
 
     /// Iterate all coordinates (z fastest).
@@ -341,22 +344,28 @@ mod tests {
         let s = Shape::torus([4, 4, 4]);
         let a = Coord([0, 0, 0]);
         let b = Coord([2, 3, 1]);
-        let route = s.route(a, b);
+        let route: Vec<_> = s.route(a, b).collect();
         assert_eq!(route.len(), s.hop_distance(a, b));
         // X hops first, then Y, then Z.
         let axes: Vec<Axis> = route.iter().map(|(_, l)| l.axis).collect();
         let mut sorted = axes.clone();
         sorted.sort();
         assert_eq!(axes, sorted);
-        // First hop leaves a.
-        assert_eq!(route[0].0, a);
+        // The first hop leaves a, each hop leaves where the last one
+        // arrived, and the last one arrives at b.
+        let mut cur = a;
+        for &(node, l) in &route {
+            assert_eq!(node, cur);
+            cur = s.neighbor(node, l.axis, l.dir).unwrap();
+        }
+        assert_eq!(cur, b);
     }
 
     #[test]
     fn route_to_self_is_empty() {
         let s = Shape::torus([4, 4, 4]);
         let c = Coord([1, 2, 3]);
-        assert!(s.route(c, c).is_empty());
+        assert_eq!(s.route(c, c).count(), 0);
         assert_eq!(s.hop_distance(c, c), 0);
     }
 
@@ -369,7 +378,7 @@ mod tests {
         let a = Coord([7, 0, 0]);
         let b = s.periodic_neighbor(a, Axis::X, Dir::Plus);
         assert_eq!(b, Coord([0, 0, 0]));
-        let route = s.route(a, b);
+        let route: Vec<_> = s.route(a, b).collect();
         assert_eq!(route.len(), 7);
         // Every intermediate node's -x link is consumed.
         assert!(route.iter().all(|(_, l)| l.axis == Axis::X));

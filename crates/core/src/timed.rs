@@ -487,6 +487,54 @@ mod tests {
         assert!(zero.messages < per.messages);
     }
 
+    /// The timed plane's exact statistics, pinned: any change to the
+    /// machine's matching, routing or event order shows up here as a
+    /// changed makespan, event count or message count. The full-mesh
+    /// points are the quick `des_mesh` benchmark shape (192³, 64 grids,
+    /// 128 cores, one sweep; batch 8, Flat original unbatched); the cell
+    /// point is the 16 384-core Fig. 7 shape, which routes every off-node
+    /// message through the mirror and looks ranks up sparsely.
+    #[test]
+    fn timed_statistics_are_pinned() {
+        let exp = crate::runner::FdExperiment {
+            grid_ext: [192; 3],
+            n_grids: 64,
+            bytes_per_point: 8,
+            sweeps: 1,
+        };
+        let m = model();
+        let mut got = Vec::new();
+        for approach in Approach::GRAPHED {
+            let batch = if approach == Approach::FlatOriginal {
+                1
+            } else {
+                8
+            };
+            let r = exp.run(128, approach, batch, &m, ScopeSel::Full);
+            got.push((approach.slug(), r.makespan.as_ps(), r.events, r.messages));
+        }
+        let cell = crate::runner::FdExperiment {
+            n_grids: 256,
+            ..exp
+        }
+        .run(16_384, Approach::HybridMultiple, 8, &m, ScopeSel::Cell);
+        got.push((
+            "cell-16384",
+            cell.makespan.as_ps(),
+            cell.events,
+            cell.messages,
+        ));
+        // (approach, makespan_ps, events, messages)
+        let want = [
+            ("flat-original", 337_846_263_900, 229_504, 49_152),
+            ("flat-optimized", 311_191_069_884, 26_752, 6_144),
+            ("hybrid-multiple", 319_909_105_176, 6_912, 1_536),
+            ("hybrid-master-only", 311_172_919_294, 31_104, 1_536),
+            ("cell-16384", 11_577_972_000, 840, 192),
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn sweeps_scale_time_roughly_linearly() {
         let mut j = job(32, Approach::HybridMultiple, 4);

@@ -58,8 +58,6 @@ impl FullNetwork {
         model: &CostModel,
     ) -> Delivery {
         assert_ne!(src, dst, "intra-node traffic does not use the torus");
-        let route = self.shape.route(src, dst);
-        debug_assert!(!route.is_empty());
         self.injected[self.shape.index(src)].add(payload);
 
         // Cut-through: the head requests link i+1 one hop_latency after it
@@ -68,8 +66,8 @@ impl FullNetwork {
         let mut head = inject_at;
         let mut injection_done = inject_at;
         let mut last_done = inject_at;
-        for (i, (node, dir)) in route.iter().enumerate() {
-            let link = &mut self.links[self.shape.index(*node)][dir.index()];
+        for (i, (node, dir)) in self.shape.route(src, dst).enumerate() {
+            let link = &mut self.links[self.shape.index(node)][dir.index()];
             let grant = link.push(head, payload, model);
             if i == 0 {
                 injection_done = grant.done;

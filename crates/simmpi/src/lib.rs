@@ -17,7 +17,9 @@
 //!   torus and go through the node's shared-memory bus, occupying the
 //!   sending core for the copy;
 //! * tag matching follows MPI semantics: `(source, tag)` match with FIFO
-//!   ordering per pair, with an unexpected-message queue.
+//!   ordering per pair, with an unexpected-message queue. A pair's entry
+//!   lives only while something waits under it, the two sides' sizes
+//!   must agree, and a run may not end with a message nobody received.
 //!
 //! The machine can be instantiated at two scopes ([`machine::Scope`]):
 //! `Full` simulates every rank (exact, any topology), `UnitCell` simulates

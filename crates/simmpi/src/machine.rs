@@ -8,7 +8,62 @@ use gpaw_bgp_hw::topology::{Axis, Coord, Dir, LinkDir};
 use gpaw_bgp_hw::CartMap;
 use gpaw_des::{EventQueue, FifoServer, SimDuration, SimTime, SpanAgg, SpanKind};
 use gpaw_netsim::{CollectiveTree, FullNetwork, UnitCellNetwork};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiplicative hasher for the machine's integer keys: one rotate,
+/// xor and multiply per word instead of SipHash's rounds. The keys are
+/// simulator-chosen ranks and tags, so there is no adversary to resist.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's entropy sits in the high bits; the table indexes
+        // buckets with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A match table: `(source rank, tag)` → the entries waiting under that
+/// pair, oldest first.
+type MatchTable<V> = HashMap<(u64, Tag), VecDeque<V>, BuildHasherDefault<IntHasher>>;
+
+/// Take the oldest entry waiting under `key`, retiring the key the moment
+/// its queue drains: a match table holds only the traffic in flight.
+fn take_oldest<V>(table: &mut MatchTable<V>, key: (u64, Tag)) -> Option<V> {
+    match table.entry(key) {
+        Entry::Occupied(mut e) => {
+            let v = e.get_mut().pop_front();
+            if e.get().is_empty() {
+                e.remove();
+            }
+            v
+        }
+        Entry::Vacant(_) => None,
+    }
+}
+
+/// A message size mismatch is a program bug on either side of the match:
+/// name the pair and both sizes.
+fn check_size(src: u64, tag: Tag, sent: u64, posted: u64) {
+    assert!(
+        sent == posted,
+        "message size mismatch on {}: sent {sent} bytes, receive posted for {posted}",
+        diag::pending_recv(src as usize, tag)
+    );
+}
 
 /// The MPI thread support level of the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,13 +111,29 @@ enum Ev {
     },
 }
 
+/// The requests one thread posted under one epoch, until its `WaitEpoch`
+/// charges them.
+struct EpochRec {
+    epoch: u32,
+    /// Requests not yet complete.
+    open: u32,
+    /// Requests posted in all (drives the wait-completion charge).
+    posted: u32,
+}
+
+/// A receive waiting for its message.
+struct PostedRecv {
+    tid: u32,
+    epoch: u32,
+    bytes: u64,
+}
+
 struct Thread {
     proc: u32,
     slot: u32,
-    /// Incomplete request count per epoch.
-    outstanding: HashMap<u32, u32>,
-    /// Total requests posted per epoch (drives the wait-completion charge).
-    posted_count: HashMap<u32, u32>,
+    /// The epochs with requests posted and not yet waited on — two or
+    /// three at a time under double buffering, so a linear search wins.
+    epochs: Vec<EpochRec>,
     waiting: Option<u32>,
     /// When the thread parked on its current `WaitEpoch` (valid while
     /// `waiting` is `Some`); anchors the Wait span.
@@ -89,6 +160,36 @@ impl Thread {
     fn busy(&self) -> SimDuration {
         self.busy_compute + self.busy_comm + self.busy_sync
     }
+
+    /// Count one posted request under `epoch`; `open` if it is still
+    /// incomplete.
+    fn post(&mut self, epoch: u32, open: bool) {
+        let open = u32::from(open);
+        match self.epochs.iter_mut().find(|r| r.epoch == epoch) {
+            Some(r) => {
+                r.open += open;
+                r.posted += 1;
+            }
+            None => self.epochs.push(EpochRec {
+                epoch,
+                open,
+                posted: 1,
+            }),
+        }
+    }
+
+    /// At `epoch`'s wait: `None` while any of its requests is open;
+    /// otherwise retire its record and return how many requests the wait
+    /// charges for.
+    fn retire_if_complete(&mut self, epoch: u32) -> Option<u64> {
+        match self.epochs.iter().position(|r| r.epoch == epoch) {
+            None => Some(0),
+            Some(i) if self.epochs[i].open == 0 => {
+                Some(u64::from(self.epochs.swap_remove(i).posted))
+            }
+            Some(_) => None,
+        }
+    }
 }
 
 struct Proc {
@@ -98,8 +199,10 @@ struct Proc {
     /// the paper's Fig. 6 counts intra-node virtual-mode messages too.
     sent_payload: u64,
     mpi_lock: FifoServer,
-    posted: HashMap<(u64, Tag), VecDeque<(u32, u32)>>,
-    unexpected: HashMap<(u64, Tag), VecDeque<u64>>,
+    /// Receives posted before their message arrived.
+    posted: MatchTable<PostedRecv>,
+    /// Sizes of messages that arrived before their receive was posted.
+    unexpected: MatchTable<u64>,
     barrier: Vec<(u32, SimTime)>,
 }
 
@@ -114,7 +217,9 @@ pub struct Machine {
     procs: Vec<Proc>,
     threads: Vec<Thread>,
     programs: Vec<Box<dyn Program>>,
-    proc_of_rank: HashMap<usize, u32>,
+    /// Process index of each global rank; `None` for ranks the scope does
+    /// not instantiate.
+    proc_of_rank: Vec<Option<u32>>,
     node_bus: Vec<FifoServer>,
     ar_arrived: Vec<(u32, SimTime)>,
     ar_bytes: u64,
@@ -180,11 +285,11 @@ impl Machine {
             Scope::UnitCell { .. } => 1,
         };
 
-        let mut proc_of_rank = HashMap::with_capacity(ranks.len());
+        let mut proc_of_rank = vec![None; map.ranks()];
         let mut procs = Vec::with_capacity(ranks.len());
         let mut threads = Vec::with_capacity(ranks.len() * t_per_proc);
         for (pi, &rank) in ranks.iter().enumerate() {
-            proc_of_rank.insert(rank, pi as u32);
+            proc_of_rank[rank] = Some(pi as u32);
             let node_idx = match scope {
                 Scope::Full => map.partition.node_shape.index(map.node_of(rank)),
                 Scope::UnitCell { .. } => 0,
@@ -194,16 +299,15 @@ impl Machine {
                 node_idx,
                 sent_payload: 0,
                 mpi_lock: FifoServer::new(),
-                posted: HashMap::new(),
-                unexpected: HashMap::new(),
+                posted: MatchTable::default(),
+                unexpected: MatchTable::default(),
                 barrier: Vec::new(),
             });
             for slot in 0..t_per_proc {
                 threads.push(Thread {
                     proc: pi as u32,
                     slot: slot as u32,
-                    outstanding: HashMap::new(),
-                    posted_count: HashMap::new(),
+                    epochs: Vec::new(),
                     waiting: None,
                     wait_started: SimTime::ZERO,
                     done: false,
@@ -241,8 +345,17 @@ impl Machine {
     ///
     /// # Panics
     /// Panics on deadlock (some thread never reaches `Done`) with a
-    /// description of the stuck threads.
+    /// description of the stuck threads, on a message that arrived but
+    /// was never received, and on a message whose size differs from its
+    /// receive's.
     pub fn run(mut self) -> RunReport {
+        self.simulate();
+        self.report()
+    }
+
+    /// Drive the event loop until no event is left, then check that every
+    /// thread finished and every message was received.
+    fn simulate(&mut self) {
         for tid in 0..self.threads.len() {
             self.queue
                 .schedule_at(SimTime::ZERO, Ev::Fetch { tid: tid as u32 });
@@ -280,7 +393,22 @@ impl Machine {
                 stuck.join("; ")
             );
         }
-        self.report()
+        let mut unreceived = Vec::new();
+        for p in &self.procs {
+            for (&(src, tag), q) in &p.unexpected {
+                let recv = diag::pending_recv(src as usize, tag);
+                let line = format!("rank {} never posted {recv}", p.rank);
+                unreceived.extend(std::iter::repeat_n(line, q.len()));
+            }
+        }
+        if !unreceived.is_empty() {
+            unreceived.sort();
+            panic!(
+                "{}: {}",
+                diag::unreceived_header(unreceived.len()),
+                unreceived.join("; ")
+            );
+        }
     }
 
     /// What a stuck thread is blocked on, for the deadlock report: the
@@ -296,7 +424,7 @@ impl Machine {
                 .iter()
                 .flat_map(|(&(src, tag), q)| {
                     q.iter()
-                        .filter(move |&&(wtid, wepoch)| wtid == tid && wepoch == epoch)
+                        .filter(move |r| r.tid == tid && r.epoch == epoch)
                         .map(move |_| diag::pending_recv(src as usize, tag))
                 })
                 .collect();
@@ -366,11 +494,11 @@ impl Machine {
             });
         }
         // All posted payload, grouped by node (the Fig. 6 metric).
-        let mut per_node: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
+        let mut per_node = vec![0u64; self.node_bus.len()];
         for p in &self.procs {
-            *per_node.entry(p.node_idx).or_insert(0) += p.sent_payload;
+            per_node[p.node_idx] += p.sent_payload;
         }
-        let bytes_per_node = per_node.values().copied().max().unwrap_or(0);
+        let bytes_per_node = per_node.into_iter().max().unwrap_or(0);
         RunReport {
             makespan: makespan.since(SimTime::ZERO),
             events: self.queue.events_processed(),
@@ -412,8 +540,7 @@ impl Machine {
             } => {
                 self.assert_comm_allowed(ti);
                 let cpu_done = self.charge_call(ti, now, self.model.o_send, SpanKind::Post);
-                *self.threads[ti].outstanding.entry(epoch).or_insert(0) += 1;
-                *self.threads[ti].posted_count.entry(epoch).or_insert(0) += 1;
+                self.threads[ti].post(epoch, true);
                 self.messages += 1;
                 self.procs[self.threads[ti].proc as usize].sent_payload += bytes;
                 let src_rank = self.procs[self.threads[ti].proc as usize].rank;
@@ -441,32 +568,25 @@ impl Machine {
                 let cpu_done = self.charge_call(ti, now, self.model.o_recv, SpanKind::Post);
                 let pi = self.threads[ti].proc as usize;
                 let key = (src as u64, tag);
-                let matched = self.procs[pi]
-                    .unexpected
-                    .get_mut(&key)
-                    .and_then(VecDeque::pop_front);
-                if let Some(arrived_bytes) = matched {
-                    debug_assert_eq!(arrived_bytes, bytes, "message size mismatch");
+                let matched = take_oldest(&mut self.procs[pi].unexpected, key);
+                if let Some(sent) = matched {
+                    check_size(key.0, tag, sent, bytes);
                     // Completed immediately; still counts toward the epoch's
                     // wait-time charge.
-                    *self.threads[ti].posted_count.entry(epoch).or_insert(0) += 1;
+                    self.threads[ti].post(epoch, false);
                 } else {
                     self.procs[pi]
                         .posted
                         .entry(key)
                         .or_default()
-                        .push_back((tid, epoch));
-                    *self.threads[ti].outstanding.entry(epoch).or_insert(0) += 1;
-                    *self.threads[ti].posted_count.entry(epoch).or_insert(0) += 1;
+                        .push_back(PostedRecv { tid, epoch, bytes });
+                    self.threads[ti].post(epoch, true);
                 }
                 self.queue.schedule_at(cpu_done, Ev::Fetch { tid });
             }
             Instr::WaitEpoch { epoch } => {
                 let t = &mut self.threads[ti];
-                let open = t.outstanding.get(&epoch).copied().unwrap_or(0);
-                if open == 0 {
-                    t.outstanding.remove(&epoch);
-                    let k = t.posted_count.remove(&epoch).unwrap_or(0) as u64;
+                if let Some(k) = t.retire_if_complete(epoch) {
                     let charge = self.model.o_wait * k;
                     t.busy_comm += charge;
                     t.spans.add(SpanKind::Wait, charge);
@@ -604,7 +724,7 @@ impl Machine {
         at: SimTime,
         sender_ti: usize,
     ) -> Routed {
-        if let Some(&dst_proc) = self.proc_of_rank.get(&dst_rank) {
+        if let Some(dst_proc) = self.proc_of_rank[dst_rank] {
             let same_node = match &self.net {
                 Net::Full(_) => self.map.same_node(src_rank, dst_rank),
                 // Everything instantiated in cell scope lives on the one
@@ -617,10 +737,8 @@ impl Machine {
         }
         match &mut self.net {
             Net::Full(net) => {
-                let dst_proc = *self
-                    .proc_of_rank
-                    .get(&dst_rank)
-                    .expect("full scope instantiates every rank");
+                let dst_proc =
+                    self.proc_of_rank[dst_rank].expect("full scope instantiates every rank");
                 let d = net.transfer(
                     at,
                     self.map.node_of(src_rank),
@@ -660,9 +778,7 @@ impl Machine {
                     dc.0[2] % self.cell_dims[2],
                 ]);
                 let mirror_rank = self.map.rank_of(mirror);
-                let dst_proc = *self
-                    .proc_of_rank
-                    .get(&mirror_rank)
+                let dst_proc = self.proc_of_rank[mirror_rank]
                     .expect("mirror target is in the cell by construction");
                 // Perceived source: the rank the mirror target would really
                 // have received this message from.
@@ -713,38 +829,36 @@ impl Machine {
     // ---- completion ------------------------------------------------------
 
     fn complete_request(&mut self, tid: u32, epoch: u32, now: SimTime) {
-        let ti = tid as usize;
-        let open = self.threads[ti]
-            .outstanding
-            .get_mut(&epoch)
+        let t = &mut self.threads[tid as usize];
+        let rec = t
+            .epochs
+            .iter_mut()
+            .find(|r| r.epoch == epoch)
             .expect("completion for unknown epoch");
-        *open -= 1;
-        if *open == 0 {
-            self.threads[ti].outstanding.remove(&epoch);
-            if self.threads[ti].waiting == Some(epoch) {
-                let t = &mut self.threads[ti];
-                t.waiting = None;
-                let k = t.posted_count.remove(&epoch).unwrap_or(0) as u64;
-                let charge = self.model.o_wait * k;
-                t.busy_comm += charge;
-                // The whole parked interval plus the completion charge is
-                // MPI-wait time.
-                t.spans
-                    .add(SpanKind::Wait, (now + charge).since(t.wait_started));
-                self.queue.schedule_at(now + charge, Ev::Fetch { tid });
-            }
+        rec.open -= 1;
+        if t.waiting != Some(epoch) {
+            return;
+        }
+        if let Some(k) = t.retire_if_complete(epoch) {
+            t.waiting = None;
+            let charge = self.model.o_wait * k;
+            t.busy_comm += charge;
+            // The whole parked interval plus the completion charge is
+            // MPI-wait time.
+            t.spans
+                .add(SpanKind::Wait, (now + charge).since(t.wait_started));
+            self.queue.schedule_at(now + charge, Ev::Fetch { tid });
         }
     }
 
     fn deliver(&mut self, proc: u32, src: u64, tag: Tag, bytes: u64, now: SimTime) {
         let pi = proc as usize;
         let key = (src, tag);
-        let matched = self.procs[pi]
-            .posted
-            .get_mut(&key)
-            .and_then(VecDeque::pop_front);
-        match matched {
-            Some((tid, epoch)) => self.complete_request(tid, epoch, now),
+        match take_oldest(&mut self.procs[pi].posted, key) {
+            Some(recv) => {
+                check_size(src, tag, bytes, recv.bytes);
+                self.complete_request(recv.tid, recv.epoch, now);
+            }
             None => self.procs[pi]
                 .unexpected
                 .entry(key)
@@ -1140,18 +1254,169 @@ mod tests {
             ],
             4,
         );
-        let machine = Machine::new(map, m, ThreadMode::Single, Scope::Full, progs);
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| machine.run()))
-            .expect_err("an unmatched receive must deadlock");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("panic carries a message")
-            .clone();
+        let msg = run_panic(Machine::new(map, m, ThreadMode::Single, Scope::Full, progs));
         // The shared `diag` wording: the same phrases the native fabric's
         // watchdog uses, so one grep covers both planes.
         assert!(msg.contains("deadlock: 1 threads stuck"), "{msg}");
         assert!(msg.contains("rank 0"), "{msg}");
         assert!(msg.contains("waiting on recv(src=1, tag=9)"), "{msg}");
+    }
+
+    /// The panic message of a run that must fail.
+    fn run_panic(machine: Machine) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| machine.run()))
+            .expect_err("the run must fail");
+        payload
+            .downcast_ref::<String>()
+            .expect("panic carries a message")
+            .clone()
+    }
+
+    #[test]
+    fn unreceived_message_is_named() {
+        let map = two_node_map();
+        let progs = pad_idle(
+            vec![
+                vec![
+                    Instr::Isend {
+                        dst: 1,
+                        bytes: 8,
+                        tag: 5,
+                        epoch: 0,
+                    },
+                    Instr::WaitEpoch { epoch: 0 },
+                ],
+                vec![],
+            ],
+            4,
+        );
+        let msg = run_panic(Machine::new(
+            map,
+            model(),
+            ThreadMode::Single,
+            Scope::Full,
+            progs,
+        ));
+        assert!(
+            msg.contains("unreceived: 1 messages delivered, never matched"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("rank 1 never posted recv(src=0, tag=5)"),
+            "{msg}"
+        );
+    }
+
+    /// Rank 0 sends `sent` bytes; rank 1 posts a receive for `posted`,
+    /// after a delay when `late` (so the message waits as unexpected).
+    fn mismatched_sizes(sent: u64, posted: u64, late: bool) -> Machine {
+        let mut recv = vec![
+            Instr::Irecv {
+                src: 0,
+                bytes: posted,
+                tag: 3,
+                epoch: 0,
+            },
+            Instr::WaitEpoch { epoch: 0 },
+        ];
+        if late {
+            recv.insert(
+                0,
+                Instr::Delay {
+                    d: SimDuration::from_ms(1),
+                },
+            );
+        }
+        let send = vec![
+            Instr::Isend {
+                dst: 1,
+                bytes: sent,
+                tag: 3,
+                epoch: 0,
+            },
+            Instr::WaitEpoch { epoch: 0 },
+        ];
+        let progs = pad_idle(vec![send, recv], 4);
+        Machine::new(
+            two_node_map(),
+            model(),
+            ThreadMode::Single,
+            Scope::Full,
+            progs,
+        )
+    }
+
+    #[test]
+    fn size_mismatch_on_a_late_receive_is_named() {
+        let msg = run_panic(mismatched_sizes(64, 32, true));
+        assert!(
+            msg.contains(
+                "message size mismatch on recv(src=0, tag=3): sent 64 bytes, receive posted for 32"
+            ),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn size_mismatch_on_delivery_is_named() {
+        let msg = run_panic(mismatched_sizes(64, 128, false));
+        assert!(
+            msg.contains(
+                "message size mismatch on recv(src=0, tag=3): sent 64 bytes, receive posted for 128"
+            ),
+            "{msg}"
+        );
+    }
+
+    /// A finished run holds no match entries and no epoch records: every
+    /// table is sized by the traffic in flight, so it drains with it. Both
+    /// match paths are exercised — epoch 0's receives are posted before
+    /// their messages, epoch 1's after.
+    #[test]
+    fn a_finished_run_leaves_no_match_state() {
+        let map = two_node_map();
+        let mut progs = Vec::new();
+        for rank in 0..2usize {
+            let peer = 1 - rank;
+            let mut is = Vec::new();
+            for epoch in 0..2u32 {
+                if epoch == 1 {
+                    is.push(Instr::Delay {
+                        d: SimDuration::from_ms(rank as u64 + 1),
+                    });
+                }
+                for k in 0..3u64 {
+                    is.push(Instr::Irecv {
+                        src: peer,
+                        bytes: 256,
+                        tag: u64::from(epoch) << 8 | k,
+                        epoch,
+                    });
+                    is.push(Instr::Isend {
+                        dst: peer,
+                        bytes: 256,
+                        tag: u64::from(epoch) << 8 | k,
+                        epoch,
+                    });
+                }
+                is.push(Instr::WaitEpoch { epoch });
+            }
+            progs.push(is);
+        }
+        let mut machine = Machine::new(
+            map,
+            model(),
+            ThreadMode::Single,
+            Scope::Full,
+            pad_idle(progs, 4),
+        );
+        machine.simulate();
+        for p in &machine.procs {
+            assert!(p.posted.is_empty(), "rank {} posted", p.rank);
+            assert!(p.unexpected.is_empty(), "rank {} unexpected", p.rank);
+        }
+        assert!(machine.threads.iter().all(|t| t.epochs.is_empty()));
+        assert_eq!(machine.report().messages, 12);
     }
 
     #[test]
