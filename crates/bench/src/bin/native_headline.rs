@@ -31,7 +31,7 @@
 //! A missing or garbled checkpoint directory is a typed error and exit
 //! code 3 — never a panic.
 
-use gpaw_bench::{emit_report, mb, secs, Table};
+use gpaw_bench::{mb, secs, Table};
 use gpaw_des::SpanKind;
 use gpaw_fd::config::Approach;
 use gpaw_fd::exec::{max_error_vs_reference_planned, sequential_reference};
@@ -267,7 +267,10 @@ fn main() {
         results.len()
     );
     json.scalar("threads", threads as f64);
-    emit_report(&json);
+    match json.write("BENCH_native_headline.json") {
+        Ok(()) => println!("\n[json] wrote BENCH_native_headline.json"),
+        Err(e) => eprintln!("\n[json] FAILED to write BENCH_native_headline.json: {e}"),
+    }
 
     if let Some(path) = trace_out {
         // Native runs keep the raw timelines, so the export is exact: the

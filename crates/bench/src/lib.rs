@@ -1,39 +1,28 @@
 //! # gpaw-bench — figure and table harnesses
 //!
-//! One binary per table/figure of the paper (see `DESIGN.md` §5 and
-//! `EXPERIMENTS.md` for paper-vs-measured):
+//! Three binaries (see `DESIGN.md` §5 and `EXPERIMENTS.md` for
+//! paper-vs-measured):
 //!
-//! | binary | regenerates |
+//! | binary | does |
 //! |---|---|
-//! | `table1_hardware` | Table I (node description + derived rates) |
-//! | `fig2_bandwidth` | Fig. 2 (p2p bandwidth vs message size) |
-//! | `fig5_speedup` | Fig. 5 (32×144³ speedups, batching off/on) |
-//! | `fig6_gustafson` | Fig. 6 (grids = cores, time + comm/node) |
-//! | `fig7_large_speedup` | Fig. 7 (2816×192³, speedup vs Flat original @1k) |
-//! | `headline` | §VII-B / §VIII numbers (1.94×, utilization, FlatStatic) |
-//! | `ablations` | §V design-choice ablations |
+//! | `figures [<name>…]` | regenerates the paper's tables and figures into `results/<name>.txt` and checks its anchors ([`figures`]) |
+//! | `gate <scenario>` | runs the CI matrix: seven fixed scenarios gated against `results/baseline.json` ([`gate`]) |
+//! | `native_headline` | runs the headline strategies on real threads, bitwise against the sequential reference |
 //!
-//! The `gate` binary runs the CI matrix: seven fixed scenarios whose
-//! numbers are gated against `results/baseline.json` through [`gate`].
+//! The figures are `table1_hardware` (Table I), `fig2_bandwidth`
+//! (Fig. 2), `fig5_speedup`, `fig6_gustafson` and `fig7_large_speedup`
+//! (Figs. 5–7), `headline` (§VII-B / §VIII) and `ablations` (§V). The
+//! `calibrate` binary grid-searches the cost model against the anchor
+//! table's values.
 //!
-//! This library holds the shared pieces: the gate's ledger, the paper's
-//! workload presets, an aligned-table printer, and a simulated-seconds
-//! formatter.
+//! This library holds the shared pieces: the figure and anchor tables,
+//! the gate's ledger, the paper's workload presets, an aligned-table
+//! printer, and a simulated-seconds formatter.
 
 use gpaw_fd::runner::FdExperiment;
-use gpaw_fd::ExperimentReport;
 
+pub mod figures;
 pub mod gate;
-
-/// Write `report` to `BENCH_<name>.json` in the current directory (the
-/// machine-readable twin of the printed tables) and say where it went.
-pub fn emit_report(report: &ExperimentReport) {
-    let path = format!("BENCH_{}.json", report.name);
-    match report.write(&path) {
-        Ok(()) => println!("\n[json] wrote {path}"),
-        Err(e) => eprintln!("\n[json] FAILED to write {path}: {e}"),
-    }
-}
 
 /// The paper's Fig. 5 workload: 32 grids of 144³ ("because of the memory
 /// demand, it is not possible to have more than 32 grids running on a

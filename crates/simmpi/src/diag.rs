@@ -6,8 +6,9 @@
 //! fabric's watchdog returns a structured `FabricDiagnostic`
 //! (`gpaw_fd::fault`). The phrases live here so the two reports
 //! read identically and an operator can grep one vocabulary across both
-//! planes. The timed machine's other end-of-run failure — a message that
-//! arrived and was never received — names its receive the same way.
+//! planes. The timed machine's other end-of-run failures — a message that
+//! arrived and was never received, a receive posted and never matched —
+//! name their receive the same way.
 
 /// The pending operation of a blocked receive: `recv(src=2, tag=77)`.
 pub fn pending_recv(src: usize, tag: u64) -> String {
@@ -25,6 +26,12 @@ pub fn unreceived_header(n: usize) -> String {
     format!("unreceived: {n} messages delivered, never matched")
 }
 
+/// The header of a run that finished with receives no message matched:
+/// `unmatched: 2 receives posted, never matched`.
+pub fn unmatched_header(n: usize) -> String {
+    format!("unmatched: {n} receives posted, never matched")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,6 +44,10 @@ mod tests {
         assert_eq!(
             unreceived_header(2),
             "unreceived: 2 messages delivered, never matched"
+        );
+        assert_eq!(
+            unmatched_header(1),
+            "unmatched: 1 receives posted, never matched"
         );
     }
 }

@@ -346,15 +346,16 @@ impl Machine {
     /// # Panics
     /// Panics on deadlock (some thread never reaches `Done`) with a
     /// description of the stuck threads, on a message that arrived but
-    /// was never received, and on a message whose size differs from its
-    /// receive's.
+    /// was never received, on a receive that was posted but never
+    /// matched, and on a message whose size differs from its receive's.
     pub fn run(mut self) -> RunReport {
         self.simulate();
         self.report()
     }
 
     /// Drive the event loop until no event is left, then check that every
-    /// thread finished and every message was received.
+    /// thread finished, every message was received and every posted
+    /// receive was matched.
     fn simulate(&mut self) {
         for tid in 0..self.threads.len() {
             self.queue
@@ -393,21 +394,27 @@ impl Machine {
                 stuck.join("; ")
             );
         }
-        let mut unreceived = Vec::new();
+        let (mut unreceived, mut unmatched) = (Vec::new(), Vec::new());
         for p in &self.procs {
             for (&(src, tag), q) in &p.unexpected {
                 let recv = diag::pending_recv(src as usize, tag);
                 let line = format!("rank {} never posted {recv}", p.rank);
                 unreceived.extend(std::iter::repeat_n(line, q.len()));
             }
+            for (&(src, tag), q) in &p.posted {
+                let recv = diag::pending_recv(src as usize, tag);
+                let line = format!("rank {} posted {recv}, never matched", p.rank);
+                unmatched.extend(std::iter::repeat_n(line, q.len()));
+            }
         }
-        if !unreceived.is_empty() {
-            unreceived.sort();
-            panic!(
-                "{}: {}",
-                diag::unreceived_header(unreceived.len()),
-                unreceived.join("; ")
-            );
+        for (header, mut lines) in [
+            (diag::unreceived_header(unreceived.len()), unreceived),
+            (diag::unmatched_header(unmatched.len()), unmatched),
+        ] {
+            if !lines.is_empty() {
+                lines.sort();
+                panic!("{header}: {}", lines.join("; "));
+            }
         }
     }
 
@@ -1303,6 +1310,39 @@ mod tests {
         );
         assert!(
             msg.contains("rank 1 never posted recv(src=0, tag=5)"),
+            "{msg}"
+        );
+    }
+
+    /// A receive that is posted and never waited on, with no sender, ends
+    /// the run as a failure naming it rather than leaving it behind.
+    #[test]
+    fn unmatched_receive_is_named() {
+        let progs = pad_idle(
+            vec![
+                vec![],
+                vec![Instr::Irecv {
+                    src: 0,
+                    bytes: 8,
+                    tag: 9,
+                    epoch: 0,
+                }],
+            ],
+            4,
+        );
+        let msg = run_panic(Machine::new(
+            two_node_map(),
+            model(),
+            ThreadMode::Single,
+            Scope::Full,
+            progs,
+        ));
+        assert!(
+            msg.contains("unmatched: 1 receives posted, never matched"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("rank 1 posted recv(src=0, tag=9), never matched"),
             "{msg}"
         );
     }
